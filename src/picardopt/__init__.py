@@ -13,13 +13,13 @@ from .engine import (EngineResult, EngineSettings, RoundErrors, ThresholdState,
                      picard_round, run, update_threshold)
 from .errors import (ConfigError, DimensionError, InternalConsistencyError,
                      ObjectiveError, PicardoptError, PoisonedDrift, ScheduleError)
-from .kernels import available_paths, kernel_path, set_kernel_path
+from .kernels import kernel_path
 from .oracle import (ComparisonReport, Trajectory, compare_trajectories,
                      prefix_check, solve_sequential)
-from .pool import AuxModel, WorkerPool, pool_timing_report
+from .pool import AuxModel, WorkerPool
 from .problems import PROBLEM_KINDS, Problem, make_problem
 from .rules import (RULE_KINDS, AdamParams, UpdateRule, drift, initial_state,
-                    make_rule, project_drift_dim, rollout_one, sequential_step)
+                    make_rule, rollout_one, sequential_step)
 from .schedule import ScheduleAction, split_offset
 from .state import (Drift, MomentState, ParamState, clone_state, read_states,
                     state_checksum, states_equal_bits, write_states)

@@ -19,7 +19,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import kernels
 from .config import (RunConfig, build_problem, build_rule, engine_settings,
                      load_config)
 from .engine import run as engine_run
@@ -210,40 +209,34 @@ def cmd_verify(manifest_path: str | None) -> int:
         print(f"error: cannot read manifest {path}", file=sys.stderr)
         return EXIT_CONFIG
 
-    prior_path = kernels.kernel_path()
-    if parser.has_option("meta", "kernel_path"):
-        kernels.set_kernel_path(parser.get("meta", "kernel_path"))
-    try:
-        all_ok = True
-        for section in parser.sections():
-            if not section.startswith("case:"):
-                continue
-            name = section.removeprefix("case:")
-            items = dict(parser.items(section))
-            expected = int(items.pop("expected_checksum"), 16)
-            overrides = {
-                {"problem": "problem_kind", "rule": "rule_kind"}.get(k, k): v
-                for k, v in items.items()
-            }
-            cfg = load_config(None, overrides)
-            problem = build_problem(cfg)
-            rule = build_rule(cfg, problem)
-            oracle_traj, _ = solve_sequential(rule, seed_offset=cfg.seed_offset)
-            result = engine_run(rule, engine_settings(cfg, record_trajectory=False),
-                                config_echo=cfg.echo())
-            got = state_checksum(result.terminal)
-            exact = states_equal_bits(result.terminal, oracle_traj.states[-1])
-            ok = exact and got == expected
-            all_ok &= ok
-            detail = f"checksum {got:016x}"
-            if not exact:
-                detail += " (engine != oracle)"
-            if got != expected:
-                detail += f" (pinned {expected:016x})"
-            print(f"case {name}: {'PASS' if ok else 'FAIL'} [{detail}]")
-        return EXIT_OK if all_ok else EXIT_FAIL
-    finally:
-        kernels.set_kernel_path(prior_path)
+    all_ok = True
+    for section in parser.sections():
+        if not section.startswith("case:"):
+            continue
+        name = section.removeprefix("case:")
+        items = dict(parser.items(section))
+        expected = int(items.pop("expected_checksum"), 16)
+        overrides = {
+            {"problem": "problem_kind", "rule": "rule_kind"}.get(k, k): v
+            for k, v in items.items()
+        }
+        cfg = load_config(None, overrides)
+        problem = build_problem(cfg)
+        rule = build_rule(cfg, problem)
+        oracle_traj, _ = solve_sequential(rule, seed_offset=cfg.seed_offset)
+        result = engine_run(rule, engine_settings(cfg, record_trajectory=False),
+                            config_echo=cfg.echo())
+        got = state_checksum(result.terminal)
+        exact = states_equal_bits(result.terminal, oracle_traj.states[-1])
+        ok = exact and got == expected
+        all_ok &= ok
+        detail = f"checksum {got:016x}"
+        if not exact:
+            detail += " (engine != oracle)"
+        if got != expected:
+            detail += f" (pinned {expected:016x})"
+        print(f"case {name}: {'PASS' if ok else 'FAIL'} [{detail}]")
+    return EXIT_OK if all_ok else EXIT_FAIL
 
 
 def main(argv=None) -> int:

@@ -32,8 +32,7 @@ MODES = ("engine", "oracle", "both", "sweep")
 COMPARE_MODES = ("auto", "bitexact", "tolerance")
 SWEEP_AXES = ("window", "gamma", "cost")
 
-# Calibrated per-family defaults; threshold mirrors the per-framework table
-# shape (initial fixed-point threshold, overridable per run).
+# Calibrated per-family step sizes.
 DEFAULT_STEP_SIZES: dict[tuple[str, str], float] = {
     ("quadratic", "sgd"): 0.1,
     ("quadratic", "adam"): 0.05,
@@ -49,14 +48,7 @@ DEFAULT_STEP_SIZES: dict[tuple[str, str], float] = {
     ("linear_ode", "euler_ode"): 1.0,
 }
 
-DEFAULT_THRESHOLDS: dict[str, float] = {
-    "quadratic": 1e-6,
-    "rosenbrock": 1e-6,
-    "stochastic_lsq": 1e-6,
-    "tiny_mlp": 1e-6,
-    "splat2d": 1e-6,
-    "linear_ode": 1e-6,
-}
+# Initial fixed-point threshold of every family, overridable per run.
 FALLBACK_THRESHOLD = 1e-6
 
 
@@ -101,7 +93,7 @@ class RunConfig:
     def resolved_threshold(self) -> float:
         if self.threshold is not None:
             return self.threshold
-        return DEFAULT_THRESHOLDS.get(self.problem_kind, FALLBACK_THRESHOLD)
+        return FALLBACK_THRESHOLD
 
     def resolved_gamma(self) -> float:
         if self.gamma is not None:
@@ -274,10 +266,7 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("sweep.values", "sweep needs at least one value")
     if cfg.rule_kind == EULER_ODE and cfg.problem_kind != "linear_ode":
         raise ConfigError("rule.kind", "euler_ode requires the linear_ode problem")
-    try:
-        _parse_schedule(cfg.schedule)
-    except ConfigError:
-        raise
+    _parse_schedule(cfg.schedule)
 
 
 def build_problem(cfg: RunConfig) -> Problem:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernels
-from .errors import PicardoptError
+from .errors import PicardoptError, PoisonedDrift
 from .pool import WorkerPool
 from .rules import ADAPTIVE_GUIDANCE, UpdateRule, initial_state, reconcile_payload, rollout_one
 from .schedule import reconcile_vector
@@ -37,7 +37,6 @@ class Window:
 
     base_step: int
     states: tuple[ParamState, ...]
-    iteration: int
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))
@@ -91,7 +90,10 @@ def fixed_point_distance(new: ParamState, old: ParamState, rule: UpdateRule) -> 
             rule.problem.point_width, with_offset=True,
         )
     delta = new.values - lifted
-    return float(np.dot(delta, delta)) / max(new.dim, old.dim)
+    dist = float(np.dot(delta, delta)) / max(new.dim, old.dim)
+    if not np.isfinite(dist):
+        raise PoisonedDrift(new.step, -1, "fixed-point distance is not finite")
+    return dist
 
 
 def compute_skip(errors: RoundErrors, threshold: float) -> int:
@@ -134,7 +136,7 @@ def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool) -> tuple[Wi
             d = replace(d, payload=lifted)
         new.append(rollout_one(rule, d, rolling))
     errors = RoundErrors(tuple(fixed_point_distance(new[j], old[j], rule) for j in range(1, p + 1)))
-    return Window(window.base_step, tuple(new), window.iteration + 1), errors
+    return Window(window.base_step, tuple(new)), errors
 
 
 def advance_window(window: Window, new_states, skip: int, total_steps: int) -> Window:
@@ -154,7 +156,7 @@ def advance_window(window: Window, new_states, skip: int, total_steps: int) -> W
     last = new_states[-1]
     while len(kept) < new_size + 1:
         kept.append(with_step(last, new_base + len(kept)))
-    return Window(new_base, tuple(kept), window.iteration + 1)
+    return Window(new_base, tuple(kept))
 
 
 @dataclass
@@ -198,19 +200,15 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
 
     All window slots start as clones of the initial state.  Per round:
     refine, skip, record telemetry, adapt the threshold (after the skip
-    decision, preserving the reference ordering), advance.  On a poisoned
+    decision, preserving the reference ordering), advance.  On a failed
     round the partial report and current window are attached to the raised
-    error for checkpointing.
+    error for checkpointing.  A pool created here is closed however the run
+    ends.
     """
     T = rule.total_steps
     theta0 = initial_state(rule)
-    own_pool = pool is None
-    if own_pool:
-        aux_dim = theta0.dim if rule.kind == ADAPTIVE_GUIDANCE else None
-        pool = WorkerPool(settings.workers, settings.seed_offset, settings.injected_cost_ms, aux_dim)
-
     size0 = min(settings.window, T)
-    window = Window(0, [theta0] + [with_step(theta0, j) for j in range(1, size0 + 1)], 0)
+    window = Window(0, [theta0] + [with_step(theta0, j) for j in range(1, size0 + 1)])
     ts = ThresholdState(settings.threshold0, settings.gamma, settings.aggregation)
 
     records: list[RoundRecord] = []
@@ -230,6 +228,11 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
             "seed_offset": settings.seed_offset,
             "kernel_path": kernels.kernel_path(),
         }
+
+    own_pool = pool is None
+    if own_pool:
+        aux_dim = theta0.dim if rule.kind == ADAPTIVE_GUIDANCE else None
+        pool = WorkerPool(settings.workers, settings.seed_offset, settings.injected_cost_ms, aux_dim)
 
     t_start = time.perf_counter()
     try:
@@ -254,6 +257,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
             window = advance_window(window, new_states, skip, T)
             if snapshots is not None:
                 snapshots.append(list(trajectory) + list(window.states[1:]))
+        wall_ms = 1000.0 * (time.perf_counter() - t_start)
     except PicardoptError as err:
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
         err.partial_report = finalize_report(  # type: ignore[attr-defined]
@@ -261,18 +265,15 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
             worker_busy_ms=pool.timing_report()["busy_ms"], partial=True,
         )
         err.partial_window = window  # type: ignore[attr-defined]
+        raise
+    finally:
         if own_pool:
             pool.close()
-        raise
 
-    wall_ms = 1000.0 * (time.perf_counter() - t_start)
     terminal = window.states[0]
     final_loss = rule.problem.loss(terminal.values, T + settings.seed_offset)
-    timing = pool.timing_report()
-    if own_pool:
-        pool.close()
     report = finalize_report(
         records, T, config_echo, final_loss=final_loss, wall_time_ms=wall_ms,
-        worker_busy_ms=timing["busy_ms"], partial=False,
+        worker_busy_ms=pool.timing_report()["busy_ms"], partial=False,
     )
     return EngineResult(terminal, report, records, trajectory, snapshots)

@@ -1,53 +1,37 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy implementations.
-
-The active implementation is chosen at import time from the ``PICARDOPT_NUMBA``
-environment variable (``0``/``off``/``false`` selects the numpy fallback) and
-can be switched at runtime with :func:`set_kernel_path`.  ``python -m
-picardopt.bench`` compares both paths.
+"""Hot numeric kernels, in plain numpy.
 
 Bit-compatibility notes, relied on by the checksum manifest:
 
-* ``adam_apply`` and ``rosenbrock_grad`` are purely elementwise and produce
-  bit-identical results on both paths.
-* ``splat_field`` / ``splat_loss_grad`` reduce over grid cells; numpy uses
-  pairwise summation while the numba loops accumulate sequentially, so the two
-  paths agree only to ~1e-12 relative.  Checksums pinned in the default suite
-  manifest therefore record the kernel path they were computed under.
+* ``adam_apply`` and ``rosenbrock_grad`` are purely elementwise.
+* ``splat_field`` / ``splat_loss_grad`` reduce over grid cells with numpy's
+  pairwise summation; the pinned checksums depend on that reduction order.
 
-Matrix-product gradients (least squares, the small MLP) stay in plain numpy:
-BLAS already runs them at native speed and a second implementation would only
-add reduction-order variance.
+Matrix-product gradients (least squares, the small MLP) stay in plain numpy
+too: BLAS already runs them at native speed.  ``python3 perfbench/run.py
+--trace 1`` times each kernel inside full solves.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .errors import ConfigError
 
-try:
-    import numba
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
+def kernel_path() -> str:
+    """Name of the kernel implementation, echoed in run reports."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def _adam_apply_np(values, m1, m2, g, c1, c2, beta1, beta2, eps, lr):
+def adam_apply(values, m1, m2, g, t_next, beta1, beta2, eps, lr):
+    """One bias-corrected Adam update; returns (values', m1', m2')."""
+    c1 = 1.0 - beta1**t_next
+    c2 = 1.0 - beta2**t_next
     m1n = beta1 * m1 + (1.0 - beta1) * g
     m2n = beta2 * m2 + (1.0 - beta2) * (g * g)
     vn = values - lr * (m1n / c1) / (np.sqrt(m2n / c2) + eps)
     return vn, m1n, m2n
 
 
-def _rosenbrock_grad_np(x):
+def rosenbrock_grad(x):
     g = np.zeros_like(x)
     xi = x[:-1]
     xn = x[1:]
@@ -56,7 +40,7 @@ def _rosenbrock_grad_np(x):
     return g
 
 
-def _splat_field_np(points, grid_x, grid_y):
+def splat_field(points, grid_x, grid_y):
     x = points[:, 0]
     y = points[:, 1]
     sig2 = np.exp(points[:, 2]) ** 2
@@ -69,7 +53,7 @@ def _splat_field_np(points, grid_x, grid_y):
     return np.sum(w[:, None, None] * e, axis=0)
 
 
-def _splat_loss_grad_np(points, grid_x, grid_y, target):
+def splat_loss_grad(points, grid_x, grid_y, target):
     x = points[:, 0]
     y = points[:, 1]
     sig2 = np.exp(points[:, 2]) ** 2
@@ -89,150 +73,3 @@ def _splat_loss_grad_np(points, grid_x, grid_y, target):
     grad[:, 2] = np.sum(re * (w[:, None, None] * d2 / sig2[:, None, None]), axis=(1, 2))
     grad[:, 3] = np.sum(re, axis=(1, 2))
     return loss, grad
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAS_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _adam_apply_nb(values, m1, m2, g, c1, c2, beta1, beta2, eps, lr):
-        n = values.shape[0]
-        vn = np.empty(n)
-        m1n = np.empty(n)
-        m2n = np.empty(n)
-        for i in range(n):
-            m1n[i] = beta1 * m1[i] + (1.0 - beta1) * g[i]
-            m2n[i] = beta2 * m2[i] + (1.0 - beta2) * (g[i] * g[i])
-            vn[i] = values[i] - lr * (m1n[i] / c1) / (np.sqrt(m2n[i] / c2) + eps)
-        return vn, m1n, m2n
-
-    @njit(cache=True, nogil=True)
-    def _rosenbrock_grad_nb(x):
-        n = x.shape[0]
-        g = np.zeros(n)
-        for i in range(n):
-            gi = 0.0
-            if i < n - 1:
-                gi = -400.0 * x[i] * (x[i + 1] - x[i] * x[i]) - 2.0 * (1.0 - x[i])
-            if i > 0:
-                gi = gi + 200.0 * (x[i] - x[i - 1] * x[i - 1])
-            g[i] = gi
-        return g
-
-    @njit(cache=True, nogil=True)
-    def _splat_field_nb(points, grid_x, grid_y):
-        p = points.shape[0]
-        gy = grid_y.shape[0]
-        gx = grid_x.shape[0]
-        field = np.zeros((gy, gx))
-        for i in range(p):
-            sig = np.exp(points[i, 2])
-            sig2 = sig * sig
-            for j in range(gy):
-                dy = grid_y[j] - points[i, 1]
-                for k in range(gx):
-                    dx = grid_x[k] - points[i, 0]
-                    d2 = dx * dx + dy * dy
-                    field[j, k] += points[i, 3] * np.exp(-d2 / (2.0 * sig2))
-        return field
-
-    @njit(cache=True, nogil=True)
-    def _splat_loss_grad_nb(points, grid_x, grid_y, target):
-        p = points.shape[0]
-        gy = grid_y.shape[0]
-        gx = grid_x.shape[0]
-        field = _splat_field_nb(points, grid_x, grid_y)
-        loss = 0.0
-        for j in range(gy):
-            for k in range(gx):
-                r = field[j, k] - target[j, k]
-                loss += r * r
-        grad = np.zeros((p, 4))
-        for i in range(p):
-            sig = np.exp(points[i, 2])
-            sig2 = sig * sig
-            w = points[i, 3]
-            for j in range(gy):
-                dy = grid_y[j] - points[i, 1]
-                for k in range(gx):
-                    dx = grid_x[k] - points[i, 0]
-                    d2 = dx * dx + dy * dy
-                    e = np.exp(-d2 / (2.0 * sig2))
-                    r = 2.0 * (field[j, k] - target[j, k])
-                    grad[i, 0] += r * e * (w * dx / sig2)
-                    grad[i, 1] += r * e * (w * dy / sig2)
-                    grad[i, 2] += r * e * (w * d2 / sig2)
-                    grad[i, 3] += r * e
-        return loss, grad
-
-
-# ---------------------------------------------------------------------------
-# path selection
-
-_IMPLS = {
-    "numpy": {
-        "adam_apply": _adam_apply_np,
-        "rosenbrock_grad": _rosenbrock_grad_np,
-        "splat_field": _splat_field_np,
-        "splat_loss_grad": _splat_loss_grad_np,
-    }
-}
-if HAS_NUMBA:
-    _IMPLS["numba"] = {
-        "adam_apply": _adam_apply_nb,
-        "rosenbrock_grad": _rosenbrock_grad_nb,
-        "splat_field": _splat_field_nb,
-        "splat_loss_grad": _splat_loss_grad_nb,
-    }
-
-
-def _initial_path() -> str:
-    flag = os.environ.get("PICARDOPT_NUMBA", "auto").strip().lower()
-    if flag in ("0", "off", "false", "no"):
-        return "numpy"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-_active_path = _initial_path()
-
-
-def kernel_path() -> str:
-    """Name of the active kernel implementation ("numba" or "numpy")."""
-    return _active_path
-
-
-def available_paths() -> tuple[str, ...]:
-    return tuple(sorted(_IMPLS))
-
-
-def set_kernel_path(name: str) -> None:
-    """Switch the active implementation; raises ConfigError if unavailable."""
-    global _active_path
-    if name not in _IMPLS:
-        raise ConfigError("kernel_path", f"unknown or unavailable path {name!r}; have {available_paths()}")
-    _active_path = name
-
-
-def adam_apply(values, m1, m2, g, t_next, beta1, beta2, eps, lr):
-    """One bias-corrected Adam update; returns (values', m1', m2').
-
-    The bias corrections 1-beta**t are computed here (shared scalar code) so
-    both kernel paths see identical constants.
-    """
-    c1 = 1.0 - beta1**t_next
-    c2 = 1.0 - beta2**t_next
-    return _IMPLS[_active_path]["adam_apply"](values, m1, m2, g, c1, c2, beta1, beta2, eps, lr)
-
-
-def rosenbrock_grad(x):
-    return _IMPLS[_active_path]["rosenbrock_grad"](x)
-
-
-def splat_field(points, grid_x, grid_y):
-    return _IMPLS[_active_path]["splat_field"](points, grid_x, grid_y)
-
-
-def splat_loss_grad(points, grid_x, grid_y, target):
-    return _IMPLS[_active_path]["splat_loss_grad"](points, grid_x, grid_y, target)

@@ -36,9 +36,10 @@ def solve_sequential(rule: UpdateRule, theta0: ParamState | None = None,
                      seed_offset: int = 0, injected_cost_ms: float = 0.0) -> tuple[Trajectory, float]:
     """Iterate the sequential update from step 0 to the horizon.
 
-    Returns (trajectory, wall_time_ms).  The optional injected per-step sleep
-    mirrors the worker pool's, for fair wall-clock baselines.  Loss at step
-    tau is evaluated under seed tau + seed_offset.
+    Returns (trajectory, wall_time_ms).  Only the step loop is timed, with the
+    optional injected per-step sleep mirroring the worker pool's, for fair
+    wall-clock baselines.  Loss at step tau is evaluated after the clock
+    stops, under seed tau + seed_offset.
     """
     if theta0 is None:
         theta0 = initial_state(rule)
@@ -47,15 +48,13 @@ def solve_sequential(rule: UpdateRule, theta0: ParamState | None = None,
     aux = AuxModel(theta0.dim) if rule.kind == ADAPTIVE_GUIDANCE else None
     sleep_s = injected_cost_ms / 1000.0
     states = [theta0]
-    losses = [rule.problem.loss(theta0.values, seed_offset)]
     t0 = time.perf_counter()
     for tau in range(rule.total_steps):
         if sleep_s > 0.0:
             time.sleep(sleep_s)
-        nxt = sequential_step(rule, states[-1], tau + seed_offset, aux)
-        states.append(nxt)
-        losses.append(rule.problem.loss(nxt.values, nxt.step + seed_offset))
+        states.append(sequential_step(rule, states[-1], tau + seed_offset, aux))
     wall_ms = 1000.0 * (time.perf_counter() - t0)
+    losses = [rule.problem.loss(s.values, s.step + seed_offset) for s in states]
     return Trajectory(states, losses), wall_ms
 
 

@@ -133,7 +133,3 @@ class WorkerPool:
             "drifts_served": list(self._drift_counts),
             "gather_wall_ms": wall_ms,
         }
-
-
-def pool_timing_report(pool: WorkerPool) -> dict:
-    return pool.timing_report()

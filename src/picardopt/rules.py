@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, PoisonedDrift
+from .errors import DimensionError
 from .problems import Problem
-from .schedule import PRUNE, ScheduleAction, apply_action, reconcile_vector, validate_schedule
+from .schedule import ScheduleAction, apply_action, reconcile_vector, validate_schedule
 from .state import Drift, MomentState, ParamState
 
 EULER_ODE = "euler_ode"
@@ -144,8 +144,6 @@ def rollout_one(rule: UpdateRule, d: Drift, state: ParamState) -> ParamState:
         vn, m1, m2 = kernels.adam_apply(
             state.values, moments.m1, moments.m2, d.payload, t_next, p.beta1, p.beta2, p.eps, eta
         )
-        if not np.all(np.isfinite(vn)):
-            raise PoisonedDrift(state.step, d.seed, "adam update produced non-finite values")
         moments = MomentState(m1, m2, t_next)
     elif rule.kind == SPLIT_PRUNE_SGD:
         vn = state.values - eta * d.payload
@@ -156,40 +154,13 @@ def rollout_one(rule: UpdateRule, d: Drift, state: ParamState) -> ParamState:
     else:  # pragma: no cover - guarded by make_rule
         raise ValueError(f"unknown rule kind {rule.kind!r}")
 
-    if not np.all(np.isfinite(vn)):
-        raise PoisonedDrift(state.step, d.seed, "state update produced non-finite values")
+    # ParamState construction raises PoisonedDrift on non-finite values.
     return ParamState(state.step + 1, vn, dim_tag, moments, d.aux_version)
 
 
 def sequential_step(rule: UpdateRule, state: ParamState, seed: int, aux=None) -> ParamState:
     """One direct sequential update: rollout_one(rule, drift(...), state)."""
     return rollout_one(rule, drift(rule, state, seed, aux), state)
-
-
-def project_drift_dim(rule: UpdateRule, full_grad: np.ndarray, target_points: int) -> np.ndarray:
-    """Restrict a drift to the points surviving the schedule's prune actions.
-
-    Deletion sets come from the rule's schedule, applied in firing order until
-    the point count reaches ``target_points``.
-    """
-    width = rule.problem.point_width
-    full_grad = np.asarray(full_grad, dtype=np.float64)
-    if len(full_grad) % width:
-        raise DimensionError(f"drift length {len(full_grad)} not a multiple of width {width}")
-    points = len(full_grad) // width
-    if target_points > points:
-        raise DimensionError(f"target {target_points} points exceeds drift's {points}")
-    out = full_grad
-    for a in rule.schedule:
-        if len(out) // width == target_points:
-            return out
-        if a.kind == PRUNE:
-            out = apply_action(out, a, width, with_offset=False)
-    if len(out) // width != target_points:
-        raise DimensionError(
-            f"schedule prunes cannot reduce {points} points to {target_points}"
-        )
-    return out
 
 
 def reconcile_payload(rule: UpdateRule, payload: np.ndarray, have_points: int,

@@ -79,15 +79,6 @@ def apply_action(vec: np.ndarray, action: ScheduleAction, width: int, with_offse
     return np.delete(pts, list(action.indices), axis=0).reshape(-1)
 
 
-def points_at_step(schedule, step: int, initial_points: int) -> int:
-    """Point count of a correctly rolled-out state at ``step``."""
-    n = initial_points
-    for a in schedule:
-        if a.step < step:
-            n += a.delta
-    return n
-
-
 def missed_actions(schedule, step: int, have_points: int, want_points: int):
     """Actions a stale state at ``step`` skipped, reconstructed by walking the
     schedule backwards from the correct count until it matches the stale one.

@@ -8,7 +8,6 @@ All mutation happens by building new states.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 from dataclasses import dataclass, replace
 
@@ -240,7 +239,3 @@ def state_from_json_dict(d: dict) -> ParamState:
         m = d["moments"]
         moments = MomentState(np.asarray(m["m1"]), np.asarray(m["m2"]), m["t"])
     return ParamState(d["step"], np.asarray(d["values"]), d["dim_tag"], moments, d.get("aux_version", 0))
-
-
-def state_to_json(state: ParamState) -> str:
-    return json.dumps(state_to_json_dict(state), sort_keys=True)

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 
@@ -141,6 +142,18 @@ def test_cli_numeric_poisoning_exits_3(tmp_path, capsys):
     assert (tmp_path / "abort_window.bin").exists()
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["partial"] is True
+
+
+def test_cli_overflowing_distance_exits_3_without_leaking_threads(tmp_path, capsys):
+    # States stay finite but the fixed-point distance overflows to inf.
+    before = threading.active_count()
+    code = run_cli("run", "--problem", "rosenbrock", "--rule", "sgd", "--step-size", "0.01",
+                   "--steps", "50", "--threshold", "1e-6", "--out", str(tmp_path))
+    assert code == 3
+    assert (tmp_path / "abort_window.bin").exists()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["partial"] is True
+    assert threading.active_count() == before
 
 
 def test_cli_determinism_byte_identical(tmp_path):

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from conftest import DecayOde
@@ -138,11 +140,10 @@ def test_distance_step_mismatch():
 def test_round_size_one_equals_sequential():
     rule = quad_rule(T=10)
     theta0 = initial_state(rule)
-    w = Window(0, [theta0, with_step(theta0, 1)], 0)
+    w = Window(0, [theta0, with_step(theta0, 1)])
     with WorkerPool(2) as pool:
         cand, errors = picard_round(w, rule, pool)
     expect = sequential_step(rule, theta0, 0)
-    assert cand.iteration == 1
     assert states_equal_bits(cand.states[1], expect)
     assert len(errors.per_slot) == 1
 
@@ -151,7 +152,7 @@ def test_round_constant_guess_unrolls_euler():
     # f(x) = -x, theta0 = 1, T = 4: after one full-window round slot tau holds 1 - tau/4
     rule = make_rule("euler_ode", DecayOde(), 1.0, total_steps=4)
     theta0 = initial_state(rule)
-    w = Window(0, [theta0] + [with_step(theta0, j) for j in (1, 2, 3, 4)], 0)
+    w = Window(0, [theta0] + [with_step(theta0, j) for j in (1, 2, 3, 4)])
     with WorkerPool(4) as pool:
         cand, _ = picard_round(w, rule, pool)
     for tau in range(5):
@@ -162,7 +163,7 @@ def test_round_exact_anchor_propagates_one_step():
     rule = quad_rule(T=10)
     anchor = sequential_step(rule, initial_state(rule), 0)  # exact theta*_1
     junk = ParamState(2, np.full(4, 9.0), 4)
-    w = Window(1, [anchor, junk], 0)
+    w = Window(1, [anchor, junk])
     with WorkerPool(1) as pool:
         cand, _ = picard_round(w, rule, pool)
     assert states_equal_bits(cand.states[1], sequential_step(rule, anchor, 1))
@@ -171,9 +172,9 @@ def test_round_exact_anchor_propagates_one_step():
 # --- advance_window ----------------------------------------------------------------
 
 
-def window_of(rule, base, size, k=0):
+def window_of(rule, base, size):
     s = with_step(initial_state(rule), base)
-    return Window(base, [with_step(s, base + j) for j in range(size + 1)], k)
+    return Window(base, [with_step(s, base + j) for j in range(size + 1)])
 
 
 def test_advance_full_skip_refills_from_last():
@@ -181,7 +182,7 @@ def test_advance_full_skip_refills_from_last():
     w = window_of(rule, 0, 3)
     new_states = [ParamState(j, np.full(4, float(j)), 4) for j in range(4)]
     out = advance_window(w, new_states, skip=3, total_steps=100)
-    assert out.base_step == 3 and out.iteration == 1 and out.size == 3
+    assert out.base_step == 3 and out.size == 3
     assert out.states[0] is new_states[3]
     for j in range(1, 4):
         assert np.all(out.states[j].values == 3.0)
@@ -284,6 +285,18 @@ def test_run_poisoned_attaches_partial_report():
         run(rule, EngineSettings(window=3, workers=2, threshold0=0.0, gamma=1.0))
     assert exc.value.partial_report.partial
     assert exc.value.partial_window is not None
+
+
+def test_run_closes_own_pool_on_non_package_error():
+    class Broken(DecayOde):
+        def grad(self, values, seed):
+            raise RuntimeError("objective crashed")
+
+    rule = make_rule("sgd", Broken(), 0.1, total_steps=10)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError):
+        run(rule, EngineSettings(window=3, workers=4, threshold0=0.0, gamma=1.0))
+    assert threading.active_count() == before
 
 
 def test_run_window_one_at_T_one():

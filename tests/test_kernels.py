@@ -1,82 +1,13 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from picardopt import kernels
-from picardopt.errors import ConfigError
-
-NUMBA_AVAILABLE = "numba" in kernels.available_paths()
-
-needs_numba = pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba unavailable")
-
-
-@pytest.fixture
-def restore_path():
-    before = kernels.kernel_path()
-    yield
-    kernels.set_kernel_path(before)
 
 
 def _adam_inputs(n=64, seed=0):
     rng = np.random.default_rng(seed)
     return (rng.standard_normal(n), rng.standard_normal(n),
             np.abs(rng.standard_normal(n)), rng.standard_normal(n))
-
-
-def test_set_unknown_path_rejected():
-    with pytest.raises(ConfigError):
-        kernels.set_kernel_path("cuda")
-
-
-@needs_numba
-def test_adam_bit_identical_across_paths(restore_path):
-    v, m1, m2, g = _adam_inputs()
-    outs = {}
-    for path in ("numpy", "numba"):
-        kernels.set_kernel_path(path)
-        outs[path] = kernels.adam_apply(v, m1, m2, g, 4, 0.9, 0.999, 1e-8, 0.02)
-    for a, b in zip(outs["numpy"], outs["numba"]):
-        assert a.tobytes() == b.tobytes()
-
-
-@needs_numba
-def test_rosenbrock_bit_identical_across_paths(restore_path):
-    x = np.random.default_rng(1).standard_normal(33)
-    kernels.set_kernel_path("numpy")
-    a = kernels.rosenbrock_grad(x)
-    kernels.set_kernel_path("numba")
-    b = kernels.rosenbrock_grad(x)
-    assert a.tobytes() == b.tobytes()
-
-
-@needs_numba
-def test_splat_paths_agree_to_tolerance(restore_path):
-    rng = np.random.default_rng(2)
-    pts = np.column_stack([rng.uniform(0.2, 0.8, 5), rng.uniform(0.2, 0.8, 5),
-                           np.log(rng.uniform(0.1, 0.3, 5)), rng.uniform(0.5, 1.5, 5)])
-    grid = (np.arange(16) + 0.5) / 16
-    target = np.zeros((16, 16))
-    kernels.set_kernel_path("numpy")
-    f_np = kernels.splat_field(pts, grid, grid)
-    l_np, g_np = kernels.splat_loss_grad(pts, grid, grid, target)
-    kernels.set_kernel_path("numba")
-    f_nb = kernels.splat_field(pts, grid, grid)
-    l_nb, g_nb = kernels.splat_loss_grad(pts, grid, grid, target)
-    np.testing.assert_allclose(f_nb, f_np, rtol=1e-12)
-    np.testing.assert_allclose(g_nb, g_np, rtol=1e-10, atol=1e-12)
-    assert l_nb == pytest.approx(l_np, rel=1e-12)
-
-
-def test_env_flag_selects_numpy_fallback():
-    env = dict(os.environ, PICARDOPT_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", "from picardopt import kernels; print(kernels.kernel_path())"],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.stdout.strip() == "numpy"
 
 
 def test_adam_matches_scalar_reference():
@@ -104,11 +35,3 @@ def test_rosenbrock_grad_matches_difference_quotient():
         up[i] += h
         dn[i] -= h
         assert g[i] == pytest.approx((loss(up) - loss(dn)) / (2 * h), rel=1e-4, abs=1e-4)
-
-
-def test_bench_module_runs(capsys):
-    from picardopt import bench
-
-    assert bench.main(["--repeat", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "adam_apply" in out and "splat_loss_grad" in out

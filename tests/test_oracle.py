@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from conftest import DecayOde
@@ -113,3 +115,15 @@ def test_losses_recorded_per_step():
     traj, _ = solve_sequential(rule)
     assert len(traj.losses) == 6
     assert traj.losses == sorted(traj.losses, reverse=True)
+
+
+def test_wall_time_excludes_loss_evaluation():
+    class SlowLoss(DecayOde):
+        def loss(self, values, seed):
+            time.sleep(0.02)
+            return super().loss(values, seed)
+
+    rule = make_rule("sgd", SlowLoss(), 0.1, total_steps=10)
+    traj, wall_ms = solve_sequential(rule)
+    assert len(traj.losses) == 11
+    assert wall_ms < 20.0  # below the sleep of a single loss call

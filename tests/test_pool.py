@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import picardopt as po
-from picardopt.pool import AuxModel, WorkerPool, pool_timing_report
+from picardopt.pool import AuxModel, WorkerPool
 from picardopt.rules import make_rule
 from picardopt.state import ParamState, with_step
 
@@ -72,7 +72,7 @@ def test_balanced_workload_busy_ratio():
     with WorkerPool(4, injected_cost_ms=5.0) as pool:
         for _ in range(2):
             pool.gather_drifts(rule, states_for(rule, 8))
-        busy = pool_timing_report(pool)["busy_ms"]
+        busy = pool.timing_report()["busy_ms"]
     assert max(busy) / min(busy) < 1.5
 
 

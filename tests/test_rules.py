@@ -4,8 +4,8 @@ from conftest import DecayOde, naive_adam, naive_euler, naive_sgd
 
 import picardopt as po
 from picardopt.errors import DimensionError, PoisonedDrift
-from picardopt.rules import (drift, initial_state, make_rule, project_drift_dim,
-                             reconcile_payload, rollout_one, sequential_step)
+from picardopt.rules import (drift, initial_state, make_rule, reconcile_payload,
+                             rollout_one, sequential_step)
 from picardopt.schedule import ScheduleAction, split_offset
 from picardopt.state import Drift, MomentState, ParamState
 
@@ -189,25 +189,6 @@ def test_drift_step_mismatch_raises():
     rule = make_rule("sgd", quad(), 0.1, total_steps=10)
     with pytest.raises(ValueError):
         rollout_one(rule, Drift(1, np.zeros(2), 1), ParamState(0, np.zeros(2), 2))
-
-
-def test_project_drift_dim_identity():
-    _, rule = splat_rule(schedule=[ScheduleAction(3, "prune", (1,))])
-    g = np.arange(8.0)
-    np.testing.assert_array_equal(project_drift_dim(rule, g, 2), g)
-
-
-def test_project_drift_dim_deletes_scheduled_point():
-    _, rule = splat_rule(schedule=[ScheduleAction(3, "prune", (1,))])
-    g = np.arange(12.0)  # 3 points
-    out = project_drift_dim(rule, g, 2)
-    np.testing.assert_array_equal(out, np.concatenate([g[:4], g[8:]]))
-
-
-def test_project_drift_dim_rejects_growth():
-    _, rule = splat_rule()
-    with pytest.raises(DimensionError):
-        project_drift_dim(rule, np.arange(8.0), 3)
 
 
 def test_reconcile_payload_duplicates_without_offset():

@@ -3,8 +3,7 @@ import pytest
 
 from picardopt.errors import DimensionError, ScheduleError
 from picardopt.schedule import (SPLIT_OFFSET, ScheduleAction, apply_action,
-                                missed_actions, points_at_step,
-                                reconcile_vector, split_offset,
+                                missed_actions, reconcile_vector, split_offset,
                                 validate_schedule)
 
 
@@ -48,14 +47,6 @@ def test_validate_schedule_ordering():
         validate_schedule(list(reversed(acts)), 10)
     with pytest.raises(ScheduleError):
         validate_schedule(acts, 7)  # action at 7 not < 7
-
-
-def test_points_at_step():
-    sched = (ScheduleAction(3, "split", (0, 1)), ScheduleAction(6, "prune", (2,)))
-    assert points_at_step(sched, 0, 2) == 2
-    assert points_at_step(sched, 3, 2) == 2  # fires during 3 -> 4
-    assert points_at_step(sched, 4, 2) == 4
-    assert points_at_step(sched, 7, 2) == 3
 
 
 def test_missed_actions_recovers_suffix():
