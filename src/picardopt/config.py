@@ -1,15 +1,14 @@
 """Run configuration: flat INI-style files with per-module sections, overlaid
 by command-line flags (flags > file > built-in defaults).
 
-Sections and keys:
+``SECTIONS`` is the one description of a run's settings: it maps each
+``[section] key`` to its ``RunConfig`` field.  Everything else is derived
+from it and from the field annotations:
 
-    [problem] kind, dim, data_seed, noise, points, n_targets, n_rows
-    [rule]    kind, step_size, beta1, beta2, eps, schedule
-    [engine]  steps, window, workers, threshold, gamma, aggregation,
-              seed_offset, injected_cost_ms
-    [output]  dir, mode
-    [compare] mode, tol
-    [sweep]   axis, values
+* the CLI flag and manifest key of an entry (``OPTIONS``) is the key itself,
+  written ``--data-seed`` as a flag, except that ``kind`` is named after its
+  section (``--problem``, ``--rule``) and ``[output] dir`` is ``--out``;
+* ``_coerce`` converts a text value to the field's annotated type.
 
 ``schedule`` is space-separated ``step:action:i[,j...]`` entries, e.g.
 ``60:split:0 240:prune:1``.  The PICARDOPT_OUT_DIR environment variable
@@ -20,16 +19,17 @@ from __future__ import annotations
 
 import configparser
 import os
+import types
+import typing
 from dataclasses import dataclass, field
 
-from .engine import AGGREGATIONS, EngineSettings
-from .errors import ConfigError
+from .engine import EngineSettings
+from .errors import ConfigError, ScheduleError
 from .problems import PROBLEM_KINDS, Problem, make_problem
 from .rules import ADAM, EULER_ODE, RULE_KINDS, AdamParams, UpdateRule, make_rule
 from .schedule import ScheduleAction
 
-MODES = ("engine", "oracle", "both", "sweep")
-COMPARE_MODES = ("auto", "bitexact", "tolerance")
+MODES = ("engine", "oracle", "both")
 SWEEP_AXES = ("window", "gamma", "cost")
 
 # Calibrated per-family step sizes.
@@ -47,9 +47,6 @@ DEFAULT_STEP_SIZES: dict[tuple[str, str], float] = {
     ("splat2d", "split_prune_sgd"): 3e-4,
     ("linear_ode", "euler_ode"): 1.0,
 }
-
-# Initial fixed-point threshold of every family, overridable per run.
-FALLBACK_THRESHOLD = 1e-6
 
 
 @dataclass
@@ -72,7 +69,7 @@ class RunConfig:
     steps: int = 200
     window: int | None = None
     workers: int = 8
-    threshold: float | None = None
+    threshold: float = 1e-6
     gamma: float | None = None
     aggregation: str = "median"
     seed_offset: int = 0
@@ -80,8 +77,6 @@ class RunConfig:
 
     out_dir: str = "out"
     mode: str = "engine"
-    compare_mode: str = "auto"
-    compare_tol: float = 1e-6
 
     sweep_axis: str | None = None
     sweep_values: list[float] = field(default_factory=list)
@@ -90,17 +85,16 @@ class RunConfig:
     def resolved_window(self) -> int:
         return self.window if self.window is not None else max(1, self.workers - 1)
 
-    def resolved_threshold(self) -> float:
-        if self.threshold is not None:
-            return self.threshold
-        return FALLBACK_THRESHOLD
-
     def resolved_gamma(self) -> float:
         if self.gamma is not None:
             return self.gamma
         # threshold 0 means the exact-equivalence mode; keep it frozen at 0
         # unless the user explicitly asks for adaptation.
-        return 1.0 if self.resolved_threshold() == 0.0 else 0.9
+        return 1.0 if self.threshold == 0.0 else 0.9
+
+    def is_exact(self) -> bool:
+        """Threshold frozen at 0: the engine must match the oracle bitwise."""
+        return self.threshold == 0.0 and self.resolved_gamma() == 1.0
 
     def resolved_step_size(self) -> float:
         if self.step_size is not None:
@@ -111,12 +105,6 @@ class RunConfig:
         if self.rule_kind == "adaptive_guidance":
             return DEFAULT_STEP_SIZES.get((self.problem_kind, "sgd"), 0.05)
         return 0.05
-
-    def resolved_compare_mode(self) -> str:
-        if self.compare_mode != "auto":
-            return self.compare_mode
-        exact = self.resolved_threshold() == 0.0 and self.resolved_gamma() == 1.0
-        return "bitexact" if exact else "tolerance"
 
     def echo(self) -> dict:
         return {
@@ -141,7 +129,7 @@ class RunConfig:
                 "steps": self.steps,
                 "window": self.resolved_window(),
                 "workers": self.workers,
-                "threshold": self.resolved_threshold(),
+                "threshold": self.threshold,
                 "gamma": self.resolved_gamma(),
                 "aggregation": self.aggregation,
                 "seed_offset": self.seed_offset,
@@ -150,27 +138,7 @@ class RunConfig:
         }
 
 
-def _parse_schedule(text: str) -> list[ScheduleAction]:
-    actions = []
-    for entry in text.split():
-        parts = entry.split(":")
-        if len(parts) != 3:
-            raise ConfigError("schedule", f"bad entry {entry!r}; want step:action:i[,j...]")
-        try:
-            step = int(parts[0])
-            indices = tuple(int(tok) for tok in parts[2].split(","))
-        except ValueError as exc:
-            raise ConfigError("schedule", f"bad entry {entry!r}: {exc}") from exc
-        actions.append(ScheduleAction(step, parts[1], indices))
-    return actions
-
-
-_INT_FIELDS = {"dim", "data_seed", "points", "n_targets", "n_rows", "steps",
-               "window", "workers", "seed_offset"}
-_FLOAT_FIELDS = {"noise", "step_size", "beta1", "beta2", "eps", "threshold",
-                 "gamma", "injected_cost_ms", "compare_tol"}
-
-_SECTION_KEYS = {
+SECTIONS = {
     "problem": {"kind": "problem_kind", "dim": "dim", "data_seed": "data_seed",
                 "noise": "noise", "points": "points", "n_targets": "n_targets",
                 "n_rows": "n_rows"},
@@ -181,38 +149,59 @@ _SECTION_KEYS = {
                "aggregation": "aggregation", "seed_offset": "seed_offset",
                "injected_cost_ms": "injected_cost_ms"},
     "output": {"dir": "out_dir", "mode": "mode"},
-    "compare": {"mode": "compare_mode", "tol": "compare_tol"},
     "sweep": {"axis": "sweep_axis", "values": "sweep_values"},
 }
 
+# Option name (flag without ``--``, manifest key) -> (section, key, field).
+OPTIONS = {
+    {"kind": section, "dir": "out"}.get(key, key): (section, key, name)
+    for section, keys in SECTIONS.items() for key, name in keys.items()
+}
+
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+_KEY_OF = {name: f"{section}.{key}" for section, key, name in OPTIONS.values()}
+
 
 def _coerce(name: str, raw: str):
-    raw = raw.strip()
+    """Convert a text value to the annotated type of field ``name``."""
+    hint = _FIELD_TYPES[name]
+    if isinstance(hint, types.UnionType):  # ``T | None``
+        hint = next(arg for arg in typing.get_args(hint) if arg is not type(None))
     try:
-        if name in _INT_FIELDS:
-            return int(raw)
-        if name in _FLOAT_FIELDS:
-            return float(raw)
+        if typing.get_origin(hint) is list:
+            (item,) = typing.get_args(hint)
+            return [item(tok) for tok in raw.replace(",", " ").split()]
+        return hint(raw.strip())
     except ValueError as exc:
-        raise ConfigError(name, f"cannot parse {raw!r}: {exc}") from exc
-    if name == "sweep_values":
+        raise ConfigError(_KEY_OF[name], f"cannot parse {raw!r}: {exc}") from exc
+
+
+def _parse_schedule(text: str) -> list[ScheduleAction]:
+    actions = []
+    for entry in text.split():
+        parts = entry.split(":")
+        if len(parts) != 3:
+            raise ConfigError("rule.schedule", f"bad entry {entry!r}; want step:action:i[,j...]")
         try:
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-        except ValueError as exc:
-            raise ConfigError(name, f"cannot parse {raw!r}: {exc}") from exc
-    return raw
+            actions.append(ScheduleAction(int(parts[0]), parts[1],
+                                          tuple(int(tok) for tok in parts[2].split(","))))
+        except (ValueError, ScheduleError) as exc:
+            raise ConfigError("rule.schedule", f"bad entry {entry!r}: {exc}") from exc
+    return actions
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
-    """Build a validated RunConfig from an optional file plus overrides."""
+    """Build a validated RunConfig from an optional file plus overrides keyed
+    by field name (text values are converted, typed ones taken as they are)."""
     cfg = RunConfig()
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         if not parser.read(path):
             raise ConfigError("config", f"cannot read config file {path!r}")
-        for section, keys in _SECTION_KEYS.items():
-            if not parser.has_section(section):
-                continue
+        for section in parser.sections():
+            if section not in SECTIONS:
+                raise ConfigError(section, "unknown section")
+            keys = SECTIONS[section]
             for key, value in parser.items(section):
                 if key not in keys:
                     raise ConfigError(f"{section}.{key}", "unknown key")
@@ -223,7 +212,7 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
     for name, value in (overrides or {}).items():
         if value is None:
             continue
-        if not hasattr(cfg, name):
+        if name not in _FIELD_TYPES:
             raise ConfigError(name, "unknown override")
         setattr(cfg, name, _coerce(name, value) if isinstance(value, str) else value)
     validate_config(cfg)
@@ -231,42 +220,27 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
 
 
 def validate_config(cfg: RunConfig) -> None:
+    """Checks that no constructor downstream makes; ``engine_settings``
+    checks the engine section."""
     if cfg.problem_kind not in PROBLEM_KINDS:
         raise ConfigError("problem.kind", f"unknown problem {cfg.problem_kind!r}")
     if cfg.rule_kind not in RULE_KINDS:
         raise ConfigError("rule.kind", f"unknown rule {cfg.rule_kind!r}")
+    if cfg.rule_kind == EULER_ODE and cfg.problem_kind != "linear_ode":
+        raise ConfigError("rule.kind", "euler_ode requires the linear_ode problem")
     if cfg.steps < 1:
         raise ConfigError("engine.steps", "must be >= 1")
-    if cfg.workers < 1:
-        raise ConfigError("engine.workers", "must be >= 1")
-    if cfg.window is not None and cfg.window < 1:
-        raise ConfigError("engine.window", "must be >= 1")
-    if cfg.gamma is not None and not 0.0 <= cfg.gamma <= 1.0:
-        raise ConfigError("engine.gamma", f"{cfg.gamma} outside [0, 1]")
-    if cfg.threshold is not None and cfg.threshold < 0.0:
-        raise ConfigError("engine.threshold", "must be >= 0")
-    if cfg.aggregation not in AGGREGATIONS:
-        raise ConfigError("engine.aggregation", f"must be one of {AGGREGATIONS}")
-    if cfg.seed_offset < 0:
-        raise ConfigError("engine.seed_offset", "must be >= 0")
-    if cfg.injected_cost_ms < 0:
-        raise ConfigError("engine.injected_cost_ms", "must be >= 0")
     if cfg.noise is not None and cfg.noise < 0:
         raise ConfigError("problem.noise", "must be >= 0")
     if cfg.mode not in MODES:
         raise ConfigError("output.mode", f"must be one of {MODES}")
-    if cfg.compare_mode not in COMPARE_MODES:
-        raise ConfigError("compare.mode", f"must be one of {COMPARE_MODES}")
-    if cfg.compare_tol < 0:
-        raise ConfigError("compare.tol", "must be >= 0")
-    if cfg.mode == "sweep" or cfg.sweep_axis is not None:
+    if cfg.sweep_axis is not None:
         if cfg.sweep_axis not in SWEEP_AXES:
             raise ConfigError("sweep.axis", f"must be one of {SWEEP_AXES}")
         if not cfg.sweep_values:
             raise ConfigError("sweep.values", "sweep needs at least one value")
-    if cfg.rule_kind == EULER_ODE and cfg.problem_kind != "linear_ode":
-        raise ConfigError("rule.kind", "euler_ode requires the linear_ode problem")
     _parse_schedule(cfg.schedule)
+    engine_settings(cfg)
 
 
 def build_problem(cfg: RunConfig) -> Problem:
@@ -291,20 +265,25 @@ def build_rule(cfg: RunConfig, problem: Problem) -> UpdateRule:
             cfg.rule_kind, problem, cfg.resolved_step_size(), cfg.steps,
             adam=adam, schedule=_parse_schedule(cfg.schedule),
         )
+    except ScheduleError as exc:
+        raise ConfigError("rule.schedule", str(exc)) from exc
     except ValueError as exc:
         raise ConfigError("rule", str(exc)) from exc
 
 
 def engine_settings(cfg: RunConfig, record_trajectory: bool = True,
                     record_snapshots: bool = False) -> EngineSettings:
-    return EngineSettings(
-        window=cfg.resolved_window(),
-        workers=cfg.workers,
-        threshold0=cfg.resolved_threshold(),
-        gamma=cfg.resolved_gamma(),
-        aggregation=cfg.aggregation,
-        seed_offset=cfg.seed_offset,
-        injected_cost_ms=cfg.injected_cost_ms,
-        record_trajectory=record_trajectory,
-        record_snapshots=record_snapshots,
-    )
+    try:
+        return EngineSettings(
+            window=cfg.resolved_window(),
+            workers=cfg.workers,
+            threshold0=cfg.threshold,
+            gamma=cfg.resolved_gamma(),
+            aggregation=cfg.aggregation,
+            seed_offset=cfg.seed_offset,
+            injected_cost_ms=cfg.injected_cost_ms,
+            record_trajectory=record_trajectory,
+            record_snapshots=record_snapshots,
+        )
+    except ValueError as exc:
+        raise ConfigError("engine", str(exc)) from exc

@@ -25,7 +25,7 @@ from .errors import PicardoptError, PoisonedDrift
 from .pool import WorkerPool
 from .rules import ADAPTIVE_GUIDANCE, UpdateRule, initial_state, reconcile_payload, rollout_one
 from .schedule import reconcile_vector
-from .state import ParamState, with_step
+from .state import ParamState, finite_checked, with_step
 from .telemetry import RoundRecord, RunReport, finalize_report
 
 AGGREGATIONS = ("mean", "median")
@@ -74,6 +74,7 @@ class RoundErrors:
             raise ValueError("round errors must be finite and >= 0")
 
 
+@finite_checked
 def fixed_point_distance(new: ParamState, old: ParamState, rule: UpdateRule) -> float:
     """Normalized squared distance (1/D) * ||new - lift(old)||^2 over values.
 
@@ -94,6 +95,15 @@ def fixed_point_distance(new: ParamState, old: ParamState, rule: UpdateRule) -> 
     if not np.isfinite(dist):
         raise PoisonedDrift(new.step, -1, "fixed-point distance is not finite")
     return dist
+
+
+@finite_checked
+def _final_loss(rule: UpdateRule, terminal: ParamState, seed: int) -> float:
+    """Loss at the terminal state; a non-finite loss is numerical failure."""
+    loss = rule.problem.loss(terminal.values, seed)
+    if not np.isfinite(loss):
+        raise PoisonedDrift(terminal.step, seed, "final loss is not finite")
+    return loss
 
 
 def compute_skip(errors: RoundErrors, threshold: float) -> int:
@@ -200,10 +210,10 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
 
     All window slots start as clones of the initial state.  Per round:
     refine, skip, record telemetry, adapt the threshold (after the skip
-    decision, preserving the reference ordering), advance.  On a failed
-    round the partial report and current window are attached to the raised
-    error for checkpointing.  A pool created here is closed however the run
-    ends.
+    decision, preserving the reference ordering), advance.  When a round or
+    the final loss fails, the partial report and current window are attached
+    to the raised error for checkpointing.  A pool created here is closed
+    however the run ends.
     """
     T = rule.total_steps
     theta0 = initial_state(rule)
@@ -258,6 +268,8 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
             if snapshots is not None:
                 snapshots.append(list(trajectory) + list(window.states[1:]))
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
+        terminal = window.states[0]
+        final_loss = _final_loss(rule, terminal, T + settings.seed_offset)
     except PicardoptError as err:
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
         err.partial_report = finalize_report(  # type: ignore[attr-defined]
@@ -270,8 +282,6 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
         if own_pool:
             pool.close()
 
-    terminal = window.states[0]
-    final_loss = rule.problem.loss(terminal.values, T + settings.seed_offset)
     report = finalize_report(
         records, T, config_echo, final_loss=final_loss, wall_time_ms=wall_ms,
         worker_busy_ms=pool.timing_report()["busy_ms"], partial=False,

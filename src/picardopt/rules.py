@@ -25,7 +25,7 @@ from . import kernels
 from .errors import DimensionError
 from .problems import Problem
 from .schedule import ScheduleAction, apply_action, reconcile_vector, validate_schedule
-from .state import Drift, MomentState, ParamState
+from .state import Drift, MomentState, ParamState, finite_checked
 
 EULER_ODE = "euler_ode"
 SGD = "sgd"
@@ -83,7 +83,7 @@ def make_rule(kind: str, problem: Problem, step_size: float, total_steps: int,
     elif adam is not None:
         raise ValueError(f"adam parameters are only valid for the adam rule, not {kind!r}")
     if kind == SPLIT_PRUNE_SGD:
-        schedule = validate_schedule(schedule, total_steps)
+        schedule = validate_schedule(schedule, total_steps, problem.initial_dim_tag())
     elif schedule:
         raise ValueError(f"dimension schedules are only valid for split_prune_sgd, not {kind!r}")
     else:
@@ -99,6 +99,7 @@ def initial_state(rule: UpdateRule) -> ParamState:
     return ParamState(0, values, rule.problem.initial_dim_tag(), moments)
 
 
+@finite_checked
 def drift(rule: UpdateRule, state: ParamState, seed: int, aux=None, worker_id: int = -1) -> Drift:
     """Evaluate the parallelizable unit at ``state`` under a per-step seed."""
     if state.step >= rule.total_steps:
@@ -120,6 +121,7 @@ def drift(rule: UpdateRule, state: ParamState, seed: int, aux=None, worker_id: i
     return Drift(state.step, payload, seed, worker_id, aux_version)
 
 
+@finite_checked
 def rollout_one(rule: UpdateRule, d: Drift, state: ParamState) -> ParamState:
     """Reconstruct the successor state at step+1 from a drift and a state."""
     if d.step != state.step:

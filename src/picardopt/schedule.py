@@ -45,13 +45,27 @@ class ScheduleAction:
         return len(self.indices) if self.kind == SPLIT else -len(self.indices)
 
 
-def validate_schedule(actions, total_steps: int) -> tuple[ScheduleAction, ...]:
+def validate_schedule(actions, total_steps: int,
+                      points: int | None = None) -> tuple[ScheduleAction, ...]:
+    """Check step order and range; given the point count at step 0, also walk
+    the schedule and check every index names an existing point and no prune
+    leaves none."""
     acts = tuple(actions)
     steps = [a.step for a in acts]
     if any(s2 <= s1 for s1, s2 in zip(steps, steps[1:])):
         raise ScheduleError("schedule steps must be strictly increasing")
     if acts and (steps[0] < 0 or steps[-1] >= total_steps):
         raise ScheduleError(f"schedule steps must lie in [0, {total_steps})")
+    if points is None:
+        return acts
+    n = points
+    for a in acts:
+        if max(a.indices) >= n:
+            raise ScheduleError(f"{a.kind} at step {a.step} references point "
+                                f"{max(a.indices)}, but only {n} exist")
+        n += a.delta
+        if n < 1:
+            raise ScheduleError(f"prune at step {a.step} leaves no points")
     return acts
 
 

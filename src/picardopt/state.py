@@ -7,6 +7,7 @@ All mutation happens by building new states.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass, replace
@@ -17,6 +18,20 @@ from .errors import DimensionError, PoisonedDrift
 
 _MAGIC = b"PSTA"
 _VERSION = 1
+
+
+def finite_checked(fn):
+    """Run ``fn`` with numpy's overflow and invalid-value warnings off.
+
+    For numerics whose result is checked for finiteness afterwards, where a
+    non-finite value raises PoisonedDrift instead.  The error state is set on
+    every call in the calling thread, so it holds on pool workers too.
+    """
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+    return quiet
 
 
 def _as_readonly_f64(arr) -> np.ndarray:

@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from picardopt.problems import Problem
+
+# pyproject's ``pythonpath`` puts src/ on this process's path; Python
+# subprocesses started by tests import the package from the same checkout.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # Independently coded naive update formulas: the second route for the
 # update-rule unit tests.  These must never call picardopt.kernels.

@@ -60,7 +60,7 @@ def test_window_defaults_to_workers_minus_one():
 
 def test_threshold_default_per_family():
     cfg = load_config(None, {"problem_kind": "quadratic"})
-    assert cfg.resolved_threshold() == 1e-6
+    assert cfg.threshold == 1e-6
 
 
 def test_invalid_gamma_names_field():
