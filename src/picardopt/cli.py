@@ -28,7 +28,7 @@ from .config import (OPTIONS, SWEEP_AXES, RunConfig, build_problem, build_rule,
                      engine_settings, load_config)
 from .engine import run as engine_run
 from .errors import ConfigError, ObjectiveError, PicardoptError, PoisonedDrift
-from .oracle import Trajectory, compare_trajectories, solve_sequential
+from .oracle import Trajectory, checked_losses, compare_trajectories, solve_sequential
 from .state import state_checksum, states_equal_bits, write_states
 from .telemetry import write_report_json, write_rounds_csv
 
@@ -55,8 +55,7 @@ def _add_config_flags(p: argparse.ArgumentParser, sweep: bool) -> None:
 
 
 def _engine_trajectory(states, problem, seed_offset: int) -> Trajectory:
-    losses = [problem.loss(s.values, s.step + seed_offset) for s in states]
-    return Trajectory(list(states), losses)
+    return Trajectory(list(states), checked_losses(problem, states, seed_offset))
 
 
 def _write_losses_csv(path, traj: Trajectory) -> None:

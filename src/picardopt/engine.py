@@ -7,6 +7,11 @@ measures per-slot normalized squared errors against the previous iterate,
 advances the window by the skip rule, and adapts the acceptance threshold by
 an EMA of the round's errors.
 
+Rounds are pipelined: a slot is rolled out as soon as its drift arrives, and
+once the skip is known each newly rolled-out state that the next window will
+hold is submitted at once, so the next round's drifts run while this round
+finishes.  Which drifts run, and every bit of the result, is unchanged.
+
 With a zero threshold the result is bitwise equal to direct sequential
 execution: the anchor only ever advances onto slots whose recomputation
 reproduced the previous iterate exactly, so the prefix stays exact and every
@@ -22,6 +27,7 @@ import numpy as np
 
 from . import kernels
 from .errors import PicardoptError, PoisonedDrift
+from .oracle import checked_losses
 from .pool import WorkerPool
 from .rules import ADAPTIVE_GUIDANCE, UpdateRule, initial_state, reconcile_payload, rollout_one
 from .schedule import reconcile_vector
@@ -29,6 +35,7 @@ from .state import ParamState, finite_checked, with_step
 from .telemetry import RoundRecord, RunReport, finalize_report
 
 AGGREGATIONS = ("mean", "median")
+DOT_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -91,19 +98,16 @@ def fixed_point_distance(new: ParamState, old: ParamState, rule: UpdateRule) -> 
             rule.problem.point_width, with_offset=True,
         )
     delta = new.values - lifted
-    dist = float(np.dot(delta, delta)) / max(new.dim, old.dim)
+    # np.dot over fixed blocks, summed in block order: BLAS runs a dot this
+    # short on one thread, so the bits do not depend on its thread count.
+    total = 0.0
+    for i in range(0, len(delta), DOT_BLOCK):
+        block = delta[i : i + DOT_BLOCK]
+        total += float(np.dot(block, block))
+    dist = total / max(new.dim, old.dim)
     if not np.isfinite(dist):
         raise PoisonedDrift(new.step, -1, "fixed-point distance is not finite")
     return dist
-
-
-@finite_checked
-def _final_loss(rule: UpdateRule, terminal: ParamState, seed: int) -> float:
-    """Loss at the terminal state; a non-finite loss is numerical failure."""
-    loss = rule.problem.loss(terminal.values, seed)
-    if not np.isfinite(loss):
-        raise PoisonedDrift(terminal.step, seed, "final loss is not finite")
-    return loss
 
 
 def compute_skip(errors: RoundErrors, threshold: float) -> int:
@@ -123,7 +127,8 @@ def update_threshold(ts: ThresholdState, errors: RoundErrors) -> ThresholdState:
     return replace(ts, e=e_next)
 
 
-def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool) -> tuple[Window, RoundErrors]:
+def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool,
+                 threshold: float) -> tuple[Window, RoundErrors]:
     """One fixed-point refinement: parallel drifts at the previous iterate,
     then strict left-to-right rollout anchored at slot 0 (which is final and
     passes through unchanged).
@@ -131,22 +136,46 @@ def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool) -> tuple[Wi
     Returns the next-iteration window candidate (same base) plus per-slot
     errors for slots 1..p.  Drift payloads produced at stale-dimension guesses
     are mapped to the rolling state's dimension before rollout.
+
+    Slot j is rolled out and its error measured as soon as its drift arrives.
+    Given the ``threshold`` the caller will skip by, the first slot whose
+    error exceeds it fixes the skip s (as ``compute_skip``), and from then on
+    each new state ``new[s + k]`` is submitted as slot k of the next window,
+    never past that window's size, so never at or past the horizon.  On
+    failure all submitted drifts are drained first; the error of the
+    smallest failing drift of this round wins over a rollout error.
     """
     p = window.size
     if p < 1:
         raise ValueError("picard_round needs a window of size >= 1")
     old = window.states
+    base = window.base_step
     drifts = pool.gather_drifts(rule, list(old[:p]))
     new = [old[0]]
-    for j in range(p):
-        d = drifts[j]
-        rolling = new[j]
-        if len(d.payload) != rolling.dim:
-            lifted = reconcile_payload(rule, d.payload, old[j].dim_tag, rolling.dim_tag, rolling.step)
-            d = replace(d, payload=lifted)
-        new.append(rollout_one(rule, d, rolling))
-    errors = RoundErrors(tuple(fixed_point_distance(new[j], old[j], rule) for j in range(1, p + 1)))
-    return Window(window.base_step, tuple(new)), errors
+    errors = []
+    skip = None
+    next_size = 0
+    try:
+        for j in range(p):
+            d = drifts[j]
+            rolling = new[j]
+            if len(d.payload) != rolling.dim:
+                lifted = reconcile_payload(rule, d.payload, old[j].dim_tag, rolling.dim_tag, rolling.step)
+                d = replace(d, payload=lifted)
+            new.append(rollout_one(rule, d, rolling))
+            errors.append(fixed_point_distance(new[j + 1], old[j + 1], rule))
+            if skip is None and (errors[-1] > threshold or j + 1 == p):
+                skip = j + 1
+                next_size = min(p, rule.total_steps - base - skip)  # as advance_window clamps it
+            if skip is not None and j + 1 - skip < next_size:
+                pool.submit(rule, new[j + 1])
+    except BaseException:
+        failure = drifts.first_failure()
+        pool.drain()
+        if failure is not None:
+            raise failure
+        raise
+    return Window(base, tuple(new)), RoundErrors(tuple(errors))
 
 
 def advance_window(window: Window, new_states, skip: int, total_steps: int) -> Window:
@@ -244,10 +273,12 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
         aux_dim = theta0.dim if rule.kind == ADAPTIVE_GUIDANCE else None
         pool = WorkerPool(settings.workers, settings.seed_offset, settings.injected_cost_ms, aux_dim)
 
+    drift_evals = 0
+    wait_ms0 = pool.timing_report()["wait_ms"]
     t_start = time.perf_counter()
     try:
         while window.base_step < T:
-            candidate, errors = picard_round(window, rule, pool)
+            candidate, errors = picard_round(window, rule, pool, ts.e)
             new_states = candidate.states
             skip = compute_skip(errors, ts.e)
             records.append(
@@ -263,18 +294,21 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
             )
             if trajectory is not None:
                 trajectory.extend(new_states[1 : skip + 1])
+            drift_evals += window.size
             ts = update_threshold(ts, errors)
             window = advance_window(window, new_states, skip, T)
             if snapshots is not None:
                 snapshots.append(list(trajectory) + list(window.states[1:]))
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
         terminal = window.states[0]
-        final_loss = _final_loss(rule, terminal, T + settings.seed_offset)
+        (final_loss,) = checked_losses(rule.problem, [terminal], settings.seed_offset)
     except PicardoptError as err:
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
+        timing = pool.timing_report()
         err.partial_report = finalize_report(  # type: ignore[attr-defined]
             records, T, config_echo, final_loss=None, wall_time_ms=wall_ms,
-            worker_busy_ms=pool.timing_report()["busy_ms"], partial=True,
+            worker_busy_ms=timing["busy_ms"], partial=True, drift_evals=drift_evals,
+            drift_wait_ms=timing["wait_ms"] - wait_ms0,
         )
         err.partial_window = window  # type: ignore[attr-defined]
         raise
@@ -282,8 +316,10 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
         if own_pool:
             pool.close()
 
+    timing = pool.timing_report()
     report = finalize_report(
         records, T, config_echo, final_loss=final_loss, wall_time_ms=wall_ms,
-        worker_busy_ms=pool.timing_report()["busy_ms"], partial=False,
+        worker_busy_ms=timing["busy_ms"], partial=False, drift_evals=drift_evals,
+        drift_wait_ms=timing["wait_ms"] - wait_ms0,
     )
     return EngineResult(terminal, report, records, trajectory, snapshots)

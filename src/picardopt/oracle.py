@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PoisonedDrift
 from .pool import AuxModel
+from .problems import Problem
 from .rules import ADAPTIVE_GUIDANCE, UpdateRule, initial_state, sequential_step
-from .state import ParamState, states_equal_bits, with_step
+from .state import ParamState, finite_checked, states_equal_bits, with_step
 
 
 @dataclass
@@ -30,6 +32,20 @@ class Trajectory:
     @property
     def total_steps(self) -> int:
         return len(self.states) - 1
+
+
+@finite_checked
+def checked_losses(problem: Problem, states, seed_offset: int = 0) -> list[float]:
+    """Loss at each state under seed ``step + seed_offset``; a non-finite
+    loss is numerical failure (PoisonedDrift)."""
+    losses = []
+    for s in states:
+        seed = s.step + seed_offset
+        loss = problem.loss(s.values, seed)
+        if not np.isfinite(loss):
+            raise PoisonedDrift(s.step, seed, "loss is not finite")
+        losses.append(loss)
+    return losses
 
 
 def solve_sequential(rule: UpdateRule, theta0: ParamState | None = None,
@@ -54,7 +70,7 @@ def solve_sequential(rule: UpdateRule, theta0: ParamState | None = None,
             time.sleep(sleep_s)
         states.append(sequential_step(rule, states[-1], tau + seed_offset, aux))
     wall_ms = 1000.0 * (time.perf_counter() - t0)
-    losses = [rule.problem.loss(s.values, s.step + seed_offset) for s in states]
+    losses = checked_losses(rule.problem, states, seed_offset)
     return Trajectory(states, losses), wall_ms
 
 

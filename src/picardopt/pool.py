@@ -1,19 +1,24 @@
 """Worker pool simulating one-model-per-device drift evaluation.
 
-Workers are threads in this process.  Slot j of a batch is always served by
-worker ``j mod n_workers`` (deterministic round-robin, independent of timing),
-and results come back ordered by slot.  An optional injected per-drift sleep
-emulates heavy accelerator workloads so wall-clock speedup curves are
-observable at desk scale.
+Workers are single-thread FIFO lanes in this process.  Every drift the pool
+starts takes the next dispatch index, counted over the pool's lifetime, and
+runs on lane ``dispatch index mod n_workers``: deterministic, independent of
+timing, and balanced across rounds.  A gather returns the drifts ordered by
+slot, and reading slot j waits for slot j alone, so the caller can consume
+early slots while later ones still run.  Drifts may be submitted ahead of the
+gather that needs them; that gather then reuses the drift in flight.  An
+optional injected per-drift sleep emulates heavy accelerator workloads so
+wall-clock speedup curves are observable at desk scale.
 
-In the adaptive-guidance mode each worker owns a private gradient predictor;
-no predictor is ever touched by two workers.
+In the adaptive-guidance mode each lane owns a private gradient predictor;
+no predictor is ever touched by two lanes.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from collections.abc import Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,6 +43,40 @@ class AuxModel:
         self.updates_seen += 1
 
 
+class DriftView(Sequence):
+    """The drifts of one gather, ordered by slot.
+
+    Item j waits for slot j only and re-raises that drift's error.  Time spent
+    waiting is added to the pool's ``wait_ms``.
+    """
+
+    def __init__(self, pool: WorkerPool, futures: list[Future]):
+        self._pool = pool
+        self._futures = futures
+
+    def __len__(self) -> int:
+        return len(self._futures)
+
+    def _wait(self, j: int) -> Future:
+        future = self._futures[j]
+        if not future.done():
+            t0 = time.perf_counter()
+            future.exception()  # blocks until done
+            self._pool._wait_s += time.perf_counter() - t0
+        return future
+
+    def __getitem__(self, j: int) -> Drift:
+        return self._wait(j).result()
+
+    def first_failure(self) -> BaseException | None:
+        """Wait for every slot; the error of the smallest failing slot, or None."""
+        for j in range(len(self._futures)):
+            exc = self._wait(j).exception()
+            if exc is not None:
+                return exc
+        return None
+
+
 class WorkerPool:
     def __init__(self, n_workers: int, seed_offset: int = 0,
                  injected_cost_ms: float = 0.0, aux_dim: int | None = None):
@@ -49,13 +88,21 @@ class WorkerPool:
         self.seed_offset = seed_offset
         self.injected_cost_ms = injected_cost_ms
         self.aux_models = [AuxModel(aux_dim) for _ in range(n_workers)] if aux_dim else None
+        # Each lane writes only its own entries, so no lock is needed.
         self._busy_s = [0.0] * n_workers
         self._drift_counts = [0] * n_workers
-        self._gather_wall_s = 0.0
-        self._executor = ThreadPoolExecutor(max_workers=n_workers)
+        self._wait_s = 0.0
+        self._dispatched = 0
+        # id(state) -> (state, future) for drifts submitted but not yet gathered;
+        # holding the state keeps its id from being reused.
+        self._in_flight: dict[int, tuple[ParamState, Future]] = {}
+        self._lanes = [ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"picardopt-lane{w}")
+                       for w in range(n_workers)]
 
     def close(self):
-        self._executor.shutdown(wait=True)
+        self._in_flight.clear()
+        for lane in self._lanes:
+            lane.shutdown(wait=True)
 
     def __enter__(self):
         return self
@@ -63,73 +110,59 @@ class WorkerPool:
     def __exit__(self, *exc):
         self.close()
 
-    @staticmethod
-    def assignment(n_slots: int, n_workers: int) -> list[int]:
-        """Worker id for each slot index: j -> j mod n_workers."""
-        return [j % n_workers for j in range(n_slots)]
+    def _serve(self, lane: int, rule: rules.UpdateRule, state: ParamState) -> Drift:
+        aux = self.aux_models[lane] if self.aux_models is not None else None
+        t0 = time.perf_counter()
+        try:
+            if self.injected_cost_ms > 0.0:
+                time.sleep(self.injected_cost_ms / 1000.0)
+            d = rules.drift(rule, state, state.step + self.seed_offset, aux=aux, worker_id=lane)
+            self._drift_counts[lane] += 1
+            return d
+        finally:
+            self._busy_s[lane] += time.perf_counter() - t0
 
-    def gather_drifts(self, rule: rules.UpdateRule, states: list[ParamState]) -> list[Drift]:
-        """Evaluate drifts for all states in parallel; results ordered by slot.
+    def submit(self, rule: rules.UpdateRule, state: ParamState) -> Future:
+        """Start the drift at ``state`` (seed ``state.step + seed_offset``) on
+        the next lane; a state already in flight keeps its drift."""
+        held = self._in_flight.get(id(state))
+        if held is not None:
+            return held[1]
+        lane = self._dispatched % self.n_workers
+        self._dispatched += 1
+        future = self._lanes[lane].submit(self._serve, lane, rule, state)
+        self._in_flight[id(state)] = (state, future)
+        return future
 
-        Each state's seed is ``state.step + seed_offset``.  Blocks until every
-        drift finished (round barrier); the first failure by slot index is
-        re-raised after the barrier.
+    def gather_drifts(self, rule: rules.UpdateRule, states: list[ParamState]) -> DriftView:
+        """Drifts for all states, ordered by slot, without waiting for them.
+
+        States not already in flight are submitted in slot order.  Reading
+        the returned view waits per slot and re-raises that slot's error.
         """
         if not states:
             raise ValueError("gather_drifts needs at least one state")
         steps = [s.step for s in states]
         if len(set(steps)) != len(steps):
             raise ValueError("gather_drifts states must have distinct steps")
+        futures = [self.submit(rule, s) for s in states]
+        for s in states:
+            del self._in_flight[id(s)]
+        return DriftView(self, futures)
 
-        n = len(states)
-        results: list[Drift | None] = [None] * n
-        failures: list[tuple[int, Exception]] = []
-        sleep_s = self.injected_cost_ms / 1000.0
-
-        def work(worker_id: int, slots: list[int]) -> None:
-            aux = self.aux_models[worker_id] if self.aux_models is not None else None
-            t0 = time.perf_counter()
-            try:
-                for j in slots:
-                    state = states[j]
-                    if sleep_s > 0.0:
-                        time.sleep(sleep_s)
-                    seed = state.step + self.seed_offset
-                    try:
-                        results[j] = rules.drift(rule, state, seed, aux=aux, worker_id=worker_id)
-                        self._drift_counts[worker_id] += 1
-                    except Exception as exc:  # surfaced after the barrier
-                        failures.append((j, exc))
-                        return
-            finally:
-                self._busy_s[worker_id] += time.perf_counter() - t0
-
-        by_worker: dict[int, list[int]] = {}
-        for j, w in enumerate(self.assignment(n, self.n_workers)):
-            by_worker.setdefault(w, []).append(j)
-
-        t_start = time.perf_counter()
-        futures = [self._executor.submit(work, w, slots) for w, slots in by_worker.items()]
-        wait(futures)
-        self._gather_wall_s += time.perf_counter() - t_start
-        for f in futures:
-            f.result()  # re-raise unexpected submit-level errors
-        if failures:
-            failures.sort(key=lambda item: item[0])
-            raise failures[0][1]
-        return results  # type: ignore[return-value]
+    def drain(self) -> None:
+        """Wait until every lane has finished all work submitted so far, and
+        forget the drifts submitted ahead of a gather."""
+        for lane in self._lanes:
+            lane.submit(lambda: None).result()
+        self._in_flight.clear()
 
     def timing_report(self) -> dict:
-        """Accumulated per-worker busy/idle time and drift counts for the run.
-
-        Idle is the gather wall time a worker spent not computing drifts.
-        """
-        busy_ms = [1000.0 * s for s in self._busy_s]
-        wall_ms = 1000.0 * self._gather_wall_s
+        """Accumulated per-lane busy time and drift counts for the pool's
+        lifetime, plus the time callers spent waiting on gathered drifts."""
         return {
             "n_workers": self.n_workers,
-            "busy_ms": busy_ms,
-            "idle_ms": [max(0.0, wall_ms - b) for b in busy_ms],
+            "busy_ms": [1000.0 * s for s in self._busy_s],
             "drifts_served": list(self._drift_counts),
-            "gather_wall_ms": wall_ms,
+            "wait_ms": 1000.0 * self._wait_s,
         }

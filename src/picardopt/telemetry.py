@@ -49,6 +49,9 @@ class RunReport:
     partial: bool = False
     oracle_wall_time_ms: float | None = None
     worker_busy_ms: list[float] | None = None
+    drift_evals: int = 0
+    work_amplification: float = 0.0
+    drift_wait_ms: float | None = None
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -61,8 +64,14 @@ class RunReport:
 
 def finalize_report(records, total_steps: int, config_echo: dict, final_loss: float | None,
                     wall_time_ms: float, oracle_wall_time_ms: float | None = None,
-                    worker_busy_ms: list[float] | None = None, partial: bool = False) -> RunReport:
-    """Aggregate round records; validates the skip-sum invariant on full runs."""
+                    worker_busy_ms: list[float] | None = None, partial: bool = False,
+                    drift_evals: int = 0, drift_wait_ms: float | None = None) -> RunReport:
+    """Aggregate round records; validates the skip-sum invariant on full runs.
+
+    ``drift_evals`` is the number of drifts the recorded rounds gathered (the
+    sum of their window sizes); ``work_amplification`` is that over the
+    horizon, the compute traded for fewer rounds.
+    """
     hist: dict[int, int] = {}
     for r in records:
         hist[r.skip] = hist.get(r.skip, 0) + 1
@@ -87,6 +96,9 @@ def finalize_report(records, total_steps: int, config_echo: dict, final_loss: fl
         partial=partial,
         oracle_wall_time_ms=oracle_wall_time_ms,
         worker_busy_ms=worker_busy_ms,
+        drift_evals=drift_evals,
+        work_amplification=drift_evals / total_steps,
+        drift_wait_ms=drift_wait_ms,
     )
 
 

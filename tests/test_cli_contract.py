@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,20 @@ def test_degenerate_objective_in_oracle_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("mode", ["oracle", "both"])
+def test_overflowing_oracle_loss_exits_3_without_warning(tmp_path, capsys, mode):
+    # The sequential states stay finite, but the loss at step 5 overflows.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", "--problem", "rosenbrock", "--rule", "sgd", "--step-size", "0.01",
+                         "--steps", "5", "--threshold", "0", "--mode", mode,
+                         "--out", str(tmp_path)])
+    assert code == 3
+    assert "step 5" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "oracle_losses.csv").exists()
+
+
 def test_unreadable_manifest_exits_2(tmp_path, capsys):
     assert cli.main(["verify", "--manifest", str(tmp_path / "missing.ini")]) == 2
     assert "manifest" in capsys.readouterr().err
@@ -198,13 +213,13 @@ def default_step_size(problem, rule):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(pair=st.sampled_from(PAIRS), scale=st.floats(min_value=0.0, max_value=6.0),
        steps=st.integers(1, 30), window=st.integers(1, 7), workers=st.integers(1, 4),
-       threshold=st.sampled_from(["0", "1e-6"]))
-def test_fuzz_exit_codes(pair, scale, steps, window, workers, threshold):
+       threshold=st.sampled_from(["0", "1e-6"]), mode=st.sampled_from(["engine", "oracle", "both"]))
+def test_fuzz_exit_codes(pair, scale, steps, window, workers, threshold, mode):
     problem, rule = pair
     step_size = default_step_size(problem, rule) * 10.0**scale
     args = ["run", "--problem", problem, "--rule", rule, "--step-size", repr(step_size),
             "--steps", str(steps), "--window", str(window), "--workers", str(workers),
-            "--threshold", threshold]
+            "--threshold", threshold, "--mode", mode]
     if rule == "split_prune_sgd":
         first, second = steps // 3, 2 * steps // 3
         schedule = f"{first}:split:0" + (f" {second}:prune:1" if second > first else "")
@@ -213,11 +228,16 @@ def test_fuzz_exit_codes(pair, scale, steps, window, workers, threshold):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
         code = cli.main([*args, "--out", out])
-        if code == 3:
+        # The engine runs after an oracle that succeeded (its losses written).
+        engine_ran = mode == "engine" or (mode == "both" and (Path(out) / "oracle_losses.csv").exists())
+        if code == 3 and engine_ran:
             report = json.loads((Path(out) / "report.json").read_text())
             assert report["partial"] is True
             assert (Path(out) / "abort_window.bin").exists()
-    assert code in (0, 3), err.getvalue()
+    # adaptive_guidance's lane predictors see the engine's drifts, not the
+    # sequential ones, so an exact comparison with the oracle may fail.
+    exact_guidance = mode == "both" and rule == "adaptive_guidance" and threshold == "0"
+    assert code in ((0, 1, 3) if exact_guidance else (0, 3)), err.getvalue()
     assert threading.active_count() == before
     assert "Traceback" not in err.getvalue()
 

@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ def test_round_size_one_equals_sequential():
     theta0 = initial_state(rule)
     w = Window(0, [theta0, with_step(theta0, 1)])
     with WorkerPool(2) as pool:
-        cand, errors = picard_round(w, rule, pool)
+        cand, errors = picard_round(w, rule, pool, 0.0)
     expect = sequential_step(rule, theta0, 0)
     assert states_equal_bits(cand.states[1], expect)
     assert len(errors.per_slot) == 1
@@ -154,7 +155,7 @@ def test_round_constant_guess_unrolls_euler():
     theta0 = initial_state(rule)
     w = Window(0, [theta0] + [with_step(theta0, j) for j in (1, 2, 3, 4)])
     with WorkerPool(4) as pool:
-        cand, _ = picard_round(w, rule, pool)
+        cand, _ = picard_round(w, rule, pool, 0.0)
     for tau in range(5):
         assert cand.states[tau].values[0] == pytest.approx(1.0 - tau / 4)
 
@@ -165,7 +166,7 @@ def test_round_exact_anchor_propagates_one_step():
     junk = ParamState(2, np.full(4, 9.0), 4)
     w = Window(1, [anchor, junk])
     with WorkerPool(1) as pool:
-        cand, _ = picard_round(w, rule, pool)
+        cand, _ = picard_round(w, rule, pool, 0.0)
     assert states_equal_bits(cand.states[1], sequential_step(rule, anchor, 1))
 
 
@@ -304,3 +305,168 @@ def test_run_window_one_at_T_one():
     res = run(rule, EngineSettings(window=7, workers=2, threshold0=1e-6, gamma=0.9))
     assert res.report.rounds == 1
     assert res.terminal.step == 1
+
+
+# --- pipelined dispatch --------------------------------------------------------
+
+
+class Trap(DecayOde):
+    """Gradient x, except a huge finite drift at seed ``huge`` (its rollout
+    overflows) and an ObjectiveError at seed ``fail``.  With ``moved_only``
+    the error is raised only once the state there has left its initial value,
+    so from the second visit of that step on."""
+
+    def __init__(self, huge=None, fail=None, moved_only=False):
+        super().__init__(dim=2)
+        self.huge, self.fail, self.moved_only = huge, fail, moved_only
+
+    def grad(self, values, seed):
+        if seed == self.huge:
+            return np.full(self.dim, 1e308)
+        if seed == self.fail and not (self.moved_only and np.all(values == 1.0)):
+            raise po.ObjectiveError(f"drift failed at seed {seed}")
+        return values.copy()
+
+
+def recording_pool(n, **kwargs):
+    """A pool that records (step, inside a gather) for every drift submitted."""
+    pool = WorkerPool(n, **kwargs)
+    log, gathering = [], []
+    submit, gather = pool.submit, pool.gather_drifts
+
+    def recorded_submit(rule, state):
+        log.append((state.step, bool(gathering)))
+        return submit(rule, state)
+
+    def recorded_gather(rule, states):
+        gathering.append(True)
+        try:
+            return gather(rule, states)
+        finally:
+            gathering.pop()
+
+    pool.submit, pool.gather_drifts = recorded_submit, recorded_gather
+    return pool, log
+
+
+@pytest.mark.parametrize("threshold0,gamma", [(0.0, 1.0), (1e-6, 0.9)])
+def test_pipelined_run_reuses_prefetched_drifts(threshold0, gamma):
+    T, p = 40, 7
+    rule = quad_rule(T=T, noise=0.1)
+    settings = EngineSettings(window=p, workers=2, threshold0=threshold0, gamma=gamma)
+    pool, log = recording_pool(2)
+    with pool:
+        res = run(rule, settings, pool)
+        served = pool.timing_report()["drifts_served"]
+    assert any(not in_gather for _, in_gather in log), "no drift started ahead of its gather"
+    # every drift ran once: the prefetched ones were reused by the next gather
+    report = res.report.to_json_dict()
+    assert sum(served) == report["drift_evals"] == sum(min(p, T - r.base_step) for r in res.records)
+    assert report["work_amplification"] == sum(served) / T
+    assert report["drift_wait_ms"] >= 0.0
+    # 7 slots a round on 2 lanes: the odd slot rotates between the lanes
+    assert max(served) - min(served) <= 1
+    # the result does not depend on the pool (one worker, fresh pool)
+    ref = run(rule, EngineSettings(window=p, workers=1, threshold0=threshold0, gamma=gamma))
+    assert po.state_checksum(res.terminal) == po.state_checksum(ref.terminal)
+
+
+def test_pipelined_submits_nothing_at_or_past_horizon():
+    for T, p in ((1, 7), (5, 7), (12, 4), (9, 9)):
+        rule = quad_rule(T=T, noise=0.1)
+        pool, log = recording_pool(3)
+        with pool:
+            res = run(rule, EngineSettings(window=p, workers=3, threshold0=0.0, gamma=1.0), pool)
+        assert all(step < T for step, _ in log)
+        assert len(log) - res.report.drift_evals == sum(1 for _, g in log if not g)
+
+
+def test_round_drift_failure_wins_over_rollout_failure():
+    # Round 1, window of 5 at steps 0..4: slot 2's rollout overflows and
+    # slot 4's drift raises; the drift error is reported, as with a barrier.
+    rule = make_rule("sgd", Trap(huge=2, fail=4), 10.0, total_steps=10)
+    theta0 = initial_state(rule)
+    w = Window(0, [theta0] + [with_step(theta0, j) for j in range(1, 6)])
+    with WorkerPool(2) as pool:
+        with pytest.raises(po.ObjectiveError, match="seed 4"):
+            picard_round(w, rule, pool, 0.0)
+    # without the drift failure the rollout error surfaces
+    rule = make_rule("sgd", Trap(huge=2), 10.0, total_steps=10)
+    with WorkerPool(2) as pool:
+        with pytest.raises(po.PoisonedDrift) as exc:
+            picard_round(w, rule, pool, 0.0)
+    assert exc.value.step == 3 and exc.value.seed == -1
+
+
+def test_aborted_run_drains_prefetched_work():
+    # Threshold 0 prefetches every round; the drift at step 3 fails on its
+    # second visit, in round 2, while round 3's drifts are in flight.
+    rule = make_rule("sgd", Trap(fail=3, moved_only=True), 0.1, total_steps=20)
+    settings = EngineSettings(window=5, workers=2, threshold0=0.0, gamma=1.0,
+                              injected_cost_ms=10.0)
+    pool, log = recording_pool(2, injected_cost_ms=10.0)
+    with pool:
+        with pytest.raises(po.ObjectiveError) as exc:
+            run(rule, settings, pool)
+        assert any(not in_gather for _, in_gather in log)
+        served = sum(pool.timing_report()["drifts_served"])
+        busy = sum(pool.timing_report()["busy_ms"])
+        assert not pool._in_flight
+        time.sleep(0.05)
+        # nothing was still running when the error surfaced
+        assert sum(pool.timing_report()["drifts_served"]) == served
+        assert sum(pool.timing_report()["busy_ms"]) == busy
+    assert exc.value.partial_report.partial
+    assert exc.value.partial_report.rounds == 1
+    before = threading.active_count()
+    with pytest.raises(po.ObjectiveError):
+        run(rule, settings)
+    assert threading.active_count() == before
+
+
+def test_adaptive_guidance_reproducible_for_fixed_workers():
+    rule = quad_rule(T=80, kind="adaptive_guidance", noise=0.1)
+    for workers in (2, 3):
+        runs = [run(rule, EngineSettings(window=7, workers=workers, threshold0=1e-6,
+                                         gamma=0.9)) for _ in range(2)]
+        assert [r.csv_line() for r in runs[0].records] == [r.csv_line() for r in runs[1].records]
+        assert po.state_checksum(runs[0].terminal) == po.state_checksum(runs[1].terminal)
+
+
+# --- fixed_point_distance and BLAS threads -------------------------------------
+
+
+def test_distance_small_dim_equals_plain_dot():
+    rule = quad_rule()
+    rng = np.random.default_rng(5)
+    for d in (1, 4, 1000, 8192):
+        a, b = rng.standard_normal(d), rng.standard_normal(d)
+        got = fixed_point_distance(ParamState(0, a, d), ParamState(0, b, d), rule)
+        assert got == float(np.dot(a - b, a - b)) / d
+
+
+DISTANCE_BITS = """
+import numpy as np
+import picardopt as po
+from picardopt.engine import fixed_point_distance
+n = 100_000
+rule = po.make_rule("sgd", po.make_problem("quadratic", dim=n), 0.1, total_steps=5)
+zero = po.ParamState(1, np.zeros(n), n)
+for seed in range(10):
+    x = np.random.default_rng(seed).standard_normal(n)
+    print(fixed_point_distance(po.ParamState(1, x, n), zero, rule).hex())
+"""
+
+
+def test_distance_bits_independent_of_blas_threads():
+    import os
+    import subprocess
+    import sys
+
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", DISTANCE_BITS], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
