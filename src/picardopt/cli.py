@@ -82,7 +82,7 @@ def cmd_run(cfg: RunConfig) -> int:
         return EXIT_OK
 
     try:
-        result = engine_run(rule, engine_settings(cfg), config_echo=cfg.echo())
+        result = engine_run(rule, engine_settings(cfg), echo_extra={"mode": cfg.mode})
     except PicardoptError as err:
         report = getattr(err, "partial_report", None)
         if report is not None:
@@ -145,9 +145,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     rule, seed_offset=sub.seed_offset, injected_cost_ms=cost
                 )
             oracle_wall = oracle_wall_cache[cost]
-            result = engine_run(
-                rule, engine_settings(sub, record_trajectory=False), config_echo=sub.echo()
-            )
+            result = engine_run(rule, engine_settings(sub, record_trajectory=False),
+                                echo_extra={"mode": sub.mode})
             result.report.oracle_wall_time_ms = oracle_wall
             write_report_json(run_dir / "report.json", result.report)
             wall_speedup = oracle_wall / result.report.wall_time_ms
@@ -208,8 +207,7 @@ def cmd_verify(manifest_path: str | None) -> int:
         problem = build_problem(cfg)
         rule = build_rule(cfg, problem)
         oracle_traj, _ = solve_sequential(rule, seed_offset=cfg.seed_offset)
-        result = engine_run(rule, engine_settings(cfg, record_trajectory=False),
-                            config_echo=cfg.echo())
+        result = engine_run(rule, engine_settings(cfg, record_trajectory=False))
         got = state_checksum(result.terminal)
         exact = states_equal_bits(result.terminal, oracle_traj.states[-1])
         ok = exact and got == expected

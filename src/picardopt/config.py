@@ -10,6 +10,11 @@ from it and from the field annotations:
   section (``--problem``, ``--rule``) and ``[output] dir`` is ``--out``;
 * ``_coerce`` converts a text value to the field's annotated type.
 
+A field left at ``None`` is unset: the object it configures supplies the
+default (a problem class its size and noise, ``AdamParams`` the Adam
+constants), and a set field that object does not take is a ``ConfigError``.
+The report echoes the values the run was built with (``engine.run``).
+
 ``schedule`` is space-separated ``step:action:i[,j...]`` entries, e.g.
 ``60:split:0 240:prune:1``.  The PICARDOPT_OUT_DIR environment variable
 overrides the output directory (flag still wins).
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 from .engine import EngineSettings
 from .errors import ConfigError, ScheduleError
 from .problems import PROBLEM_KINDS, Problem, make_problem
-from .rules import ADAM, EULER_ODE, RULE_KINDS, AdamParams, UpdateRule, make_rule
+from .rules import ADAPTIVE_GUIDANCE, EULER_ODE, RULE_KINDS, AdamParams, UpdateRule, make_rule
 from .schedule import ScheduleAction
 
 MODES = ("engine", "oracle", "both")
@@ -56,14 +61,12 @@ class RunConfig:
     data_seed: int = 0
     noise: float | None = None
     points: int | None = None
-    n_targets: int | None = None
-    n_rows: int | None = None
 
     rule_kind: str = "adam"
     step_size: float | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1: float | None = None
+    beta2: float | None = None
+    eps: float | None = None
     schedule: str = ""
 
     steps: int = 200
@@ -93,8 +96,13 @@ class RunConfig:
         return 1.0 if self.threshold == 0.0 else 0.9
 
     def is_exact(self) -> bool:
-        """Threshold frozen at 0: the engine must match the oracle bitwise."""
-        return self.threshold == 0.0 and self.resolved_gamma() == 1.0
+        """Threshold frozen at 0: the engine must match the oracle bitwise.
+
+        Never for ``adaptive_guidance``: its lane-local predictors see the
+        engine's drifts, the oracle's predictor only the sequential ones.
+        """
+        return (self.rule_kind != ADAPTIVE_GUIDANCE and self.threshold == 0.0
+                and self.resolved_gamma() == 1.0)
 
     def resolved_step_size(self) -> float:
         if self.step_size is not None:
@@ -106,42 +114,10 @@ class RunConfig:
             return DEFAULT_STEP_SIZES.get((self.problem_kind, "sgd"), 0.05)
         return 0.05
 
-    def echo(self) -> dict:
-        return {
-            "problem": {
-                "kind": self.problem_kind,
-                "dim": self.dim,
-                "data_seed": self.data_seed,
-                "noise": self.noise,
-                "points": self.points,
-                "n_targets": self.n_targets,
-                "n_rows": self.n_rows,
-            },
-            "rule": {
-                "kind": self.rule_kind,
-                "step_size": self.resolved_step_size(),
-                "beta1": self.beta1,
-                "beta2": self.beta2,
-                "eps": self.eps,
-                "schedule": self.schedule,
-            },
-            "engine": {
-                "steps": self.steps,
-                "window": self.resolved_window(),
-                "workers": self.workers,
-                "threshold": self.threshold,
-                "gamma": self.resolved_gamma(),
-                "aggregation": self.aggregation,
-                "seed_offset": self.seed_offset,
-            },
-            "mode": self.mode,
-        }
-
 
 SECTIONS = {
     "problem": {"kind": "problem_kind", "dim": "dim", "data_seed": "data_seed",
-                "noise": "noise", "points": "points", "n_targets": "n_targets",
-                "n_rows": "n_rows"},
+                "noise": "noise", "points": "points"},
     "rule": {"kind": "rule_kind", "step_size": "step_size", "beta1": "beta1",
              "beta2": "beta2", "eps": "eps", "schedule": "schedule"},
     "engine": {"steps": "steps", "window": "window", "workers": "workers",
@@ -244,26 +220,25 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def build_problem(cfg: RunConfig) -> Problem:
-    extra = {}
-    if cfg.problem_kind == "splat2d":
-        if cfg.points is not None:
-            extra["points"] = cfg.points
-        if cfg.n_targets is not None:
-            extra["n_targets"] = cfg.n_targets
-    if cfg.problem_kind == "stochastic_lsq" and cfg.n_rows is not None:
-        extra["n_rows"] = cfg.n_rows
+    settings = {key: getattr(cfg, name) for key, name in SECTIONS["problem"].items()
+                if key != "kind" and getattr(cfg, name) is not None}
+    taken = PROBLEM_KINDS[cfg.problem_kind].setting_names()
+    for key in settings:
+        if key not in taken:
+            raise ConfigError(f"problem.{key}", f"the {cfg.problem_kind} problem does not take it")
     try:
-        return make_problem(cfg.problem_kind, cfg.dim, cfg.data_seed, cfg.noise, **extra)
+        return make_problem(cfg.problem_kind, **settings)
     except ValueError as exc:
         raise ConfigError("problem", str(exc)) from exc
 
 
 def build_rule(cfg: RunConfig, problem: Problem) -> UpdateRule:
-    adam = AdamParams(cfg.beta1, cfg.beta2, cfg.eps) if cfg.rule_kind == ADAM else None
+    betas = {key: getattr(cfg, key) for key in ("beta1", "beta2", "eps")
+             if getattr(cfg, key) is not None}
     try:
         return make_rule(
             cfg.rule_kind, problem, cfg.resolved_step_size(), cfg.steps,
-            adam=adam, schedule=_parse_schedule(cfg.schedule),
+            adam=AdamParams(**betas) if betas else None, schedule=_parse_schedule(cfg.schedule),
         )
     except ScheduleError as exc:
         raise ConfigError("rule.schedule", str(exc)) from exc

@@ -21,7 +21,7 @@ round still advances at least one step (rounds <= total steps).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -233,8 +233,27 @@ class EngineResult:
     snapshots: list[list[ParamState]] | None = None
 
 
+def _config_echo(rule: UpdateRule, settings: EngineSettings) -> dict:
+    """The report's echo of a run's settings, each read from the object built
+    with it, so every value is the one that ran."""
+    echo_rule = {"kind": rule.kind, "step_size": rule.step_size,
+                 "schedule": " ".join(str(action) for action in rule.schedule)}
+    if rule.adam is not None:
+        echo_rule.update(asdict(rule.adam))
+    return {
+        "problem": {"kind": rule.problem.kind, **rule.problem.settings()},
+        "rule": echo_rule,
+        "engine": {"steps": rule.total_steps, "window": settings.window,
+                   "workers": settings.workers, "threshold": settings.threshold0,
+                   "gamma": settings.gamma, "aggregation": settings.aggregation,
+                   "seed_offset": settings.seed_offset,
+                   "injected_cost_ms": settings.injected_cost_ms},
+        "kernel_path": kernels.kernel_path(),
+    }
+
+
 def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = None,
-        config_echo: dict | None = None) -> EngineResult:
+        echo_extra: dict | None = None) -> EngineResult:
     """Drive the windowed iteration from step 0 to the horizon.
 
     All window slots start as clones of the initial state.  Per round:
@@ -242,8 +261,16 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     decision, preserving the reference ordering), advance.  When a round or
     the final loss fails, the partial report and current window are attached
     to the raised error for checkpointing.  A pool created here is closed
-    however the run ends.
+    however the run ends; a pool passed in must agree with ``settings`` on
+    workers, seed offset and injected cost.  ``echo_extra`` adds keys to the
+    report's ``config_echo``.
     """
+    if pool is not None and (pool.n_workers, pool.seed_offset, pool.injected_cost_ms) != (
+            settings.workers, settings.seed_offset, settings.injected_cost_ms):
+        raise ValueError(
+            f"pool (workers {pool.n_workers}, seed_offset {pool.seed_offset}, injected_cost_ms "
+            f"{pool.injected_cost_ms}) disagrees with the settings (workers {settings.workers}, "
+            f"seed_offset {settings.seed_offset}, injected_cost_ms {settings.injected_cost_ms})")
     T = rule.total_steps
     theta0 = initial_state(rule)
     size0 = min(settings.window, T)
@@ -254,19 +281,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     trajectory: list[ParamState] | None = [theta0] if settings.record_trajectory else None
     snapshots: list[list[ParamState]] | None = [] if settings.record_snapshots else None
 
-    if config_echo is None:
-        config_echo = {
-            "problem": rule.problem.kind,
-            "rule": rule.kind,
-            "steps": T,
-            "window": settings.window,
-            "workers": settings.workers,
-            "threshold0": settings.threshold0,
-            "gamma": settings.gamma,
-            "aggregation": settings.aggregation,
-            "seed_offset": settings.seed_offset,
-            "kernel_path": kernels.kernel_path(),
-        }
+    echo = {**_config_echo(rule, settings), **(echo_extra or {})}
 
     own_pool = pool is None
     if own_pool:
@@ -306,7 +321,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
         timing = pool.timing_report()
         err.partial_report = finalize_report(  # type: ignore[attr-defined]
-            records, T, config_echo, final_loss=None, wall_time_ms=wall_ms,
+            records, T, echo, final_loss=None, wall_time_ms=wall_ms,
             worker_busy_ms=timing["busy_ms"], partial=True, drift_evals=drift_evals,
             drift_wait_ms=timing["wait_ms"] - wait_ms0,
         )
@@ -318,7 +333,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
 
     timing = pool.timing_report()
     report = finalize_report(
-        records, T, config_echo, final_loss=final_loss, wall_time_ms=wall_ms,
+        records, T, echo, final_loss=final_loss, wall_time_ms=wall_ms,
         worker_busy_ms=timing["busy_ms"], partial=False, drift_evals=drift_evals,
         drift_wait_ms=timing["wait_ms"] - wait_ms0,
     )

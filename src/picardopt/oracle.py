@@ -8,7 +8,7 @@ arithmetic; independently coded update formulas live in the unit tests.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -76,29 +76,18 @@ def solve_sequential(rule: UpdateRule, theta0: ParamState | None = None,
 
 @dataclass
 class ComparisonReport:
-    mode: str
-    tol: float
     passed: bool
     first_divergence: int | None
     max_delta: float
     per_step_max_delta: list[float]
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "tol": self.tol,
-            "passed": self.passed,
-            "first_divergence": self.first_divergence,
-            "max_delta": self.max_delta,
-            "per_step_max_delta": self.per_step_max_delta,
-        }
+        return asdict(self)
 
 
-def compare_trajectories(a: Trajectory, b: Trajectory, mode: str = "bitexact",
-                         tol: float = 0.0) -> ComparisonReport:
-    """Per-step max |delta| over values; moments compared only in bitexact mode."""
-    if mode not in ("bitexact", "tolerance"):
-        raise ValueError(f"unknown comparison mode {mode!r}")
+def compare_trajectories(a: Trajectory, b: Trajectory) -> ComparisonReport:
+    """Bitwise comparison (values, moments, tags) step by step, plus the
+    per-step max |delta| over values."""
     if a.total_steps != b.total_steps:
         raise ValueError(f"trajectory lengths differ: {a.total_steps} vs {b.total_steps}")
     deltas: list[float] = []
@@ -106,19 +95,12 @@ def compare_trajectories(a: Trajectory, b: Trajectory, mode: str = "bitexact",
     for tau, (sa, sb) in enumerate(zip(a.states, b.states)):
         if sa.dim != sb.dim:
             delta = float("inf")
-            step_ok = False
         else:
             delta = float(np.max(np.abs(sa.values - sb.values))) if sa.dim else 0.0
-            if mode == "bitexact":
-                step_ok = states_equal_bits(sa, sb, include_moments=True)
-            else:
-                step_ok = delta <= tol
         deltas.append(delta)
-        if not step_ok and first_div is None:
+        if first_div is None and not states_equal_bits(sa, sb, include_moments=True):
             first_div = tau
     return ComparisonReport(
-        mode=mode,
-        tol=tol,
         passed=first_div is None,
         first_divergence=first_div,
         max_delta=max(deltas) if deltas else 0.0,

@@ -6,13 +6,18 @@ seed-independent.  Datasets are regenerated from ``data_seed``; nothing is
 shipped as files.
 
 Stochasticity models the per-step randomness of heavy guidance losses:
-``stochastic_lsq`` subsamples its rows per step seed, the other problems add
-a seeded linear tilt ``noise * <z(seed), values>`` to the loss (so grad stays
-the exact gradient of loss under the same seed).
+``stochastic_lsq`` and ``tiny_mlp`` subsample their rows per step seed, the
+other problems add a seeded linear tilt ``noise * <z(seed), values>`` to the
+loss (so grad stays the exact gradient of loss under the same seed).
+
+A problem's settings are its constructor's arguments, and each class owns
+their defaults (its size and noise); ``settings()`` reports the values a
+problem was built with.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,12 +29,16 @@ from .errors import DimensionError, ObjectiveError
 class Problem:
     kind: str = "?"
     point_width: int = 1
+    # Noise is the fraction of rows left out of each step's minibatch (below 1).
+    subsampled: bool = False
 
-    def __init__(self, dim: int, data_seed: int = 0, noise: float = 0.0):
+    def __init__(self, dim: int = 16, data_seed: int = 0, noise: float = 0.0):
         if dim <= 0:
             raise ValueError("dim must be positive")
         if noise < 0:
             raise ValueError("noise must be >= 0")
+        if self.subsampled and noise >= 1.0:
+            raise ValueError(f"{self.kind} noise must be in [0, 1)")
         self.dim = dim
         self.data_seed = data_seed
         self.noise = noise
@@ -55,6 +64,15 @@ class Problem:
     def initial_dim_tag(self) -> int:
         return self.dim // self.point_width
 
+    @classmethod
+    def setting_names(cls) -> tuple[str, ...]:
+        """The settings this problem takes: its constructor's arguments."""
+        return tuple(inspect.signature(cls).parameters)
+
+    def settings(self) -> dict:
+        """The value of each setting this problem was built with."""
+        return {name: getattr(self, name) for name in self.setting_names()}
+
     # -- internals ----------------------------------------------------------
     def _check(self, values) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
@@ -64,6 +82,16 @@ class Problem:
 
     def _tilt(self, seed: int, n: int) -> np.ndarray:
         return np.random.default_rng(seed).standard_normal(n)
+
+    def _batch(self, seed: int, *arrays):
+        """The step's minibatch of the rows of ``arrays``: all of them at noise
+        0, else round(rows * (1 - noise)) rows drawn without replacement."""
+        if self.noise == 0.0:
+            return arrays
+        rows = len(arrays[0])
+        size = max(1, int(round(rows * (1.0 - self.noise))))
+        idx = np.random.default_rng(seed).choice(rows, size=size, replace=False)
+        return tuple(a[idx] for a in arrays)
 
     def _base_loss(self, values) -> float:
         raise NotImplementedError
@@ -115,33 +143,25 @@ class StochasticLsqProblem(Problem):
     """
 
     kind = "stochastic_lsq"
+    subsampled = True
+    N_ROWS = 64
 
-    def __init__(self, dim: int, data_seed: int = 0, noise: float = 0.0, n_rows: int = 64):
+    def __init__(self, dim: int = 16, data_seed: int = 0, noise: float = 0.75):
         super().__init__(dim, data_seed, noise)
-        if not 0.0 <= noise < 1.0:
-            raise ValueError("stochastic_lsq noise must be in [0, 1)")
-        self.n_rows = n_rows
         rng = np.random.default_rng(data_seed)
-        self.design = rng.standard_normal((n_rows, dim)) / np.sqrt(dim)
+        self.design = rng.standard_normal((self.N_ROWS, dim)) / np.sqrt(dim)
         x_true = rng.standard_normal(dim)
-        self.targets = self.design @ x_true + 0.1 * rng.standard_normal(n_rows)
-
-    def _batch(self, seed: int):
-        if self.noise == 0.0:
-            return self.design, self.targets
-        size = max(1, int(round(self.n_rows * (1.0 - self.noise))))
-        idx = np.random.default_rng(seed).choice(self.n_rows, size=size, replace=False)
-        return self.design[idx], self.targets[idx]
+        self.targets = self.design @ x_true + 0.1 * rng.standard_normal(self.N_ROWS)
 
     def loss(self, values, seed):
         values = self._check(values)
-        a, b = self._batch(seed)
+        a, b = self._batch(seed, self.design, self.targets)
         r = a @ values - b
         return 0.5 * float(np.dot(r, r)) / len(b)
 
     def grad(self, values, seed):
         values = self._check(values)
-        a, b = self._batch(seed)
+        a, b = self._batch(seed, self.design, self.targets)
         r = a @ values - b
         return (a.T @ r) / len(b)
 
@@ -159,27 +179,19 @@ class TinyMlpProblem(Problem):
     """
 
     kind = "tiny_mlp"
+    subsampled = True
     HIDDEN = 8
     N_SAMPLES = 64
 
     def __init__(self, dim: int = 25, data_seed: int = 0, noise: float = 0.0):
         if dim != 25:
             raise ValueError("tiny_mlp has a fixed parameter dimension of 25")
-        if not 0.0 <= noise < 1.0:
-            raise ValueError("tiny_mlp noise must be in [0, 1)")
         super().__init__(25, data_seed, noise)
         rng = np.random.default_rng(data_seed)
         self.inputs = rng.uniform(-2.0, 2.0, size=(self.N_SAMPLES, 1))
         clean = np.sin(2.5 * self.inputs[:, 0])
         self.labels = clean + 0.05 * rng.standard_normal(self.N_SAMPLES)
         self._init = 0.5 * rng.standard_normal(25)
-
-    def _batch(self, seed: int):
-        if self.noise == 0.0:
-            return self.inputs, self.labels
-        size = max(1, int(round(self.N_SAMPLES * (1.0 - self.noise))))
-        idx = np.random.default_rng(seed).choice(self.N_SAMPLES, size=size, replace=False)
-        return self.inputs[idx], self.labels[idx]
 
     def _unpack(self, v):
         w1 = v[0:8].reshape(8, 1)
@@ -197,14 +209,14 @@ class TinyMlpProblem(Problem):
 
     def loss(self, values, seed):
         values = self._check(values)
-        inputs, labels = self._batch(seed)
+        inputs, labels = self._batch(seed, self.inputs, self.labels)
         _, yhat = self._forward(values, inputs)
         r = yhat - labels
         return 0.5 * float(np.dot(r, r)) / len(labels)
 
     def grad(self, values, seed):
         values = self._check(values)
-        inputs, labels = self._batch(seed)
+        inputs, labels = self._batch(seed, self.inputs, self.labels)
         w1, b1, w2, b2 = self._unpack(values)
         h, yhat = self._forward(values, inputs)
         dy = (yhat - labels) / len(labels)
@@ -232,9 +244,11 @@ class Splat2dProblem(Problem):
     density on a 16x16 grid; loss is the sum of squared residuals.
 
     Each point carries (x, y, log-scale, weight), so the value vector has
-    4 * dim_tag entries and gradients track dimension changes.  The target is
-    itself a splat render of ``n_targets`` points drawn from ``data_seed``, so
-    a point set matching the target exactly reaches loss 0.
+    4 * dim_tag entries and gradients track dimension changes; ``points`` is
+    the initial point count (2 by default), and ``dim`` if given must be 4 *
+    points.  The target is itself a splat render of ``n_targets`` points drawn
+    from ``data_seed``, so a point set matching the target exactly reaches
+    loss 0.
     """
 
     kind = "splat2d"
@@ -242,12 +256,16 @@ class Splat2dProblem(Problem):
     GRID = 16
 
     def __init__(self, dim: int | None = None, data_seed: int = 0, noise: float = 0.0,
-                 points: int = 2, n_targets: int = 3):
+                 points: int | None = None, n_targets: int = 3):
+        if points is None:
+            points = 2 if dim is None else dim // 4
         if dim is None:
             dim = 4 * points
-        if dim % 4:
-            raise ValueError("splat2d dim must be a multiple of 4")
+        if dim != 4 * points:
+            raise ValueError(f"splat2d dim {dim} is not 4 * points ({points})")
         super().__init__(dim, data_seed, noise)
+        self.points = points
+        self.n_targets = n_targets
         centers = (np.arange(self.GRID) + 0.5) / self.GRID
         self.grid_x = centers
         self.grid_y = centers
@@ -336,22 +354,10 @@ PROBLEM_KINDS = {
     "linear_ode": LinearOdeProblem,
 }
 
-_DEFAULT_DIMS = {
-    "quadratic": 16,
-    "rosenbrock": 16,
-    "stochastic_lsq": 16,
-    "tiny_mlp": 25,
-    "splat2d": 8,
-    "linear_ode": 8,
-}
 
-
-def make_problem(kind: str, dim: int | None = None, data_seed: int = 0,
-                 noise: float | None = None, **extra) -> Problem:
+def make_problem(kind: str, **settings) -> Problem:
+    """The ``kind`` problem built from the given settings; the class supplies
+    the rest."""
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem kind {kind!r}; have {sorted(PROBLEM_KINDS)}")
-    if dim is None:
-        dim = _DEFAULT_DIMS[kind]
-    if noise is None:
-        noise = 0.75 if kind == "stochastic_lsq" else 0.0
-    return PROBLEM_KINDS[kind](dim=dim, data_seed=data_seed, noise=noise, **extra)
+    return PROBLEM_KINDS[kind](**settings)

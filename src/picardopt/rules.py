@@ -81,7 +81,8 @@ def make_rule(kind: str, problem: Problem, step_size: float, total_steps: int,
     if kind == ADAM:
         adam = adam or AdamParams()
     elif adam is not None:
-        raise ValueError(f"adam parameters are only valid for the adam rule, not {kind!r}")
+        raise ValueError(f"adam parameters (beta1, beta2, eps) are only valid for the adam rule, "
+                         f"not {kind!r}")
     if kind == SPLIT_PRUNE_SGD:
         schedule = validate_schedule(schedule, total_steps, problem.initial_dim_tag())
     elif schedule:

@@ -39,6 +39,10 @@ class ScheduleAction:
         if any(i < 0 for i in self.indices):
             raise ScheduleError("schedule action indices must be >= 0")
 
+    def __str__(self) -> str:
+        """The config-file form ``step:action:i[,j...]``."""
+        return f"{self.step}:{self.kind}:{','.join(map(str, self.indices))}"
+
     @property
     def delta(self) -> int:
         """Signed change in point count when the action fires."""

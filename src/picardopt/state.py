@@ -230,27 +230,3 @@ def read_states(path) -> list[ParamState]:
         s, offset = state_from_bytes(buf, offset)
         out.append(s)
     return out
-
-
-def state_to_json_dict(state: ParamState) -> dict:
-    d = {
-        "step": state.step,
-        "dim_tag": state.dim_tag,
-        "aux_version": state.aux_version,
-        "values": state.values.tolist(),
-    }
-    if state.moments is not None:
-        d["moments"] = {
-            "t": state.moments.t,
-            "m1": state.moments.m1.tolist(),
-            "m2": state.moments.m2.tolist(),
-        }
-    return d
-
-
-def state_from_json_dict(d: dict) -> ParamState:
-    moments = None
-    if "moments" in d:
-        m = d["moments"]
-        moments = MomentState(np.asarray(m["m1"]), np.asarray(m["m2"]), m["t"])
-    return ParamState(d["step"], np.asarray(d["values"]), d["dim_tag"], moments, d.get("aux_version", 0))

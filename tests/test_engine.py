@@ -307,6 +307,20 @@ def test_run_window_one_at_T_one():
     assert res.terminal.step == 1
 
 
+@pytest.mark.parametrize("pool_args", [
+    dict(n_workers=3), dict(n_workers=2, seed_offset=5), dict(n_workers=2, injected_cost_ms=1.0),
+])
+def test_run_rejects_pool_that_disagrees_with_settings(pool_args):
+    rule = quad_rule(T=10, noise=0.1)
+    settings = EngineSettings(window=3, workers=2, threshold0=0.0, gamma=1.0)
+    before = threading.active_count()
+    with WorkerPool(**pool_args) as pool:
+        with pytest.raises(ValueError, match="disagrees with the settings"):
+            run(rule, settings, pool)
+        assert sum(pool.timing_report()["drifts_served"]) == 0
+    assert threading.active_count() == before
+
+
 # --- pipelined dispatch --------------------------------------------------------
 
 

@@ -40,7 +40,7 @@ def test_solve_sequential_reproducible():
     rule = make_rule("adam", prob, 0.05, total_steps=30)
     a, _ = solve_sequential(rule, seed_offset=3)
     b, _ = solve_sequential(rule, seed_offset=3)
-    rep = compare_trajectories(a, b, "bitexact")
+    rep = compare_trajectories(a, b)
     assert rep.passed and rep.max_delta == 0.0
 
 
@@ -59,10 +59,8 @@ def test_compare_tiny_perturbation_modes():
     v[0] += 1e-15
     states[2] = ParamState(2, v, 1)
     other = Trajectory(states, list(traj.losses))
-    bit = compare_trajectories(traj, other, "bitexact")
+    bit = compare_trajectories(traj, other)
     assert not bit.passed and bit.first_divergence == 2
-    tol = compare_trajectories(traj, other, "tolerance", tol=1e-12)
-    assert tol.passed
 
 
 def test_compare_moments_only_in_bitexact():
@@ -73,8 +71,8 @@ def test_compare_moments_only_in_bitexact():
     m = states[1].moments
     states[1] = ParamState(1, states[1].values, 2, MomentState(m.m1 + 1.0, m.m2, m.t))
     other = Trajectory(states, list(traj.losses))
-    assert not compare_trajectories(traj, other, "bitexact").passed
-    assert compare_trajectories(traj, other, "tolerance", tol=0.0).passed
+    rep = compare_trajectories(traj, other)
+    assert not rep.passed and rep.first_divergence == 1 and rep.max_delta == 0.0
 
 
 def test_compare_length_mismatch_raises():

@@ -137,6 +137,33 @@ def test_splat_nonpositive_weight_sum_raises():
         p.loss(bad, 0)
 
 
+@pytest.mark.parametrize("kind,dim,noise", [
+    ("quadratic", 16, 0.0), ("rosenbrock", 16, 0.0), ("stochastic_lsq", 16, 0.75),
+    ("tiny_mlp", 25, 0.0), ("splat2d", 8, 0.0), ("linear_ode", 8, 0.0),
+])
+def test_each_problem_owns_its_defaults(kind, dim, noise):
+    settings = make_problem(kind).settings()
+    assert (settings["dim"], settings["data_seed"], settings["noise"]) == (dim, 0, noise)
+
+
+def test_splat_points_set_the_dim():
+    p = make_problem("splat2d", points=3)
+    assert p.dim == len(p.initial_values()) == 12 and p.initial_dim_tag() == 3
+    assert p.settings() == {"dim": 12, "data_seed": 0, "noise": 0.0, "points": 3, "n_targets": 3}
+    assert make_problem("splat2d", dim=12).points == 3
+    assert make_problem("splat2d", dim=12, points=3).dim == 12
+    with pytest.raises(ValueError, match="not 4 \\* points"):
+        make_problem("splat2d", dim=8, points=3)
+    with pytest.raises(ValueError, match="not 4 \\* points"):
+        make_problem("splat2d", dim=10)
+
+
+@pytest.mark.parametrize("kind", ["stochastic_lsq", "tiny_mlp"])
+def test_subsampled_noise_below_one(kind):
+    with pytest.raises(ValueError, match=r"noise must be in \[0, 1\)"):
+        make_problem(kind, noise=1.0)
+
+
 def test_linear_ode_analytic_solution():
     p = make_problem("linear_ode", dim=4, data_seed=8)
     t = 0.7

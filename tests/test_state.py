@@ -7,8 +7,7 @@ import pytest
 from picardopt.errors import DimensionError, PoisonedDrift
 from picardopt.state import (Drift, MomentState, ParamState, clone_state,
                              read_states, state_checksum, state_from_bytes,
-                             state_from_json_dict, state_to_bytes,
-                             state_to_json_dict, states_equal_bits, with_step,
+                             state_to_bytes, states_equal_bits, with_step,
                              write_states)
 
 
@@ -110,8 +109,3 @@ def test_checkpoint_file_roundtrip(tmp_path):
     assert len(back) == 5
     assert all(states_equal_bits(a, b) for a, b in zip(states, back))
 
-
-def test_json_roundtrip():
-    s = make_state(step=2, values=(1.5, -0.5), moments=True)
-    back = state_from_json_dict(state_to_json_dict(s))
-    assert states_equal_bits(s, back)
