@@ -68,12 +68,13 @@ def cmd_run(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg)
     rule = build_rule(cfg, problem)
+    settings = engine_settings(cfg)
 
     oracle_traj = None
     oracle_wall = None
     if cfg.mode in ("oracle", "both"):
         oracle_traj, oracle_wall = solve_sequential(
-            rule, seed_offset=cfg.seed_offset, injected_cost_ms=cfg.injected_cost_ms
+            rule, seed_offset=settings.seed_offset, injected_cost_ms=settings.injected_cost_ms
         )
         write_states(out / "oracle_trajectory.bin", oracle_traj.states)
         _write_losses_csv(out / "oracle_losses.csv", oracle_traj)
@@ -82,7 +83,7 @@ def cmd_run(cfg: RunConfig) -> int:
         return EXIT_OK
 
     try:
-        result = engine_run(rule, engine_settings(cfg), echo_extra={"mode": cfg.mode})
+        result = engine_run(rule, settings, echo_extra={"mode": cfg.mode})
     except PicardoptError as err:
         report = getattr(err, "partial_report", None)
         if report is not None:
@@ -98,7 +99,7 @@ def cmd_run(cfg: RunConfig) -> int:
     write_states(out / "final_state.bin", [result.terminal])
 
     if cfg.mode == "both":
-        engine_traj = _engine_trajectory(result.trajectory, problem, cfg.seed_offset)
+        engine_traj = _engine_trajectory(result.trajectory, problem, settings.seed_offset)
         comparison = compare_trajectories(oracle_traj, engine_traj)
         payload = comparison.to_json_dict()
         lo, le = oracle_traj.losses[-1], engine_traj.losses[-1]
@@ -108,7 +109,7 @@ def cmd_run(cfg: RunConfig) -> int:
         (out / "compare.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         # Only the exact mode promises the oracle's bits; an adaptive run's
         # deltas are reported, not judged.
-        if cfg.is_exact() and not comparison.passed:
+        if settings.is_exact(rule) and not comparison.passed:
             print(
                 f"comparison failed: first divergence at step "
                 f"{comparison.first_divergence}, max delta {comparison.max_delta:g}",
@@ -121,6 +122,10 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.sweep_axis is None:
         raise ConfigError("sweep.axis", f"the sweep verb needs one of {SWEEP_AXES}")
+    # The axes change engine settings only, so the problem and rule are
+    # shared, and an error in them fails the whole sweep.
+    problem = build_problem(cfg)
+    rule = build_rule(cfg, problem)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     axis = cfg.sweep_axis
@@ -137,16 +142,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
         run_dir = out / "runs" / f"{axis}_{value:g}"
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
-            problem = build_problem(sub)
-            rule = build_rule(sub, problem)
-            cost = sub.injected_cost_ms
+            settings = engine_settings(sub, record_trajectory=False)
+            cost = settings.injected_cost_ms
             if cost not in oracle_wall_cache:
                 _, oracle_wall_cache[cost] = solve_sequential(
-                    rule, seed_offset=sub.seed_offset, injected_cost_ms=cost
+                    rule, seed_offset=settings.seed_offset, injected_cost_ms=cost
                 )
             oracle_wall = oracle_wall_cache[cost]
-            result = engine_run(rule, engine_settings(sub, record_trajectory=False),
-                                echo_extra={"mode": sub.mode})
+            result = engine_run(rule, settings, echo_extra={"mode": sub.mode})
             result.report.oracle_wall_time_ms = oracle_wall
             write_report_json(run_dir / "report.json", result.report)
             wall_speedup = oracle_wall / result.report.wall_time_ms
@@ -206,8 +209,9 @@ def cmd_verify(manifest_path: str | None) -> int:
         cfg = load_config(None, overrides)
         problem = build_problem(cfg)
         rule = build_rule(cfg, problem)
-        oracle_traj, _ = solve_sequential(rule, seed_offset=cfg.seed_offset)
-        result = engine_run(rule, engine_settings(cfg, record_trajectory=False))
+        settings = engine_settings(cfg, record_trajectory=False)
+        oracle_traj, _ = solve_sequential(rule, seed_offset=settings.seed_offset)
+        result = engine_run(rule, settings)
         got = state_checksum(result.terminal)
         exact = states_equal_bits(result.terminal, oracle_traj.states[-1])
         ok = exact and got == expected

@@ -12,7 +12,8 @@ from it and from the field annotations:
 
 A field left at ``None`` is unset: the object it configures supplies the
 default (a problem class its size and noise, ``AdamParams`` the Adam
-constants), and a set field that object does not take is a ``ConfigError``.
+constants, ``EngineSettings`` the engine's), and a set field that object does
+not take is a ``ConfigError``.
 The report echoes the values the run was built with (``engine.run``).
 
 ``schedule`` is space-separated ``step:action:i[,j...]`` entries, e.g.
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from .engine import EngineSettings
 from .errors import ConfigError, ScheduleError
 from .problems import PROBLEM_KINDS, Problem, make_problem
-from .rules import ADAPTIVE_GUIDANCE, EULER_ODE, RULE_KINDS, AdamParams, UpdateRule, make_rule
+from .rules import AdamParams, UpdateRule, make_rule
 from .schedule import ScheduleAction
 
 MODES = ("engine", "oracle", "both")
@@ -71,38 +72,18 @@ class RunConfig:
 
     steps: int = 200
     window: int | None = None
-    workers: int = 8
-    threshold: float = 1e-6
+    workers: int | None = None
+    threshold: float | None = None
     gamma: float | None = None
-    aggregation: str = "median"
-    seed_offset: int = 0
-    injected_cost_ms: float = 0.0
+    aggregation: str | None = None
+    seed_offset: int | None = None
+    injected_cost_ms: float | None = None
 
     out_dir: str = "out"
     mode: str = "engine"
 
     sweep_axis: str | None = None
     sweep_values: list[float] = field(default_factory=list)
-
-    # -- resolution ----------------------------------------------------------
-    def resolved_window(self) -> int:
-        return self.window if self.window is not None else max(1, self.workers - 1)
-
-    def resolved_gamma(self) -> float:
-        if self.gamma is not None:
-            return self.gamma
-        # threshold 0 means the exact-equivalence mode; keep it frozen at 0
-        # unless the user explicitly asks for adaptation.
-        return 1.0 if self.threshold == 0.0 else 0.9
-
-    def is_exact(self) -> bool:
-        """Threshold frozen at 0: the engine must match the oracle bitwise.
-
-        Never for ``adaptive_guidance``: its lane-local predictors see the
-        engine's drifts, the oracle's predictor only the sequential ones.
-        """
-        return (self.rule_kind != ADAPTIVE_GUIDANCE and self.threshold == 0.0
-                and self.resolved_gamma() == 1.0)
 
     def resolved_step_size(self) -> float:
         if self.step_size is not None:
@@ -196,18 +177,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Checks that no constructor downstream makes; ``engine_settings``
-    checks the engine section."""
-    if cfg.problem_kind not in PROBLEM_KINDS:
-        raise ConfigError("problem.kind", f"unknown problem {cfg.problem_kind!r}")
-    if cfg.rule_kind not in RULE_KINDS:
-        raise ConfigError("rule.kind", f"unknown rule {cfg.rule_kind!r}")
-    if cfg.rule_kind == EULER_ODE and cfg.problem_kind != "linear_ode":
-        raise ConfigError("rule.kind", "euler_ode requires the linear_ode problem")
-    if cfg.steps < 1:
-        raise ConfigError("engine.steps", "must be >= 1")
-    if cfg.noise is not None and cfg.noise < 0:
-        raise ConfigError("problem.noise", "must be >= 0")
+    """Checks that no constructor makes: the output mode and the ``[sweep]``
+    fields.  ``engine_settings`` checks the engine section; ``build_problem``
+    and ``build_rule`` check the rest when a verb builds them."""
     if cfg.mode not in MODES:
         raise ConfigError("output.mode", f"must be one of {MODES}")
     if cfg.sweep_axis is not None:
@@ -215,11 +187,15 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("sweep.axis", f"must be one of {SWEEP_AXES}")
         if not cfg.sweep_values:
             raise ConfigError("sweep.values", "sweep needs at least one value")
-    _parse_schedule(cfg.schedule)
+        if cfg.sweep_axis == "window" and not all(float(v).is_integer() for v in cfg.sweep_values):
+            raise ConfigError("sweep.values", "window values must be integers")
     engine_settings(cfg)
 
 
 def build_problem(cfg: RunConfig) -> Problem:
+    if cfg.problem_kind not in PROBLEM_KINDS:
+        raise ConfigError("problem.kind", f"unknown problem {cfg.problem_kind!r}; "
+                                          f"have {sorted(PROBLEM_KINDS)}")
     settings = {key: getattr(cfg, name) for key, name in SECTIONS["problem"].items()
                 if key != "kind" and getattr(cfg, name) is not None}
     taken = PROBLEM_KINDS[cfg.problem_kind].setting_names()
@@ -248,17 +224,13 @@ def build_rule(cfg: RunConfig, problem: Problem) -> UpdateRule:
 
 def engine_settings(cfg: RunConfig, record_trajectory: bool = True,
                     record_snapshots: bool = False) -> EngineSettings:
+    """The ``[engine]`` fields that are set (``steps`` is the rule's);
+    ``EngineSettings`` supplies the rest."""
+    settings = {"threshold0" if key == "threshold" else key: getattr(cfg, name)
+                for key, name in SECTIONS["engine"].items()
+                if key != "steps" and getattr(cfg, name) is not None}
     try:
-        return EngineSettings(
-            window=cfg.resolved_window(),
-            workers=cfg.workers,
-            threshold0=cfg.threshold,
-            gamma=cfg.resolved_gamma(),
-            aggregation=cfg.aggregation,
-            seed_offset=cfg.seed_offset,
-            injected_cost_ms=cfg.injected_cost_ms,
-            record_trajectory=record_trajectory,
-            record_snapshots=record_snapshots,
-        )
+        return EngineSettings(**settings, record_trajectory=record_trajectory,
+                              record_snapshots=record_snapshots)
     except ValueError as exc:
         raise ConfigError("engine", str(exc)) from exc

@@ -20,6 +20,7 @@ round still advances at least one step (rounds <= total steps).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -63,8 +64,8 @@ class ThresholdState:
     agg: str = "median"
 
     def __post_init__(self):
-        if self.e < 0.0:
-            raise ValueError("threshold must be >= 0")
+        if not 0.0 <= self.e < math.inf:
+            raise ValueError("threshold must be finite and >= 0")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
         if self.agg not in AGGREGATIONS:
@@ -200,10 +201,17 @@ def advance_window(window: Window, new_states, skip: int, total_steps: int) -> W
 
 @dataclass
 class EngineSettings:
-    window: int
-    workers: int
-    threshold0: float
-    gamma: float
+    """The engine's settings, and the one place their defaults live.
+
+    An unset ``window`` is ``workers - 1`` (at least 1); an unset ``gamma``
+    is 1.0 at threshold 0, the exact mode, so the threshold stays frozen
+    there unless asked to adapt, and 0.9 otherwise.
+    """
+
+    window: int | None = None
+    workers: int = 8
+    threshold0: float = 1e-6
+    gamma: float | None = None
     aggregation: str = "median"
     seed_offset: int = 0
     injected_cost_ms: float = 0.0
@@ -211,17 +219,29 @@ class EngineSettings:
     record_snapshots: bool = False
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.window is None:
+            self.window = max(1, self.workers - 1)
+        if self.gamma is None:
+            self.gamma = 1.0 if self.threshold0 == 0.0 else 0.9
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
         if self.seed_offset < 0:
             raise ValueError("seed_offset must be >= 0")
-        if self.injected_cost_ms < 0:
-            raise ValueError("injected_cost_ms must be >= 0")
+        if not 0.0 <= self.injected_cost_ms < math.inf:
+            raise ValueError("injected_cost_ms must be finite and >= 0")
         if self.record_snapshots and not self.record_trajectory:
             raise ValueError("snapshots need the finalized trajectory recorded")
         ThresholdState(self.threshold0, self.gamma, self.aggregation)  # validates
+
+    def is_exact(self, rule: UpdateRule) -> bool:
+        """Threshold frozen at 0: the engine must match the oracle bitwise.
+
+        Never for ``adaptive_guidance``: its lane-local predictors see the
+        engine's drifts, the oracle's predictor only the sequential ones.
+        """
+        return rule.kind != ADAPTIVE_GUIDANCE and self.threshold0 == 0.0 and self.gamma == 1.0
 
 
 @dataclass
@@ -285,8 +305,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
 
     own_pool = pool is None
     if own_pool:
-        aux_dim = theta0.dim if rule.kind == ADAPTIVE_GUIDANCE else None
-        pool = WorkerPool(settings.workers, settings.seed_offset, settings.injected_cost_ms, aux_dim)
+        pool = WorkerPool(settings.workers, settings.seed_offset, settings.injected_cost_ms)
 
     drift_evals = 0
     wait_ms0 = pool.timing_report()["wait_ms"]

@@ -10,8 +10,9 @@ gather that needs them; that gather then reuses the drift in flight.  An
 optional injected per-drift sleep emulates heavy accelerator workloads so
 wall-clock speedup curves are observable at desk scale.
 
-In the adaptive-guidance mode each lane owns a private gradient predictor;
-no predictor is ever touched by two lanes.
+In the adaptive-guidance mode each lane owns a private gradient predictor,
+made at the lane's first such drift; no predictor is ever touched by two
+lanes.
 """
 
 from __future__ import annotations
@@ -78,8 +79,7 @@ class DriftView(Sequence):
 
 
 class WorkerPool:
-    def __init__(self, n_workers: int, seed_offset: int = 0,
-                 injected_cost_ms: float = 0.0, aux_dim: int | None = None):
+    def __init__(self, n_workers: int, seed_offset: int = 0, injected_cost_ms: float = 0.0):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if seed_offset < 0:
@@ -87,8 +87,8 @@ class WorkerPool:
         self.n_workers = n_workers
         self.seed_offset = seed_offset
         self.injected_cost_ms = injected_cost_ms
-        self.aux_models = [AuxModel(aux_dim) for _ in range(n_workers)] if aux_dim else None
         # Each lane writes only its own entries, so no lock is needed.
+        self.aux_models: list[AuxModel | None] = [None] * n_workers
         self._busy_s = [0.0] * n_workers
         self._drift_counts = [0] * n_workers
         self._wait_s = 0.0
@@ -111,7 +111,11 @@ class WorkerPool:
         self.close()
 
     def _serve(self, lane: int, rule: rules.UpdateRule, state: ParamState) -> Drift:
-        aux = self.aux_models[lane] if self.aux_models is not None else None
+        aux = None
+        if rule.kind == rules.ADAPTIVE_GUIDANCE:
+            aux = self.aux_models[lane]
+            if aux is None:
+                aux = self.aux_models[lane] = AuxModel(state.dim)
         t0 = time.perf_counter()
         try:
             if self.injected_cost_ms > 0.0:

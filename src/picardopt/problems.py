@@ -18,7 +18,7 @@ problem was built with.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -35,8 +35,10 @@ class Problem:
     def __init__(self, dim: int = 16, data_seed: int = 0, noise: float = 0.0):
         if dim <= 0:
             raise ValueError("dim must be positive")
-        if noise < 0:
-            raise ValueError("noise must be >= 0")
+        if not 0.0 <= noise < math.inf:
+            raise ValueError("noise must be finite and >= 0")
+        if data_seed < 0:
+            raise ValueError("data_seed must be >= 0")
         if self.subsampled and noise >= 1.0:
             raise ValueError(f"{self.kind} noise must be in [0, 1)")
         self.dim = dim
@@ -232,13 +234,6 @@ class TinyMlpProblem(Problem):
         return self._init.copy()
 
 
-@dataclass
-class SplatRender:
-    field: np.ndarray
-    residuals: np.ndarray
-    loss: float
-
-
 class Splat2dProblem(Problem):
     """2-D point-splat fit: a mixture of isotropic Gaussians vs a fixed target
     density on a 16x16 grid; loss is the sum of squared residuals.
@@ -296,12 +291,6 @@ class Splat2dProblem(Problem):
         if float(np.sum(pts[:, 3])) <= 0.0:
             raise ObjectiveError("splat2d mixture normalization (sum of weights) is non-positive")
         return values
-
-    def render(self, values) -> SplatRender:
-        values = self._check(values)
-        field = kernels.splat_field(values.reshape(-1, 4), self.grid_x, self.grid_y)
-        residuals = field - self.target
-        return SplatRender(field, residuals, float(np.sum(residuals * residuals)))
 
     def _base_loss(self, v):
         loss, _ = kernels.splat_loss_grad(v.reshape(-1, 4), self.grid_x, self.grid_y, self.target)

@@ -17,6 +17,7 @@ exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,8 @@ class AdamParams:
     def __post_init__(self):
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ValueError("adam betas must lie in [0, 1)")
-        if self.eps <= 0.0:
-            raise ValueError("adam eps must be > 0")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("adam eps must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ def make_rule(kind: str, problem: Problem, step_size: float, total_steps: int,
         raise ValueError(f"unknown rule kind {kind!r}; have {RULE_KINDS}")
     if total_steps < 1:
         raise ValueError("total_steps must be >= 1")
-    if step_size <= 0:
-        raise ValueError("step_size must be > 0")
+    if not 0.0 < step_size < math.inf:
+        raise ValueError("step_size must be finite and > 0")
     if kind == ADAM:
         adam = adam or AdamParams()
     elif adam is not None:

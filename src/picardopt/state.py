@@ -121,14 +121,6 @@ class Drift:
             raise PoisonedDrift(self.step, self.seed, "drift payload contains NaN/Inf")
 
 
-def clone_state(state: ParamState) -> ParamState:
-    """Deep, independent copy; bitwise-equal values, moments and tags."""
-    moments = None
-    if state.moments is not None:
-        moments = MomentState(state.moments.m1.copy(), state.moments.m2.copy(), state.moments.t)
-    return ParamState(state.step, state.values.copy(), state.dim_tag, moments, state.aux_version)
-
-
 def with_step(state: ParamState, step: int) -> ParamState:
     """Same content re-indexed to another step (arrays shared; they are immutable)."""
     return replace(state, step=step)

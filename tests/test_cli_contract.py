@@ -149,11 +149,24 @@ def test_splat_points_set_the_size_and_the_echo(tmp_path):
     (["--rule", "sgd", "--beta1", "0.5"], "beta1"),
     (["--rule", "split_prune_sgd", "--problem", "splat2d", "--eps", "1e-6"], "eps"),
     (["--rule", "adam", "--beta2", "1.5"], "betas"),
+    (["--rule", "adam", "--eps", "nan"], "eps"),
+    (["--threshold", "nan"], "threshold"),
+    (["--injected-cost-ms", "nan"], "injected_cost_ms"),
+    (["--injected-cost-ms", "inf"], "injected_cost_ms"),
+    (["--step-size", "nan"], "step_size"),
+    (["--problem", "stochastic_lsq", "--noise", "nan"], "noise"),
+    (["--noise", "-0.5"], "noise"),
+    (["--data-seed", "-1"], "data_seed"),
+    (["--steps", "0"], "steps"),
+    (["--problem", "nope"], "problem.kind"),
+    (["--rule", "nope"], "rule kind"),
+    (["--rule", "euler_ode"], "ODE drift"),
 ])
 def test_setting_not_taken_exits_2_naming_it(tmp_path, capsys, args, field):
-    code = cli.main(["run", *args, "--steps", "5", "--out", str(tmp_path)])
+    code = cli.main(["run", "--steps", "5", *args, "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2 and field in err and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_and_library_echo_the_same_values(tmp_path):
@@ -169,6 +182,14 @@ def test_cli_and_library_echo_the_same_values(tmp_path):
     assert library_echo["rule"] == {"kind": "adam", "step_size": 0.05, "schedule": "",
                                     "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
 
+    # With no engine flag, the CLI runs EngineSettings' own defaults.
+    out = tmp_path / "defaults"
+    assert cli.main(["run", "--problem", "quadratic", "--rule", "adam", "--out", str(out)]) == 0
+    cli_engine = json.loads((out / "report.json").read_text())["config_echo"]["engine"]
+    rule = po.make_rule("adam", po.make_problem("quadratic"), 0.05, total_steps=200)
+    library_engine = po.run(rule, po.EngineSettings()).report.config_echo["engine"]
+    assert cli_engine == json.loads(json.dumps(library_engine))
+
 
 # --- one route to a sweep -------------------------------------------------
 
@@ -183,6 +204,20 @@ def test_config_mode_sweep_exits_2(tmp_path, capsys):
     ini.write_text("[output]\nmode = sweep\n[sweep]\naxis = window\nvalues = 1, 3\n")
     assert cli.main(["sweep", "--config", str(ini), "--out", str(tmp_path)]) == 2
     assert "output.mode" in capsys.readouterr().err
+
+
+def test_sweep_with_a_shared_config_error_exits_2_and_runs_no_value(tmp_path, capsys):
+    code = cli.main(["sweep", "--problem", "quadratic", "--points", "3", "--axis", "window",
+                     "--values", "1,3", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and "problem.points" in err and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists() and not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_window_values_must_be_integers(tmp_path, capsys):
+    code = cli.main(["sweep", "--axis", "window", "--values", "2.5,3", "--out", str(tmp_path)])
+    assert code == 2 and "sweep.values" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_sweep_without_axis_exits_2(tmp_path, capsys):

@@ -4,7 +4,7 @@ import threading
 import pytest
 
 from picardopt.cli import main
-from picardopt.config import load_config
+from picardopt.config import engine_settings, load_config
 from picardopt.errors import ConfigError
 from picardopt.state import read_states
 from picardopt.telemetry import reports_equal_excluding_wall
@@ -45,7 +45,7 @@ def test_config_file_parsed_with_comments(config_file):
     assert cfg.problem_kind == "quadratic"
     assert cfg.steps == 40
     assert cfg.noise == 0.1
-    assert cfg.resolved_window() == 3
+    assert cfg.window == 3
 
 
 def test_flag_overrides_file(config_file):
@@ -54,13 +54,15 @@ def test_flag_overrides_file(config_file):
 
 
 def test_window_defaults_to_workers_minus_one():
-    cfg = load_config(None, {"workers": 8})
-    assert cfg.resolved_window() == 7
+    cfg = load_config(None, {"workers": 4})
+    assert cfg.window is None
+    assert engine_settings(cfg).window == 3
 
 
 def test_threshold_default_per_family():
     cfg = load_config(None, {"problem_kind": "quadratic"})
-    assert cfg.threshold == 1e-6
+    assert cfg.threshold is None
+    assert engine_settings(cfg).threshold0 == 1e-6
 
 
 def test_invalid_gamma_names_field():

@@ -321,6 +321,25 @@ def test_run_rejects_pool_that_disagrees_with_settings(pool_args):
     assert threading.active_count() == before
 
 
+def test_adaptive_guidance_runs_on_a_passed_pool():
+    # Each lane makes its predictor at its first drift, as on the run's own pool.
+    rule = quad_rule(T=40, kind="adaptive_guidance", noise=0.1)
+    settings = EngineSettings(window=3, workers=2)
+    with WorkerPool(2) as pool:
+        passed = run(rule, settings, pool)
+    own = run(rule, settings)
+    assert po.state_checksum(passed.terminal) == po.state_checksum(own.terminal)
+
+
+@pytest.mark.parametrize("kwargs,expected", [
+    ({}, (7, 8, 1e-6, 0.9)),
+    (dict(workers=1, threshold0=0.0), (1, 1, 0.0, 1.0)),
+])
+def test_engine_settings_own_the_defaults(kwargs, expected):
+    s = EngineSettings(**kwargs)
+    assert (s.window, s.workers, s.threshold0, s.gamma) == expected
+
+
 # --- pipelined dispatch --------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ from picardopt.engine import EngineSettings, run
 from picardopt.oracle import (Trajectory, compare_trajectories, prefix_check,
                               solve_sequential)
 from picardopt.rules import make_rule
-from picardopt.state import MomentState, ParamState, clone_state
+from picardopt.state import MomentState, ParamState
 
 
 def test_euler_hand_iterated_trajectory():
@@ -54,7 +54,7 @@ def test_compare_self_bitexact():
 def test_compare_tiny_perturbation_modes():
     rule = make_rule("euler_ode", DecayOde(), 1.0, total_steps=4)
     traj, _ = solve_sequential(rule)
-    states = [clone_state(s) for s in traj.states]
+    states = list(traj.states)
     v = states[2].values.copy()
     v[0] += 1e-15
     states[2] = ParamState(2, v, 1)
@@ -99,7 +99,7 @@ def test_prefix_check_flags_divergence():
     prob = po.make_problem("linear_ode", dim=2, data_seed=2)
     rule = make_rule("euler_ode", prob, 1.0, total_steps=4)
     traj, _ = solve_sequential(rule)
-    bad = [clone_state(s) for s in traj.states]
+    bad = list(traj.states)
     v = bad[1].values.copy()
     v[0] += 1.0
     bad[1] = ParamState(1, v, 2)

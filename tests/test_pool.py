@@ -89,7 +89,8 @@ def test_balanced_workload_busy_ratio():
 
 def test_aux_models_isolated_and_counted():
     rule = quad_rule(kind="adaptive_guidance")
-    with WorkerPool(2, aux_dim=4) as pool:
+    with WorkerPool(2) as pool:
+        assert pool.aux_models == [None, None]  # each lane makes its own at its first drift
         for r in range(2):
             list(pool.gather_drifts(rule, states_for(rule, 5, start=5 * r)))
     # 10 drifts in dispatch order over 2 lanes: the fifth slot of the first
