@@ -21,11 +21,10 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import (OPTIONS, SWEEP_AXES, RunConfig, build_problem, build_rule,
-                     engine_settings, load_config)
+                     engine_settings, load_config, sweep_points)
 from .engine import run as engine_run
 from .errors import ConfigError, ObjectiveError, PicardoptError, PoisonedDrift
 from .oracle import Trajectory, checked_losses, compare_trajectories, solve_sequential
@@ -132,17 +131,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     rows = ["axis,value,rounds,speedup_rounds,wall_speedup,final_loss,status"]
     oracle_wall_cache: dict[float, float] = {}
 
-    for value in cfg.sweep_values:
-        if axis == "window":
-            sub = replace(cfg, window=int(value))
-        elif axis == "gamma":
-            sub = replace(cfg, gamma=float(value))
-        else:
-            sub = replace(cfg, injected_cost_ms=float(value))
+    for value, sub in sweep_points(cfg):
+        # validate_config has built every value's settings, so only the run can fail.
+        settings = engine_settings(sub, record_trajectory=False)
         run_dir = out / "runs" / f"{axis}_{value:g}"
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
-            settings = engine_settings(sub, record_trajectory=False)
             cost = settings.injected_cost_ms
             if cost not in oracle_wall_cache:
                 _, oracle_wall_cache[cost] = solve_sequential(

@@ -27,10 +27,10 @@ import configparser
 import os
 import types
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .engine import EngineSettings
-from .errors import ConfigError, ScheduleError
+from .errors import ArgumentError, ConfigError, ScheduleError
 from .problems import PROBLEM_KINDS, Problem, make_problem
 from .rules import AdamParams, UpdateRule, make_rule
 from .schedule import ScheduleAction
@@ -178,8 +178,9 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> RunCo
 
 def validate_config(cfg: RunConfig) -> None:
     """Checks that no constructor makes: the output mode and the ``[sweep]``
-    fields.  ``engine_settings`` checks the engine section; ``build_problem``
-    and ``build_rule`` check the rest when a verb builds them."""
+    fields.  ``engine_settings`` checks the engine section, and each sweep
+    value's; ``build_problem`` and ``build_rule`` check the rest when a verb
+    builds them."""
     if cfg.mode not in MODES:
         raise ConfigError("output.mode", f"must be one of {MODES}")
     if cfg.sweep_axis is not None:
@@ -190,6 +191,19 @@ def validate_config(cfg: RunConfig) -> None:
         if cfg.sweep_axis == "window" and not all(float(v).is_integer() for v in cfg.sweep_values):
             raise ConfigError("sweep.values", "window values must be integers")
     engine_settings(cfg)
+    if cfg.sweep_axis is not None:
+        for value, sub in sweep_points(cfg):
+            try:
+                engine_settings(sub)
+            except ConfigError as exc:
+                raise ConfigError("sweep.values", f"value {value:g}: {exc.__cause__}") from exc
+
+
+def sweep_points(cfg: RunConfig) -> list[tuple[float, RunConfig]]:
+    """Each ``[sweep]`` value with the config that runs it."""
+    field_name, kind = {"window": ("window", int), "gamma": ("gamma", float),
+                        "cost": ("injected_cost_ms", float)}[cfg.sweep_axis]
+    return [(value, replace(cfg, **{field_name: kind(value)})) for value in cfg.sweep_values]
 
 
 def build_problem(cfg: RunConfig) -> Problem:
@@ -209,6 +223,7 @@ def build_problem(cfg: RunConfig) -> Problem:
 
 
 def build_rule(cfg: RunConfig, problem: Problem) -> UpdateRule:
+    """The rule; an error names the key that set the failing argument."""
     betas = {key: getattr(cfg, key) for key in ("beta1", "beta2", "eps")
              if getattr(cfg, key) is not None}
     try:
@@ -218,8 +233,12 @@ def build_rule(cfg: RunConfig, problem: Problem) -> UpdateRule:
         )
     except ScheduleError as exc:
         raise ConfigError("rule.schedule", str(exc)) from exc
-    except ValueError as exc:
-        raise ConfigError("rule", str(exc)) from exc
+    except ArgumentError as exc:
+        if exc.argument == "adam":  # Adam parameters given to another rule: name the first set
+            key = f"rule.{next(iter(betas))}"
+        else:
+            key = {"total_steps": "engine.steps"}.get(exc.argument, f"rule.{exc.argument}")
+        raise ConfigError(key, str(exc)) from exc
 
 
 def engine_settings(cfg: RunConfig, record_trajectory: bool = True,

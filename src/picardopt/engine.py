@@ -29,7 +29,7 @@ import numpy as np
 from . import kernels
 from .errors import PicardoptError, PoisonedDrift
 from .oracle import checked_losses
-from .pool import WorkerPool
+from .pool import WorkerPool, drift_sources
 from .rules import ADAPTIVE_GUIDANCE, UpdateRule, initial_state, reconcile_payload, rollout_one
 from .schedule import reconcile_vector
 from .state import ParamState, finite_checked, with_step
@@ -282,8 +282,9 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     the final loss fails, the partial report and current window are attached
     to the raised error for checkpointing.  A pool created here is closed
     however the run ends; a pool passed in must agree with ``settings`` on
-    workers, seed offset and injected cost.  ``echo_extra`` adds keys to the
-    report's ``config_echo``.
+    workers, seed offset and injected cost, and is reset first, so it gives
+    the bits of a fresh pool.  ``echo_extra`` adds keys to the report's
+    ``config_echo``.
     """
     if pool is not None and (pool.n_workers, pool.seed_offset, pool.injected_cost_ms) != (
             settings.workers, settings.seed_offset, settings.injected_cost_ms):
@@ -306,6 +307,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     own_pool = pool is None
     if own_pool:
         pool = WorkerPool(settings.workers, settings.seed_offset, settings.injected_cost_ms)
+    pool.reset()
 
     drift_evals = 0
     wait_ms0 = pool.timing_report()["wait_ms"]
@@ -328,7 +330,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
             )
             if trajectory is not None:
                 trajectory.extend(new_states[1 : skip + 1])
-            drift_evals += window.size
+            drift_evals += len(set(drift_sources(rule, window.states[:window.size])))
             ts = update_threshold(ts, errors)
             window = advance_window(window, new_states, skip, T)
             if snapshots is not None:

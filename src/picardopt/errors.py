@@ -13,6 +13,14 @@ class ConfigError(PicardoptError):
         super().__init__(f"config field '{field}': {message}")
 
 
+class ArgumentError(ValueError):
+    """A constructor argument that cannot be used; ``argument`` names it."""
+
+    def __init__(self, argument: str, message: str):
+        self.argument = argument
+        super().__init__(message)
+
+
 class DimensionError(PicardoptError):
     """Vector lengths disagree and no schedule action explains the gap."""
 

@@ -1,12 +1,14 @@
 """Worker pool simulating one-model-per-device drift evaluation.
 
 Workers are single-thread FIFO lanes in this process.  Every drift the pool
-starts takes the next dispatch index, counted over the pool's lifetime, and
+starts takes the next dispatch index, counted from the last ``reset``, and
 runs on lane ``dispatch index mod n_workers``: deterministic, independent of
 timing, and balanced across rounds.  A gather returns the drifts ordered by
 slot, and reading slot j waits for slot j alone, so the caller can consume
 early slots while later ones still run.  Drifts may be submitted ahead of the
-gather that needs them; that gather then reuses the drift in flight.  An
+gather that needs them; that gather then reuses the drift in flight.  When the
+rule's drift ignores the step, a slot whose state shares an earlier slot's
+values array shares that slot's drift instead of starting its own.  An
 optional injected per-drift sleep emulates heavy accelerator workloads so
 wall-clock speedup curves are observable at desk scale.
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -44,16 +47,29 @@ class AuxModel:
         self.updates_seen += 1
 
 
+def drift_sources(rule: rules.UpdateRule, states: Sequence[ParamState]) -> list[int]:
+    """For each slot, the slot whose drift it takes: the first slot whose state
+    holds the very same values array when the rule is step-invariant, else
+    itself.  Only ``with_step`` clones share arrays, so matching by identity
+    is exact."""
+    if not rule.step_invariant:
+        return list(range(len(states)))
+    first: dict[int, int] = {}
+    return [first.setdefault(id(s.values), j) for j, s in enumerate(states)]
+
+
 class DriftView(Sequence):
     """The drifts of one gather, ordered by slot.
 
-    Item j waits for slot j only and re-raises that drift's error.  Time spent
-    waiting is added to the pool's ``wait_ms``.
+    Item j waits for slot j only and re-raises that drift's error.  A shared
+    drift is relabelled with slot j's step and seed.  Time spent waiting is
+    added to the pool's ``wait_ms``.
     """
 
-    def __init__(self, pool: WorkerPool, futures: list[Future]):
+    def __init__(self, pool: WorkerPool, futures: list[Future], steps: list[int]):
         self._pool = pool
         self._futures = futures
+        self._steps = steps
 
     def __len__(self) -> int:
         return len(self._futures)
@@ -67,7 +83,11 @@ class DriftView(Sequence):
         return future
 
     def __getitem__(self, j: int) -> Drift:
-        return self._wait(j).result()
+        d = self._wait(j).result()
+        step = self._steps[j]
+        if d.step != step:
+            d = replace(d, step=step, seed=step + self._pool.seed_offset)
+        return d
 
     def first_failure(self) -> BaseException | None:
         """Wait for every slot; the error of the smallest failing slot, or None."""
@@ -98,6 +118,14 @@ class WorkerPool:
         self._in_flight: dict[int, tuple[ParamState, Future]] = {}
         self._lanes = [ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"picardopt-lane{w}")
                        for w in range(n_workers)]
+
+    def reset(self) -> None:
+        """Start over as a fresh pool: wait for and forget submitted work, drop
+        the lane predictors and restart at dispatch index 0.  The busy, served
+        and wait counters stay cumulative."""
+        self.drain()
+        self.aux_models = [None] * self.n_workers
+        self._dispatched = 0
 
     def close(self):
         self._in_flight.clear()
@@ -141,18 +169,25 @@ class WorkerPool:
     def gather_drifts(self, rule: rules.UpdateRule, states: list[ParamState]) -> DriftView:
         """Drifts for all states, ordered by slot, without waiting for them.
 
-        States not already in flight are submitted in slot order.  Reading
-        the returned view waits per slot and re-raises that slot's error.
+        A state not already in flight takes the drift of the earlier slot it
+        shares (``drift_sources``), using no dispatch index or lane, or else
+        is submitted, in slot order.  Reading the returned view waits per slot
+        and re-raises that slot's error; a shared slot raises its source's.
         """
         if not states:
             raise ValueError("gather_drifts needs at least one state")
         steps = [s.step for s in states]
         if len(set(steps)) != len(steps):
             raise ValueError("gather_drifts states must have distinct steps")
-        futures = [self.submit(rule, s) for s in states]
+        futures: list[Future] = []
+        for j, src in enumerate(drift_sources(rule, states)):
+            if src < j and id(states[j]) not in self._in_flight:
+                futures.append(futures[src])
+            else:
+                futures.append(self.submit(rule, states[j]))
         for s in states:
-            del self._in_flight[id(s)]
-        return DriftView(self, futures)
+            self._in_flight.pop(id(s), None)
+        return DriftView(self, futures, steps)
 
     def drain(self) -> None:
         """Wait until every lane has finished all work submitted so far, and
@@ -162,8 +197,9 @@ class WorkerPool:
         self._in_flight.clear()
 
     def timing_report(self) -> dict:
-        """Accumulated per-lane busy time and drift counts for the pool's
-        lifetime, plus the time callers spent waiting on gathered drifts."""
+        """Accumulated per-lane busy time and counts of drifts evaluated for
+        the pool's lifetime, plus the time callers spent waiting on gathered
+        drifts."""
         return {
             "n_workers": self.n_workers,
             "busy_ms": [1000.0 * s for s in self._busy_s],

@@ -2,8 +2,9 @@
 
 Every problem exposes ``loss(values, seed)`` and ``grad(values, seed)`` that
 are deterministic functions of (values, seed), and with ``noise == 0`` are
-seed-independent.  Datasets are regenerated from ``data_seed``; nothing is
-shipped as files.
+seed-independent: that promise is ``Problem.seed_free``, which a problem whose
+``grad`` reads the seed anyway must override.  Datasets are regenerated from
+``data_seed``; nothing is shipped as files.
 
 Stochasticity models the per-step randomness of heavy guidance losses:
 ``stochastic_lsq`` and ``tiny_mlp`` subsample their rows per step seed, the
@@ -62,6 +63,11 @@ class Problem:
 
     def initial_values(self) -> np.ndarray:
         raise NotImplementedError
+
+    @property
+    def seed_free(self) -> bool:
+        """``grad`` does not read the seed, so equal values give equal gradients."""
+        return self.noise == 0.0
 
     def initial_dim_tag(self) -> int:
         return self.dim // self.point_width

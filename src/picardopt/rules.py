@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError
+from .errors import ArgumentError, DimensionError
 from .problems import Problem
 from .schedule import ScheduleAction, apply_action, reconcile_vector, validate_schedule
 from .state import Drift, MomentState, ParamState, finite_checked
@@ -44,10 +44,12 @@ class AdamParams:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("adam betas must lie in [0, 1)")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ArgumentError(name, f"adam betas must lie in [0, 1), not {name} "
+                                          f"{getattr(self, name)!r}")
         if not 0.0 < self.eps < math.inf:
-            raise ValueError("adam eps must be finite and > 0")
+            raise ArgumentError("eps", "adam eps must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,14 @@ class UpdateRule:
     def uses_moments(self) -> bool:
         return self.kind == ADAM
 
+    @property
+    def step_invariant(self) -> bool:
+        """The drift depends on the state's values alone, not on its step or
+        seed, so states that share a values array share their drift.  Never
+        for ``euler_ode`` (its drift reads ``step / T``) or
+        ``adaptive_guidance`` (its drift updates one lane's predictor)."""
+        return self.kind in (SGD, ADAM, SPLIT_PRUNE_SGD) and self.problem.seed_free
+
     def action_at(self, step: int) -> ScheduleAction | None:
         for a in self.schedule:
             if a.step == step:
@@ -74,24 +84,25 @@ def make_rule(kind: str, problem: Problem, step_size: float, total_steps: int,
               adam: AdamParams | None = None,
               schedule=()) -> UpdateRule:
     if kind not in RULE_KINDS:
-        raise ValueError(f"unknown rule kind {kind!r}; have {RULE_KINDS}")
+        raise ArgumentError("kind", f"unknown rule kind {kind!r}; have {RULE_KINDS}")
     if total_steps < 1:
-        raise ValueError("total_steps must be >= 1")
+        raise ArgumentError("total_steps", "total_steps must be >= 1")
     if not 0.0 < step_size < math.inf:
-        raise ValueError("step_size must be finite and > 0")
+        raise ArgumentError("step_size", "step_size must be finite and > 0")
     if kind == ADAM:
         adam = adam or AdamParams()
     elif adam is not None:
-        raise ValueError(f"adam parameters (beta1, beta2, eps) are only valid for the adam rule, "
-                         f"not {kind!r}")
+        raise ArgumentError("adam", f"adam parameters (beta1, beta2, eps) are only valid for "
+                                    f"the adam rule, not {kind!r}")
     if kind == SPLIT_PRUNE_SGD:
         schedule = validate_schedule(schedule, total_steps, problem.initial_dim_tag())
     elif schedule:
-        raise ValueError(f"dimension schedules are only valid for split_prune_sgd, not {kind!r}")
+        raise ArgumentError("schedule", f"dimension schedules are only valid for split_prune_sgd, "
+                                        f"not {kind!r}")
     else:
         schedule = ()
     if kind == EULER_ODE and not hasattr(problem, "ode_drift"):
-        raise ValueError(f"problem {problem.kind!r} does not define an ODE drift")
+        raise ArgumentError("kind", f"problem {problem.kind!r} does not define an ODE drift")
     return UpdateRule(kind, float(step_size), problem, total_steps, adam, schedule)
 
 

@@ -8,13 +8,14 @@ import tempfile
 import threading
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import picardopt as po
-from picardopt import cli
+from picardopt import cli, engine
 from picardopt.config import DEFAULT_STEP_SIZES, SECTIONS, RunConfig
 from picardopt.state import ParamState, read_states
 
@@ -161,6 +162,11 @@ def test_splat_points_set_the_size_and_the_echo(tmp_path):
     (["--problem", "nope"], "problem.kind"),
     (["--rule", "nope"], "rule kind"),
     (["--rule", "euler_ode"], "ODE drift"),
+    # rule errors name the key that was set
+    (["--steps", "0"], "engine.steps"),
+    (["--rule", "nope"], "rule.kind"),
+    (["--step-size", "0"], "rule.step_size"),
+    (["--rule", "adam", "--beta1", "1.5"], "rule.beta1"),
 ])
 def test_setting_not_taken_exits_2_naming_it(tmp_path, capsys, args, field):
     code = cli.main(["run", "--steps", "5", *args, "--out", str(tmp_path)])
@@ -218,6 +224,15 @@ def test_sweep_window_values_must_be_integers(tmp_path, capsys):
     code = cli.main(["sweep", "--axis", "window", "--values", "2.5,3", "--out", str(tmp_path)])
     assert code == 2 and "sweep.values" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("axis,values", [("cost", "nan,1"), ("gamma", "1.5"), ("window", "3,0")])
+def test_sweep_value_that_cannot_run_exits_2(tmp_path, capsys, axis, values):
+    code = cli.main(["sweep", "--steps", "10", "--axis", axis, "--values", values,
+                     "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and "sweep.values" in err and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists() and not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_without_axis_exits_2(tmp_path, capsys):
@@ -295,6 +310,16 @@ PAIRS = [(p, r) for p in ("quadratic", "rosenbrock", "stochastic_lsq", "tiny_mlp
 PAIRS += [("splat2d", "split_prune_sgd"), ("linear_ode", "euler_ode")]
 
 
+class RecordedPool(po.WorkerPool):
+    """A pool that keeps the last one made, to read its counters after a run."""
+
+    last = None
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        RecordedPool.last = self
+
+
 def default_step_size(problem, rule):
     if rule == "adaptive_guidance":
         return DEFAULT_STEP_SIZES.get((problem, "sgd"), 0.05)
@@ -317,7 +342,9 @@ def test_fuzz_exit_codes(pair, scale, steps, window, workers, threshold, mode):
         args += ["--schedule", schedule]
     before = threading.active_count()
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+    RecordedPool.last = None
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            mock.patch.object(engine, "WorkerPool", RecordedPool):
         code = cli.main([*args, "--out", out])
         # The engine runs after an oracle that succeeded (its losses written).
         engine_ran = mode == "engine" or (mode == "both" and (Path(out) / "oracle_losses.csv").exists())
@@ -325,6 +352,10 @@ def test_fuzz_exit_codes(pair, scale, steps, window, workers, threshold, mode):
             report = json.loads((Path(out) / "report.json").read_text())
             assert report["partial"] is True
             assert (Path(out) / "abort_window.bin").exists()
+        if code == 0 and engine_ran:
+            # a completed run counts exactly the drifts its pool evaluated
+            report = json.loads((Path(out) / "report.json").read_text())
+            assert report["drift_evals"] == sum(RecordedPool.last.timing_report()["drifts_served"])
     assert code in (0, 3), err.getvalue()
     assert threading.active_count() == before
     assert "Traceback" not in err.getvalue()

@@ -1,3 +1,4 @@
+import json
 import threading
 import time
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import picardopt as po
+from picardopt import cli
 from picardopt.engine import (EngineSettings, RoundErrors, ThresholdState,
                               Window, advance_window, compute_skip,
                               fixed_point_distance, picard_round, run,
@@ -349,6 +351,8 @@ class Trap(DecayOde):
     the error is raised only once the state there has left its initial value,
     so from the second visit of that step on."""
 
+    seed_free = False
+
     def __init__(self, huge=None, fail=None, moved_only=False):
         super().__init__(dim=2)
         self.huge, self.fail, self.moved_only = huge, fail, moved_only
@@ -464,6 +468,87 @@ def test_adaptive_guidance_reproducible_for_fixed_workers():
                                          gamma=0.9)) for _ in range(2)]
         assert [r.csv_line() for r in runs[0].records] == [r.csv_line() for r in runs[1].records]
         assert po.state_checksum(runs[0].terminal) == po.state_checksum(runs[1].terminal)
+
+
+def test_a_reused_pool_gives_a_fresh_pools_bits():
+    # Lane predictors and the dispatch index start over with each run.
+    rule = quad_rule(T=40, kind="adaptive_guidance", noise=0.1)
+    settings = EngineSettings(window=3, workers=2)
+    with WorkerPool(2) as pool:
+        runs = [run(rule, settings, pool) for _ in range(2)]
+    fresh = run(rule, settings)
+    assert {po.state_checksum(r.terminal) for r in runs} == {po.state_checksum(fresh.terminal)}
+
+
+# --- shared drifts --------------------------------------------------------------
+
+
+class SeededQuadratic(po.problems.QuadraticProblem):
+    """A quadratic that declares its gradient seed-dependent, so no slot shares."""
+
+    seed_free = False
+
+
+def served_run(rule, settings):
+    with WorkerPool(settings.workers) as pool:
+        res = run(rule, settings, pool)
+        return res, sum(pool.timing_report()["drifts_served"])
+
+
+def test_clones_share_drifts_with_the_same_bits():
+    settings = EngineSettings(window=7, workers=2)
+    results = []
+    for cls in (po.problems.QuadraticProblem, SeededQuadratic):
+        rule = make_rule("adam", cls(dim=1000), 0.05, total_steps=300)
+        assert rule.step_invariant == (cls is po.problems.QuadraticProblem)
+        results.append(served_run(rule, settings))
+    (shared, shared_served), (own, own_served) = results
+    assert po.telemetry.rounds_csv_text(shared.records) == po.telemetry.rounds_csv_text(own.records)
+    assert po.state_checksum(shared.terminal) == po.state_checksum(own.terminal)
+    assert shared_served < own_served
+    assert shared_served == shared.report.drift_evals
+    assert own_served == own.report.drift_evals
+
+
+@pytest.mark.parametrize("rule", [
+    make_rule("euler_ode", po.make_problem("linear_ode"), 1.0, total_steps=60),
+    quad_rule(T=60, kind="adaptive_guidance"),
+    quad_rule(T=60, noise=0.1),
+])
+def test_no_sharing_without_a_step_invariant_drift(rule):
+    assert not rule.step_invariant
+    res, served = served_run(rule, EngineSettings(window=5, workers=2))
+    assert served == res.report.drift_evals == sum(min(5, 60 - r.base_step) for r in res.records)
+
+
+class Boom(DecayOde):
+    """A seed-free objective whose gradient always fails."""
+
+    def grad(self, values, seed):
+        raise po.ObjectiveError(f"objective failed at seed {seed}")
+
+
+def test_shared_slots_raise_their_sources_error(tmp_path, monkeypatch, capsys):
+    rule = make_rule("sgd", Boom(), 0.1, total_steps=10)
+    theta0 = initial_state(rule)
+    states = [theta0] + [with_step(theta0, j) for j in (1, 2, 3)]
+    with WorkerPool(2) as pool:
+        drifts = pool.gather_drifts(rule, states)
+        errors = []
+        for j in range(4):
+            with pytest.raises(po.ObjectiveError, match="seed 0") as exc:
+                drifts[j]
+            errors.append(exc.value)
+        assert drifts.first_failure() is errors[0]
+        assert all(e is errors[0] for e in errors)
+    # through the CLI: exit 3 with a partial report
+    monkeypatch.setitem(po.problems.PROBLEM_KINDS, "boom", Boom)
+    code = cli.main(["run", "--problem", "boom", "--rule", "sgd", "--step-size", "0.1",
+                     "--steps", "10", "--window", "3", "--workers", "2", "--out", str(tmp_path)])
+    assert code == 3 and "objective failed" in capsys.readouterr().err
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["partial"] is True and report["rounds"] == 0
+    assert (tmp_path / "abort_window.bin").exists()
 
 
 # --- fixed_point_distance and BLAS threads -------------------------------------

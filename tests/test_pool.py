@@ -140,6 +140,33 @@ def test_submitted_state_is_reused_by_gather():
         assert sum(pool.timing_report()["drifts_served"]) == 5
 
 
+@pytest.mark.parametrize("noise,served", [(0.0, 1), (0.1, 4)])
+def test_clones_share_one_drift_relabelled(noise, served):
+    # A seed-free gradient ignores the step, so with_step clones of one state
+    # take its drift, relabelled with their own step and seed.
+    rule = quad_rule(noise=noise)
+    s = states_for(rule, 1, start=5)[0]
+    states = [s] + [with_step(s, 5 + j) for j in (1, 2, 3)]
+    with WorkerPool(2, seed_offset=11) as pool:
+        drifts = list(pool.gather_drifts(rule, states))
+        assert sum(pool.timing_report()["drifts_served"]) == served
+    assert [d.step for d in drifts] == [5, 6, 7, 8]
+    assert [d.seed for d in drifts] == [16, 17, 18, 19]
+    assert all((d.payload is drifts[0].payload) == (noise == 0.0) for d in drifts[1:])
+
+
+def test_submitted_clone_keeps_its_own_drift():
+    rule = quad_rule()
+    s = states_for(rule, 1)[0]
+    states = [s, with_step(s, 1), with_step(s, 2)]
+    with WorkerPool(2) as pool:
+        early = pool.submit(rule, states[2])
+        drifts = pool.gather_drifts(rule, states)
+        assert drifts[2] is early.result()
+        assert drifts[1].payload is drifts[0].payload
+        assert sum(pool.timing_report()["drifts_served"]) == 2
+
+
 def test_drain_waits_for_submitted_work():
     rule = quad_rule()
     with WorkerPool(2, injected_cost_ms=20.0) as pool:
