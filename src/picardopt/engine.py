@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,16 @@ class RoundErrors:
         if any(e < 0.0 or not np.isfinite(e) for e in self.per_slot):
             raise ValueError("round errors must be finite and >= 0")
 
+    @cached_property
+    def median(self) -> float:
+        """``np.median`` of the errors, bitwise: the middle value, or the mean
+        ``(a + b) / 2`` of the two middle values."""
+        ordered = sorted(self.per_slot)
+        mid = len(ordered) // 2
+        if len(ordered) % 2:
+            return ordered[mid]
+        return (ordered[mid - 1] + ordered[mid]) / 2
+
 
 @finite_checked
 def fixed_point_distance(new: ParamState, old: ParamState, rule: UpdateRule) -> float:
@@ -98,12 +109,17 @@ def fixed_point_distance(new: ParamState, old: ParamState, rule: UpdateRule) -> 
             old.values, rule.schedule, new.step, old.dim_tag, new.dim_tag,
             rule.problem.point_width, with_offset=True,
         )
-    delta = new.values - lifted
-    # np.dot over fixed blocks, summed in block order: BLAS runs a dot this
-    # short on one thread, so the bits do not depend on its thread count.
+    # np.dot over fixed blocks of the difference, summed in block order: BLAS
+    # runs a dot this short on one thread, so the bits do not depend on its
+    # thread count.  Each block is subtracted into one reused buffer.
+    n = new.dim
+    if len(lifted) != n:
+        raise ValueError(f"distance across dimensions {n} != {len(lifted)}")
+    buf = np.empty(min(n, DOT_BLOCK))
     total = 0.0
-    for i in range(0, len(delta), DOT_BLOCK):
-        block = delta[i : i + DOT_BLOCK]
+    for i in range(0, n, DOT_BLOCK):
+        block = np.subtract(new.values[i : i + DOT_BLOCK], lifted[i : i + DOT_BLOCK],
+                            out=buf[: min(DOT_BLOCK, n - i)])
         total += float(np.dot(block, block))
     dist = total / max(new.dim, old.dim)
     if not np.isfinite(dist):
@@ -123,8 +139,8 @@ def compute_skip(errors: RoundErrors, threshold: float) -> int:
 
 
 def update_threshold(ts: ThresholdState, errors: RoundErrors) -> ThresholdState:
-    agg = np.median if ts.agg == "median" else np.mean
-    e_next = ts.gamma * ts.e + (1.0 - ts.gamma) * float(agg(errors.per_slot))
+    agg = errors.median if ts.agg == "median" else float(np.mean(errors.per_slot))
+    e_next = ts.gamma * ts.e + (1.0 - ts.gamma) * agg
     return replace(ts, e=e_next)
 
 
@@ -164,6 +180,7 @@ def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool,
                 lifted = reconcile_payload(rule, d.payload, old[j].dim_tag, rolling.dim_tag, rolling.step)
                 d = replace(d, payload=lifted)
             new.append(rollout_one(rule, d, rolling))
+            drifts.release(j)
             errors.append(fixed_point_distance(new[j + 1], old[j + 1], rule))
             if skip is None and (errors[-1] > threshold or j + 1 == p):
                 skip = j + 1
@@ -324,7 +341,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
                     skip=skip,
                     threshold=ts.e,
                     err_min=min(errors.per_slot),
-                    err_med=float(np.median(errors.per_slot)),
+                    err_med=errors.median,
                     err_max=max(errors.per_slot),
                 )
             )
@@ -335,6 +352,9 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
             window = advance_window(window, new_states, skip, T)
             if snapshots is not None:
                 snapshots.append(list(trajectory) + list(window.states[1:]))
+            # The accepted states the new window does not hold go now, not
+            # at the end of the next round.
+            del candidate, new_states
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
         terminal = window.states[0]
         (final_loss,) = checked_losses(rule.problem, [terminal], settings.seed_offset)

@@ -22,12 +22,29 @@ def kernel_path() -> str:
 
 
 def adam_apply(values, m1, m2, g, t_next, beta1, beta2, eps, lr):
-    """One bias-corrected Adam update; returns (values', m1', m2')."""
+    """One bias-corrected Adam update; returns (values', m1', m2').
+
+    The IEEE operations and their order are those of the textbook expression
+    ``m1' = b1*m1 + (1-b1)*g``, ``m2' = b2*m2 + (1-b2)*(g*g)`` and
+    ``values' = values - lr*(m1'/c1) / (sqrt(m2'/c2) + eps)``, so the bits are
+    too, but only the three outputs and one scratch array are allocated.
+    """
     c1 = 1.0 - beta1**t_next
     c2 = 1.0 - beta2**t_next
-    m1n = beta1 * m1 + (1.0 - beta1) * g
-    m2n = beta2 * m2 + (1.0 - beta2) * (g * g)
-    vn = values - lr * (m1n / c1) / (np.sqrt(m2n / c2) + eps)
+    a = np.multiply(g, 1.0 - beta1)
+    m1n = np.multiply(m1, beta1)
+    np.add(m1n, a, out=m1n)
+    np.multiply(g, g, out=a)
+    np.multiply(a, 1.0 - beta2, out=a)
+    m2n = np.multiply(m2, beta2)
+    np.add(m2n, a, out=m2n)
+    np.divide(m2n, c2, out=a)
+    np.sqrt(a, out=a)
+    np.add(a, eps, out=a)
+    b = np.divide(m1n, c1)
+    np.multiply(b, lr, out=b)
+    np.divide(b, a, out=b)
+    vn = np.subtract(values, b, out=a)
     return vn, m1n, m2n
 
 

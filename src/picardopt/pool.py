@@ -22,7 +22,6 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 
@@ -63,12 +62,13 @@ class DriftView(Sequence):
 
     Item j waits for slot j only and re-raises that drift's error.  A shared
     drift is relabelled with slot j's step and seed.  Time spent waiting is
-    added to the pool's ``wait_ms``.
+    added to the pool's ``wait_ms``.  Once slot j is consumed, ``release(j)``
+    lets its drift go, so a round holds only the drifts it has still to read.
     """
 
     def __init__(self, pool: WorkerPool, futures: list[Future], steps: list[int]):
         self._pool = pool
-        self._futures = futures
+        self._futures: list[Future | None] = futures
         self._steps = steps
 
     def __len__(self) -> int:
@@ -76,6 +76,8 @@ class DriftView(Sequence):
 
     def _wait(self, j: int) -> Future:
         future = self._futures[j]
+        if future is None:
+            raise LookupError(f"slot {j}'s drift was released")
         if not future.done():
             t0 = time.perf_counter()
             future.exception()  # blocks until done
@@ -86,12 +88,20 @@ class DriftView(Sequence):
         d = self._wait(j).result()
         step = self._steps[j]
         if d.step != step:
-            d = replace(d, step=step, seed=step + self._pool.seed_offset)
+            d = d.relabelled(step, step + self._pool.seed_offset)
         return d
 
+    def release(self, j: int) -> None:
+        """Forget slot j's drift.  A drift shared with a later slot stays
+        alive until that slot is released too."""
+        self._futures[j] = None
+
     def first_failure(self) -> BaseException | None:
-        """Wait for every slot; the error of the smallest failing slot, or None."""
-        for j in range(len(self._futures)):
+        """Wait for every slot not yet released (those succeeded); the error of
+        the smallest failing slot, or None."""
+        for j, future in enumerate(self._futures):
+            if future is None:
+                continue
             exc = self._wait(j).exception()
             if exc is not None:
                 return exc

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,17 @@ def finite_checked(fn):
         with np.errstate(over="ignore", invalid="ignore"):
             return fn(*args, **kwargs)
     return quiet
+
+
+def _relabelled(obj, **fields):
+    """Copy of a checked state object with ``fields`` set, sharing its arrays.
+
+    The arrays are read-only and were checked when ``obj`` was built, so
+    ``__post_init__`` does not run again.
+    """
+    out = object.__new__(type(obj))
+    out.__dict__.update(obj.__dict__, **fields)
+    return out
 
 
 def _as_readonly_f64(arr) -> np.ndarray:
@@ -120,10 +131,17 @@ class Drift:
         if not np.all(np.isfinite(self.payload)):
             raise PoisonedDrift(self.step, self.seed, "drift payload contains NaN/Inf")
 
+    def relabelled(self, step: int, seed: int) -> "Drift":
+        """The same payload (shared, not re-checked) under another step and seed."""
+        return _relabelled(self, step=step, seed=seed)
+
 
 def with_step(state: ParamState, step: int) -> ParamState:
-    """Same content re-indexed to another step (arrays shared; they are immutable)."""
-    return replace(state, step=step)
+    """Same content re-indexed to another step (arrays shared, not re-checked;
+    they are immutable)."""
+    if step < 0:
+        raise ValueError("step must be >= 0")
+    return _relabelled(state, step=step)
 
 
 def state_checksum(state: ParamState) -> int:

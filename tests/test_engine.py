@@ -1,6 +1,7 @@
 import json
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -9,14 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import picardopt as po
+import picardopt.engine as engine_mod
 from picardopt import cli
-from picardopt.engine import (EngineSettings, RoundErrors, ThresholdState,
-                              Window, advance_window, compute_skip,
-                              fixed_point_distance, picard_round, run,
-                              update_threshold)
+from picardopt.engine import (DOT_BLOCK, EngineSettings, RoundErrors,
+                              ThresholdState, Window, advance_window,
+                              compute_skip, fixed_point_distance, picard_round,
+                              run, update_threshold)
 from picardopt.errors import DimensionError
 from picardopt.pool import WorkerPool
-from picardopt.rules import initial_state, make_rule, sequential_step
+from picardopt.rules import initial_state, make_rule, rollout_one, sequential_step
 from picardopt.schedule import ScheduleAction, apply_action
 from picardopt.state import ParamState, states_equal_bits, with_step
 
@@ -78,6 +80,19 @@ def test_threshold_stays_nonnegative(gamma, e0, errors):
     assert update_threshold(ts, RoundErrors(tuple(errors))).e >= 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7])
+def test_round_median_equals_np_median_bitwise(n):
+    rng = np.random.default_rng(n)
+    choices = np.array([0.0, 5e-324, 1e-300, 3e-7, 0.1, 1.0 / 3.0, 2.5e10, 1e300])
+    for trial in range(200):
+        if trial % 2:  # ties
+            errors = rng.choice(choices, size=n)
+        else:
+            errors = np.exp(rng.uniform(-700.0, 690.0, size=n))
+        got = RoundErrors(tuple(errors)).median
+        assert got.hex() == float(np.median(errors)).hex(), errors
+
+
 def test_threshold_validation():
     with pytest.raises(ValueError):
         ThresholdState(-1.0, 0.9, "median")
@@ -109,6 +124,23 @@ def test_distance_excludes_moments():
     a = ParamState(0, v, 4, po.MomentState(np.ones(4), np.ones(4), 5))
     b = ParamState(0, v, 4, po.MomentState.zeros(4))
     assert fixed_point_distance(a, b, rule) == 0.0
+
+
+def test_distance_bits_equal_the_full_difference_blockwise():
+    # Several blocks and a ragged tail: the bits of a block-by-block sum of
+    # np.dot over the whole difference vector, taken in block order.
+    d = 3 * DOT_BLOCK + 5
+    rule = quad_rule()
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(d) * 10.0 ** rng.uniform(-5, 5, d)
+        b = a + rng.standard_normal(d) * 1e-3
+        delta = a - b
+        total = 0.0
+        for i in range(0, d, DOT_BLOCK):
+            total += float(np.dot(delta[i : i + DOT_BLOCK], delta[i : i + DOT_BLOCK]))
+        got = fixed_point_distance(ParamState(4, a, d), ParamState(4, b, d), rule)
+        assert got.hex() == (total / d).hex()
 
 
 def test_distance_lifts_old_through_split():
@@ -588,3 +620,49 @@ def test_distance_bits_independent_of_blas_threads():
                               capture_output=True, text=True, timeout=120)
         outs.append(done.stdout)
     assert outs[0] == outs[1]
+
+
+# --- working set ------------------------------------------------------------------
+
+
+def test_accepted_states_are_freed_before_the_next_round(monkeypatch):
+    # A frozen, huge threshold accepts every window whole, so round r's new
+    # slots 1..p-1 are accepted and the next window (based at slot p) holds
+    # none of them.
+    rule = quad_rule(dim=1000, T=40)
+    settings = EngineSettings(window=5, workers=2, threshold0=1e9, gamma=1.0,
+                              record_trajectory=False)
+    accepted: list[weakref.ref] = []
+    alive_at_start = []
+
+    def watched(window, rule, pool, threshold):
+        alive_at_start.append(sum(ref() is not None for ref in accepted))
+        candidate, errors = picard_round(window, rule, pool, threshold)
+        skip = compute_skip(errors, threshold)
+        accepted[:] = [weakref.ref(s) for s in candidate.states[1:skip]]
+        return candidate, errors
+
+    monkeypatch.setattr(engine_mod, "picard_round", watched)
+    res = run(rule, settings)
+    assert res.report.rounds == 8 and set(res.report.skip_histogram) == {5}
+    assert alive_at_start == [0] * 8
+
+
+def test_consumed_drifts_are_freed_slot_by_slot(monkeypatch):
+    # Noise > 0: no slot shares a drift.  One lane: the lane has let go of
+    # drift j by the time drift j + 1, which it runs next, has arrived.
+    rule = quad_rule(dim=1000, T=40, noise=0.1)
+    settings = EngineSettings(window=5, workers=1, threshold0=1e-6, gamma=0.9,
+                              record_trajectory=False)
+    previous: list[weakref.ref] = []
+    alive = []
+
+    def watched(rule, d, state):
+        alive.extend(ref() is not None for ref in previous)
+        previous[:] = [weakref.ref(d.payload)]
+        return rollout_one(rule, d, state)
+
+    monkeypatch.setattr(engine_mod, "rollout_one", watched)
+    res = run(rule, settings)
+    assert len(alive) == sum(min(5, 40 - r.base_step) for r in res.records) - 1
+    assert not any(alive)

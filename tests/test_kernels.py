@@ -22,6 +22,21 @@ def test_adam_matches_scalar_reference():
     assert m2n[i] == pytest.approx(em2, rel=1e-15)
 
 
+@pytest.mark.parametrize("t_next", [1, 300])
+def test_adam_bits_equal_the_textbook_expression(t_next):
+    # Several of fixed_point_distance's 8192-value blocks, and a ragged tail.
+    v, m1, m2, g = _adam_inputs(3 * 8192 + 5, seed=t_next)
+    for arr in (v, m1, m2, g):
+        arr.setflags(write=False)  # as in a state: the kernel writes only its outputs
+    beta1, beta2, eps, lr = 0.9, 0.999, 1e-8, 0.05
+    c1, c2 = 1.0 - beta1**t_next, 1.0 - beta2**t_next
+    em1 = beta1 * m1 + (1.0 - beta1) * g
+    em2 = beta2 * m2 + (1.0 - beta2) * (g * g)
+    ev = v - lr * (em1 / c1) / (np.sqrt(em2 / c2) + eps)
+    got = kernels.adam_apply(v, m1, m2, g, t_next, beta1, beta2, eps, lr)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in (ev, em1, em2)]
+
+
 def test_rosenbrock_grad_matches_difference_quotient():
     x = np.random.default_rng(3).standard_normal(6)
     g = kernels.rosenbrock_grad(x)

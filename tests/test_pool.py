@@ -1,11 +1,12 @@
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 import picardopt as po
 from picardopt.pool import AuxModel, WorkerPool
-from picardopt.rules import make_rule
+from picardopt.rules import initial_state, make_rule
 from picardopt.state import ParamState, with_step
 
 
@@ -153,6 +154,24 @@ def test_clones_share_one_drift_relabelled(noise, served):
     assert [d.step for d in drifts] == [5, 6, 7, 8]
     assert [d.seed for d in drifts] == [16, 17, 18, 19]
     assert all((d.payload is drifts[0].payload) == (noise == 0.0) for d in drifts[1:])
+
+
+def test_released_drift_lives_while_a_later_slot_shares_it():
+    rule = quad_rule()
+    theta0 = initial_state(rule)
+    states = [theta0] + [with_step(theta0, j) for j in (1, 2)]
+    with WorkerPool(1) as pool:
+        drifts = pool.gather_drifts(rule, states)
+        payload = weakref.ref(drifts[0].payload)
+        drifts.release(0)
+        drifts.release(1)
+        pool.drain()  # the lane has let go of its work item
+        assert drifts[2].payload is payload()
+        with pytest.raises(LookupError, match="released"):
+            drifts[0]
+        drifts.release(2)
+        assert payload() is None
+        assert drifts.first_failure() is None
 
 
 def test_submitted_clone_keeps_its_own_drift():
