@@ -67,7 +67,8 @@ def cmd_run(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg)
     rule = build_rule(cfg, problem)
-    settings = engine_settings(cfg)
+    # Only --mode both reads the engine's trajectory, to compare it.
+    settings = engine_settings(cfg, record_trajectory=cfg.mode == "both")
 
     oracle_traj = None
     oracle_wall = None

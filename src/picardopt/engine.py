@@ -30,7 +30,7 @@ import numpy as np
 from . import kernels
 from .errors import PicardoptError, PoisonedDrift
 from .oracle import checked_losses
-from .pool import WorkerPool, drift_sources
+from .pool import WorkerPool
 from .rules import ADAPTIVE_GUIDANCE, UpdateRule, initial_state, reconcile_payload, rollout_one
 from .schedule import reconcile_vector
 from .state import ParamState, finite_checked, with_step
@@ -300,8 +300,9 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     to the raised error for checkpointing.  A pool created here is closed
     however the run ends; a pool passed in must agree with ``settings`` on
     workers, seed offset and injected cost, and is reset first, so it gives
-    the bits of a fresh pool.  ``echo_extra`` adds keys to the report's
-    ``config_echo``.
+    the bits of a fresh pool.  The report's drift count, busy and wait times
+    are this run's share of the pool's counters.  ``echo_extra`` adds keys to
+    the report's ``config_echo``.
     """
     if pool is not None and (pool.n_workers, pool.seed_offset, pool.injected_cost_ms) != (
             settings.workers, settings.seed_offset, settings.injected_cost_ms):
@@ -326,8 +327,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
         pool = WorkerPool(settings.workers, settings.seed_offset, settings.injected_cost_ms)
     pool.reset()
 
-    drift_evals = 0
-    wait_ms0 = pool.timing_report()["wait_ms"]
+    counters = pool.timing_report()
     t_start = time.perf_counter()
     try:
         while window.base_step < T:
@@ -347,7 +347,6 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
             )
             if trajectory is not None:
                 trajectory.extend(new_states[1 : skip + 1])
-            drift_evals += len(set(drift_sources(rule, window.states[:window.size])))
             ts = update_threshold(ts, errors)
             window = advance_window(window, new_states, skip, T)
             if snapshots is not None:
@@ -360,22 +359,27 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
         (final_loss,) = checked_losses(rule.problem, [terminal], settings.seed_offset)
     except PicardoptError as err:
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
-        timing = pool.timing_report()
-        err.partial_report = finalize_report(  # type: ignore[attr-defined]
-            records, T, echo, final_loss=None, wall_time_ms=wall_ms,
-            worker_busy_ms=timing["busy_ms"], partial=True, drift_evals=drift_evals,
-            drift_wait_ms=timing["wait_ms"] - wait_ms0,
-        )
+        err.partial_report = _report(records, T, echo, pool, counters, wall_ms)  # type: ignore[attr-defined]
         err.partial_window = window  # type: ignore[attr-defined]
         raise
     finally:
         if own_pool:
             pool.close()
 
-    timing = pool.timing_report()
-    report = finalize_report(
-        records, T, echo, final_loss=final_loss, wall_time_ms=wall_ms,
-        worker_busy_ms=timing["busy_ms"], partial=False, drift_evals=drift_evals,
-        drift_wait_ms=timing["wait_ms"] - wait_ms0,
-    )
+    report = _report(records, T, echo, pool, counters, wall_ms, final_loss)
     return EngineResult(terminal, report, records, trajectory, snapshots)
+
+
+def _report(records, T: int, echo: dict, pool: WorkerPool, counters: dict, wall_ms: float,
+            final_loss: float | None = None) -> RunReport:
+    """The run's report, partial when ``final_loss`` is None.  Its drift
+    count, busy and wait times are what the pool's counters grew by since
+    ``counters``, the pool's ``timing_report()`` at the start of the run."""
+    now = pool.timing_report()
+    return finalize_report(
+        records, T, echo, final_loss=final_loss, wall_time_ms=wall_ms,
+        worker_busy_ms=[b - a for a, b in zip(counters["busy_ms"], now["busy_ms"])],
+        partial=final_loss is None,
+        drift_evals=sum(now["drifts_served"]) - sum(counters["drifts_served"]),
+        drift_wait_ms=now["wait_ms"] - counters["wait_ms"],
+    )

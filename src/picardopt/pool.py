@@ -5,12 +5,11 @@ starts takes the next dispatch index, counted from the last ``reset``, and
 runs on lane ``dispatch index mod n_workers``: deterministic, independent of
 timing, and balanced across rounds.  A gather returns the drifts ordered by
 slot, and reading slot j waits for slot j alone, so the caller can consume
-early slots while later ones still run.  Drifts may be submitted ahead of the
-gather that needs them; that gather then reuses the drift in flight.  When the
-rule's drift ignores the step, a slot whose state shares an earlier slot's
-values array shares that slot's drift instead of starting its own.  An
-optional injected per-drift sleep emulates heavy accelerator workloads so
-wall-clock speedup curves are observable at desk scale.
+early slots while later ones still run.  ``submit`` alone starts drifts; a
+state whose drift input is already in flight (submitted ahead, or for an
+earlier slot of the same gather) takes that drift instead.  An optional
+injected per-drift sleep emulates heavy accelerator workloads so wall-clock
+speedup curves are observable at desk scale.
 
 In the adaptive-guidance mode each lane owns a private gradient predictor,
 made at the lane's first such drift; no predictor is ever touched by two
@@ -19,6 +18,7 @@ lanes.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -44,17 +44,6 @@ class AuxModel:
     def update(self, g: np.ndarray) -> None:
         self.ema_grad = self.DECAY * self.ema_grad + (1.0 - self.DECAY) * g
         self.updates_seen += 1
-
-
-def drift_sources(rule: rules.UpdateRule, states: Sequence[ParamState]) -> list[int]:
-    """For each slot, the slot whose drift it takes: the first slot whose state
-    holds the very same values array when the rule is step-invariant, else
-    itself.  Only ``with_step`` clones share arrays, so matching by identity
-    is exact."""
-    if not rule.step_invariant:
-        return list(range(len(states)))
-    first: dict[int, int] = {}
-    return [first.setdefault(id(s.values), j) for j, s in enumerate(states)]
 
 
 class DriftView(Sequence):
@@ -114,6 +103,8 @@ class WorkerPool:
             raise ValueError("n_workers must be >= 1")
         if seed_offset < 0:
             raise ValueError("seed_offset must be >= 0")
+        if not 0.0 <= injected_cost_ms < math.inf:
+            raise ValueError("injected_cost_ms must be finite and >= 0")
         self.n_workers = n_workers
         self.seed_offset = seed_offset
         self.injected_cost_ms = injected_cost_ms
@@ -123,9 +114,9 @@ class WorkerPool:
         self._drift_counts = [0] * n_workers
         self._wait_s = 0.0
         self._dispatched = 0
-        # id(state) -> (state, future) for drifts submitted but not yet gathered;
-        # holding the state keeps its id from being reused.
-        self._in_flight: dict[int, tuple[ParamState, Future]] = {}
+        # id(input) -> (input, future) for drifts not yet gathered (``submit``);
+        # holding the input keeps its id from being reused.
+        self._in_flight: dict[int, tuple[object, Future]] = {}
         self._lanes = [ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"picardopt-lane{w}")
                        for w in range(n_workers)]
 
@@ -166,37 +157,35 @@ class WorkerPool:
 
     def submit(self, rule: rules.UpdateRule, state: ParamState) -> Future:
         """Start the drift at ``state`` (seed ``state.step + seed_offset``) on
-        the next lane; a state already in flight keeps its drift."""
-        held = self._in_flight.get(id(state))
+        the next lane, unless its input is already in flight: then return that
+        drift.  The input is the values array when the rule's drift ignores
+        the step (only ``with_step`` clones share arrays, so matching by
+        identity is exact), else the state itself."""
+        key = state.values if rule.step_invariant else state
+        held = self._in_flight.get(id(key))
         if held is not None:
             return held[1]
         lane = self._dispatched % self.n_workers
         self._dispatched += 1
         future = self._lanes[lane].submit(self._serve, lane, rule, state)
-        self._in_flight[id(state)] = (state, future)
+        self._in_flight[id(key)] = (key, future)
         return future
 
     def gather_drifts(self, rule: rules.UpdateRule, states: list[ParamState]) -> DriftView:
         """Drifts for all states, ordered by slot, without waiting for them.
 
-        A state not already in flight takes the drift of the earlier slot it
-        shares (``drift_sources``), using no dispatch index or lane, or else
-        is submitted, in slot order.  Reading the returned view waits per slot
-        and re-raises that slot's error; a shared slot raises its source's.
+        Each slot is submitted in slot order, so it takes a drift already in
+        flight for its input, or else starts one; then the table is emptied.
+        Reading the returned view waits per slot and re-raises that slot's
+        error; a slot that took another state's drift raises that drift's.
         """
         if not states:
             raise ValueError("gather_drifts needs at least one state")
         steps = [s.step for s in states]
         if len(set(steps)) != len(steps):
             raise ValueError("gather_drifts states must have distinct steps")
-        futures: list[Future] = []
-        for j, src in enumerate(drift_sources(rule, states)):
-            if src < j and id(states[j]) not in self._in_flight:
-                futures.append(futures[src])
-            else:
-                futures.append(self.submit(rule, states[j]))
-        for s in states:
-            self._in_flight.pop(id(s), None)
+        futures = [self.submit(rule, s) for s in states]
+        self._in_flight.clear()
         return DriftView(self, futures, steps)
 
     def drain(self) -> None:

@@ -68,11 +68,10 @@ def finalize_report(records, total_steps: int, config_echo: dict, final_loss: fl
                     drift_evals: int = 0, drift_wait_ms: float | None = None) -> RunReport:
     """Aggregate round records; validates the skip-sum invariant on full runs.
 
-    ``drift_evals`` is the number of drifts evaluated for the recorded rounds:
-    a slot that shares an earlier slot's drift (``pool.drift_sources``) is not
-    counted, so on a completed run it is the pool's ``drifts_served`` total.
-    ``work_amplification`` is that over the horizon, the compute actually
-    spent for fewer rounds.
+    ``drift_evals`` is the number of drifts the pool served during the run,
+    aborted rounds included; a slot that takes a drift already in flight
+    (``WorkerPool.submit``) adds none.  ``work_amplification`` is that over
+    the horizon, the compute actually spent for fewer rounds.
     """
     hist: dict[int, int] = {}
     for r in records:

@@ -125,6 +125,27 @@ def test_exact_adaptive_guidance_both_is_not_judged(tmp_path):
     assert json.loads((tmp_path / "compare.json").read_text())["passed"] is False
 
 
+@pytest.mark.parametrize("mode,recorded", [("engine", False), ("both", True)])
+def test_only_mode_both_keeps_the_trajectory(tmp_path, monkeypatch, mode, recorded):
+    # The engine's trajectory is read only to compare it with the oracle's.
+    real_run, seen = cli.engine_run, []
+
+    def recorded_run(rule, settings, **kwargs):
+        seen.append(settings.record_trajectory)
+        return real_run(rule, settings, **kwargs)
+
+    monkeypatch.setattr(cli, "engine_run", recorded_run)
+    code = cli.main(["run", "--problem", "quadratic", "--rule", "adam", "--steps", "20",
+                     "--window", "3", "--workers", "2", "--threshold", "0", "--mode", mode,
+                     "--out", str(tmp_path)])
+    assert code == 0
+    assert seen == [recorded]
+    if mode == "both":
+        compare = json.loads((tmp_path / "compare.json").read_text())
+        assert compare["passed"] is True and compare["first_divergence"] is None
+        assert len(compare["per_step_max_delta"]) == 21
+
+
 # --- one owner per setting --------------------------------------------------
 
 
@@ -348,13 +369,12 @@ def test_fuzz_exit_codes(pair, scale, steps, window, workers, threshold, mode):
         code = cli.main([*args, "--out", out])
         # The engine runs after an oracle that succeeded (its losses written).
         engine_ran = mode == "engine" or (mode == "both" and (Path(out) / "oracle_losses.csv").exists())
-        if code == 3 and engine_ran:
+        if code in (0, 3) and engine_ran:
             report = json.loads((Path(out) / "report.json").read_text())
-            assert report["partial"] is True
-            assert (Path(out) / "abort_window.bin").exists()
-        if code == 0 and engine_ran:
-            # a completed run counts exactly the drifts its pool evaluated
-            report = json.loads((Path(out) / "report.json").read_text())
+            if code == 3:
+                assert report["partial"] is True
+                assert (Path(out) / "abort_window.bin").exists()
+            # a run counts exactly the drifts its pool served, aborted rounds included
             assert report["drift_evals"] == sum(RecordedPool.last.timing_report()["drifts_served"])
     assert code in (0, 3), err.getvalue()
     assert threading.active_count() == before

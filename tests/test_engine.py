@@ -512,6 +512,41 @@ def test_a_reused_pool_gives_a_fresh_pools_bits():
     assert {po.state_checksum(r.terminal) for r in runs} == {po.state_checksum(fresh.terminal)}
 
 
+def test_a_reused_pools_report_counts_its_own_run():
+    # The report's counters are the pool's growth across this run only.
+    rule = quad_rule(T=30, noise=0.1)
+    settings = EngineSettings(window=5, workers=2, injected_cost_ms=2.0)
+    with WorkerPool(2, injected_cost_ms=2.0) as pool:
+        for _ in range(2):
+            before = pool.timing_report()
+            report = run(rule, settings, pool).report
+            after = pool.timing_report()
+            assert report.worker_busy_ms == [b - a for a, b in zip(before["busy_ms"],
+                                                                   after["busy_ms"])]
+            assert report.drift_evals == sum(after["drifts_served"]) - sum(before["drifts_served"])
+
+
+class FailsAtSeed9(po.problems.QuadraticProblem):
+    """A quadratic whose gradient fails at seed 9, so it declares it reads the seed."""
+
+    seed_free = False
+
+    def grad(self, values, seed):
+        if seed == 9:
+            raise po.ObjectiveError("gradient failed at seed 9")
+        return super().grad(values, seed)
+
+
+def test_aborted_run_counts_every_drift_served():
+    # Drifts served in the failing round and prefetched for the next one count.
+    rule = make_rule("sgd", FailsAtSeed9(dim=4), 0.1, total_steps=30)
+    with WorkerPool(2) as pool:
+        with pytest.raises(po.ObjectiveError) as exc:
+            run(rule, EngineSettings(window=5, workers=2, threshold0=0.0), pool)
+        served = sum(pool.timing_report()["drifts_served"])
+    assert exc.value.partial_report.drift_evals == served == 32
+
+
 # --- shared drifts --------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import math
 import threading
 import weakref
 
@@ -174,7 +175,9 @@ def test_released_drift_lives_while_a_later_slot_shares_it():
         assert drifts.first_failure() is None
 
 
-def test_submitted_clone_keeps_its_own_drift():
+def test_submitted_clone_serves_every_slot_holding_its_values():
+    # One table keyed by the drift's input: a clone submitted ahead holds the
+    # values' drift in flight, so the earlier slots with those values take it.
     rule = quad_rule()
     s = states_for(rule, 1)[0]
     states = [s, with_step(s, 1), with_step(s, 2)]
@@ -182,8 +185,17 @@ def test_submitted_clone_keeps_its_own_drift():
         early = pool.submit(rule, states[2])
         drifts = pool.gather_drifts(rule, states)
         assert drifts[2] is early.result()
-        assert drifts[1].payload is drifts[0].payload
-        assert sum(pool.timing_report()["drifts_served"]) == 2
+        assert all(d.payload is drifts[2].payload for d in drifts)
+        assert [d.step for d in drifts] == [0, 1, 2]
+        assert sum(pool.timing_report()["drifts_served"]) == 1
+
+
+@pytest.mark.parametrize("cost", [math.inf, math.nan, -3.0])
+def test_rejects_a_cost_that_is_not_finite_and_non_negative(cost):
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="injected_cost_ms"):
+        WorkerPool(2, injected_cost_ms=cost)
+    assert threading.active_count() == before
 
 
 def test_drain_waits_for_submitted_work():
