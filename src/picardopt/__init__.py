@@ -14,8 +14,8 @@ from .engine import (EngineResult, EngineSettings, RoundErrors, ThresholdState,
 from .errors import (ConfigError, DimensionError, InternalConsistencyError,
                      ObjectiveError, PicardoptError, PoisonedDrift, ScheduleError)
 from .kernels import kernel_path
-from .oracle import (ComparisonReport, Trajectory, compare_trajectories,
-                     prefix_check, solve_sequential)
+from .oracle import (StepComparison, Trajectory, compare_trajectories, prefix_check,
+                     solve_sequential)
 from .pool import AuxModel, WorkerPool
 from .problems import PROBLEM_KINDS, Problem, make_problem
 from .rules import (RULE_KINDS, AdamParams, UpdateRule, drift, initial_state,

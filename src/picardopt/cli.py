@@ -27,7 +27,7 @@ from .config import (OPTIONS, SWEEP_AXES, RunConfig, build_problem, build_rule,
                      engine_settings, load_config, sweep_points)
 from .engine import run as engine_run
 from .errors import ConfigError, ObjectiveError, PicardoptError, PoisonedDrift
-from .oracle import Trajectory, checked_losses, compare_trajectories, solve_sequential
+from .oracle import StepComparison, Trajectory, solve_sequential
 from .state import state_checksum, states_equal_bits, write_states
 from .telemetry import write_report_json, write_rounds_csv
 
@@ -53,10 +53,6 @@ def _add_config_flags(p: argparse.ArgumentParser, sweep: bool) -> None:
                            metavar=key.upper(), help=f"overrides [{section}] {key}")
 
 
-def _engine_trajectory(states, problem, seed_offset: int) -> Trajectory:
-    return Trajectory(list(states), checked_losses(problem, states, seed_offset))
-
-
 def _write_losses_csv(path, traj: Trajectory) -> None:
     lines = ["step,loss"] + [f"{i},{loss!r}" for i, loss in enumerate(traj.losses)]
     Path(path).write_text("\n".join(lines) + "\n")
@@ -67,11 +63,9 @@ def cmd_run(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg)
     rule = build_rule(cfg, problem)
-    # Only --mode both reads the engine's trajectory, to compare it.
-    settings = engine_settings(cfg, record_trajectory=cfg.mode == "both")
+    settings = engine_settings(cfg)
 
-    oracle_traj = None
-    oracle_wall = None
+    oracle_traj = oracle_wall = None
     if cfg.mode in ("oracle", "both"):
         oracle_traj, oracle_wall = solve_sequential(
             rule, seed_offset=settings.seed_offset, injected_cost_ms=settings.injected_cost_ms
@@ -82,8 +76,11 @@ def cmd_run(cfg: RunConfig) -> int:
     if cfg.mode == "oracle":
         return EXIT_OK
 
+    # --mode both compares each state as the engine accepts it, keeping none.
+    comparison = StepComparison(oracle_traj) if cfg.mode == "both" else None
+    observer = None if comparison is None else lambda accepted, _: comparison.extend(accepted)
     try:
-        result = engine_run(rule, settings, echo_extra={"mode": cfg.mode})
+        result = engine_run(rule, settings, echo_extra={"mode": cfg.mode}, observer=observer)
     except PicardoptError as err:
         report = getattr(err, "partial_report", None)
         if report is not None:
@@ -98,14 +95,11 @@ def cmd_run(cfg: RunConfig) -> int:
     write_report_json(out / "report.json", result.report)
     write_states(out / "final_state.bin", [result.terminal])
 
-    if cfg.mode == "both":
-        engine_traj = _engine_trajectory(result.trajectory, problem, settings.seed_offset)
-        comparison = compare_trajectories(oracle_traj, engine_traj)
+    if comparison is not None:
         payload = comparison.to_json_dict()
-        lo, le = oracle_traj.losses[-1], engine_traj.losses[-1]
-        payload["oracle_final_loss"] = lo
-        payload["engine_final_loss"] = le
-        payload["final_loss_rel_diff"] = abs(le - lo) / max(abs(lo), 1e-300)
+        lo, le = oracle_traj.losses[-1], result.report.final_loss
+        payload.update(oracle_final_loss=lo, engine_final_loss=le,
+                       final_loss_rel_diff=abs(le - lo) / max(abs(lo), 1e-300))
         (out / "compare.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         # Only the exact mode promises the oracle's bits; an adaptive run's
         # deltas are reported, not judged.
@@ -134,7 +128,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     for value, sub in sweep_points(cfg):
         # validate_config has built every value's settings, so only the run can fail.
-        settings = engine_settings(sub, record_trajectory=False)
+        settings = engine_settings(sub)
         run_dir = out / "runs" / f"{axis}_{value:g}"
         run_dir.mkdir(parents=True, exist_ok=True)
         try:
@@ -199,12 +193,16 @@ def cmd_verify(manifest_path: str | None) -> int:
             continue
         name = section.removeprefix("case:")
         items = dict(parser.items(section))
-        expected = int(items.pop("expected_checksum"), 16)
+        raw = items.pop("expected_checksum", None)
+        try:
+            expected = int(raw, 16)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{section}.expected_checksum", f"not a hex checksum: {raw!r}") from exc
         overrides = {fields.get(k, k): v for k, v in items.items()}
         cfg = load_config(None, overrides)
         problem = build_problem(cfg)
         rule = build_rule(cfg, problem)
-        settings = engine_settings(cfg, record_trajectory=False)
+        settings = engine_settings(cfg)
         oracle_traj, _ = solve_sequential(rule, seed_offset=settings.seed_offset)
         result = engine_run(rule, settings)
         got = state_checksum(result.terminal)

@@ -241,15 +241,17 @@ def build_rule(cfg: RunConfig, problem: Problem) -> UpdateRule:
         raise ConfigError(key, str(exc)) from exc
 
 
-def engine_settings(cfg: RunConfig, record_trajectory: bool = True,
-                    record_snapshots: bool = False) -> EngineSettings:
+def engine_settings(cfg: RunConfig, *, record_trajectory: bool = False) -> EngineSettings:
     """The ``[engine]`` fields that are set (``steps`` is the rule's);
-    ``EngineSettings`` supplies the rest."""
+    ``EngineSettings`` supplies the rest.  ``record_trajectory`` takes only
+    False, which the benchmark passes: the engine keeps no trajectory, and a
+    caller that wants the accepted states passes ``engine.run`` an observer."""
+    if record_trajectory is not False:
+        raise ValueError("record_trajectory is gone: pass engine.run an observer")
     settings = {"threshold0" if key == "threshold" else key: getattr(cfg, name)
                 for key, name in SECTIONS["engine"].items()
                 if key != "steps" and getattr(cfg, name) is not None}
     try:
-        return EngineSettings(**settings, record_trajectory=record_trajectory,
-                              record_snapshots=record_snapshots)
+        return EngineSettings(**settings)
     except ValueError as exc:
         raise ConfigError("engine", str(exc)) from exc

@@ -16,12 +16,16 @@ With a zero threshold the result is bitwise equal to direct sequential
 execution: the anchor only ever advances onto slots whose recomputation
 reproduced the previous iterate exactly, so the prefix stays exact and every
 round still advances at least one step (rounds <= total steps).
+
+The engine keeps no trajectory: ``run``'s observer sees each round's accepted
+states and the window after it, and keeps what its caller needs.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
@@ -232,8 +236,6 @@ class EngineSettings:
     aggregation: str = "median"
     seed_offset: int = 0
     injected_cost_ms: float = 0.0
-    record_trajectory: bool = True
-    record_snapshots: bool = False
 
     def __post_init__(self):
         if self.workers < 1:
@@ -248,8 +250,6 @@ class EngineSettings:
             raise ValueError("seed_offset must be >= 0")
         if not 0.0 <= self.injected_cost_ms < math.inf:
             raise ValueError("injected_cost_ms must be finite and >= 0")
-        if self.record_snapshots and not self.record_trajectory:
-            raise ValueError("snapshots need the finalized trajectory recorded")
         ThresholdState(self.threshold0, self.gamma, self.aggregation)  # validates
 
     def is_exact(self, rule: UpdateRule) -> bool:
@@ -266,8 +266,6 @@ class EngineResult:
     terminal: ParamState
     report: RunReport
     records: list[RoundRecord]
-    trajectory: list[ParamState] | None = None
-    snapshots: list[list[ParamState]] | None = None
 
 
 def _config_echo(rule: UpdateRule, settings: EngineSettings) -> dict:
@@ -277,20 +275,19 @@ def _config_echo(rule: UpdateRule, settings: EngineSettings) -> dict:
                  "schedule": " ".join(str(action) for action in rule.schedule)}
     if rule.adam is not None:
         echo_rule.update(asdict(rule.adam))
+    engine = {"threshold" if key == "threshold0" else key: value
+              for key, value in asdict(settings).items()}
     return {
         "problem": {"kind": rule.problem.kind, **rule.problem.settings()},
         "rule": echo_rule,
-        "engine": {"steps": rule.total_steps, "window": settings.window,
-                   "workers": settings.workers, "threshold": settings.threshold0,
-                   "gamma": settings.gamma, "aggregation": settings.aggregation,
-                   "seed_offset": settings.seed_offset,
-                   "injected_cost_ms": settings.injected_cost_ms},
+        "engine": {"steps": rule.total_steps, **engine},
         "kernel_path": kernels.kernel_path(),
     }
 
 
 def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = None,
-        echo_extra: dict | None = None) -> EngineResult:
+        echo_extra: dict | None = None,
+        observer: Callable[[Sequence[ParamState], Window], None] | None = None) -> EngineResult:
     """Drive the windowed iteration from step 0 to the horizon.
 
     All window slots start as clones of the initial state.  Per round:
@@ -303,6 +300,11 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     the bits of a fresh pool.  The report's drift count, busy and wait times
     are this run's share of the pool's counters.  ``echo_extra`` adds keys to
     the report's ``config_echo``.
+
+    ``observer(accepted, window)`` is called after each round with the states
+    it accepted (from step 0 in the first round) and the new window: in order,
+    the accepted states are the trajectory, which the run does not keep.  The
+    observer's time is not in the report's ``wall_time_ms``.
     """
     if pool is not None and (pool.n_workers, pool.seed_offset, pool.injected_cost_ms) != (
             settings.workers, settings.seed_offset, settings.injected_cost_ms):
@@ -317,9 +319,6 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     ts = ThresholdState(settings.threshold0, settings.gamma, settings.aggregation)
 
     records: list[RoundRecord] = []
-    trajectory: list[ParamState] | None = [theta0] if settings.record_trajectory else None
-    snapshots: list[list[ParamState]] | None = [] if settings.record_snapshots else None
-
     echo = {**_config_echo(rule, settings), **(echo_extra or {})}
 
     own_pool = pool is None
@@ -334,23 +333,15 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
             candidate, errors = picard_round(window, rule, pool, ts.e)
             new_states = candidate.states
             skip = compute_skip(errors, ts.e)
-            records.append(
-                RoundRecord(
-                    round_index=len(records) + 1,
-                    base_step=window.base_step,
-                    skip=skip,
-                    threshold=ts.e,
-                    err_min=min(errors.per_slot),
-                    err_med=errors.median,
-                    err_max=max(errors.per_slot),
-                )
-            )
-            if trajectory is not None:
-                trajectory.extend(new_states[1 : skip + 1])
+            records.append(RoundRecord(len(records) + 1, window.base_step, skip, ts.e,
+                                       min(errors.per_slot), errors.median, max(errors.per_slot)))
+            first = 0 if window.base_step == 0 else 1
             ts = update_threshold(ts, errors)
             window = advance_window(window, new_states, skip, T)
-            if snapshots is not None:
-                snapshots.append(list(trajectory) + list(window.states[1:]))
+            if observer is not None:
+                t_observer = time.perf_counter()
+                observer(new_states[first : skip + 1], window)
+                t_start += time.perf_counter() - t_observer  # not the run's time
             # The accepted states the new window does not hold go now, not
             # at the end of the next round.
             del candidate, new_states
@@ -367,7 +358,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
             pool.close()
 
     report = _report(records, T, echo, pool, counters, wall_ms, final_loss)
-    return EngineResult(terminal, report, records, trajectory, snapshots)
+    return EngineResult(terminal, report, records)
 
 
 def _report(records, T: int, echo: dict, pool: WorkerPool, counters: dict, wall_ms: float,

@@ -8,7 +8,7 @@ arithmetic; independently coded update formulas live in the unit tests.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,38 +74,48 @@ def solve_sequential(rule: UpdateRule, theta0: ParamState | None = None,
     return Trajectory(states, losses), wall_ms
 
 
-@dataclass
-class ComparisonReport:
-    passed: bool
-    first_divergence: int | None
-    max_delta: float
-    per_step_max_delta: list[float]
+class StepComparison:
+    """Bitwise comparison (values, moments, tags) with a ``reference``
+    trajectory, plus the per-step max |delta| over values.  ``extend``
+    compares states in step order from step 0, and keeps none of them."""
+
+    def __init__(self, reference: Trajectory):
+        self.reference = reference
+        self.first_divergence: int | None = None
+        self.per_step_max_delta: list[float] = []
+
+    @property
+    def passed(self) -> bool:
+        return self.first_divergence is None
+
+    @property
+    def max_delta(self) -> float:
+        return max(self.per_step_max_delta, default=0.0)
+
+    def extend(self, states) -> None:
+        for state in states:
+            tau = len(self.per_step_max_delta)
+            if tau > self.reference.total_steps or state.step != tau:
+                raise ValueError(f"got step {state.step}, wanted {tau} of {self.reference.total_steps}")
+            ref = self.reference.states[tau]
+            delta = (float("inf") if ref.dim != state.dim
+                     else float(np.max(np.abs(ref.values - state.values), initial=0.0)))
+            self.per_step_max_delta.append(delta)
+            if self.passed and not states_equal_bits(ref, state, include_moments=True):
+                self.first_divergence = tau
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {key: getattr(self, key)
+                for key in ("passed", "first_divergence", "max_delta", "per_step_max_delta")}
 
 
-def compare_trajectories(a: Trajectory, b: Trajectory) -> ComparisonReport:
-    """Bitwise comparison (values, moments, tags) step by step, plus the
-    per-step max |delta| over values."""
+def compare_trajectories(a: Trajectory, b: Trajectory) -> StepComparison:
+    """``StepComparison`` of ``b``'s states, in order, with ``a``."""
     if a.total_steps != b.total_steps:
         raise ValueError(f"trajectory lengths differ: {a.total_steps} vs {b.total_steps}")
-    deltas: list[float] = []
-    first_div: int | None = None
-    for tau, (sa, sb) in enumerate(zip(a.states, b.states)):
-        if sa.dim != sb.dim:
-            delta = float("inf")
-        else:
-            delta = float(np.max(np.abs(sa.values - sb.values))) if sa.dim else 0.0
-        deltas.append(delta)
-        if first_div is None and not states_equal_bits(sa, sb, include_moments=True):
-            first_div = tau
-    return ComparisonReport(
-        passed=first_div is None,
-        first_divergence=first_div,
-        max_delta=max(deltas) if deltas else 0.0,
-        per_step_max_delta=deltas,
-    )
+    comparison = StepComparison(a)
+    comparison.extend(b.states)
+    return comparison
 
 
 @dataclass

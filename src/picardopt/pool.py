@@ -149,10 +149,9 @@ class WorkerPool:
         try:
             if self.injected_cost_ms > 0.0:
                 time.sleep(self.injected_cost_ms / 1000.0)
-            d = rules.drift(rule, state, state.step + self.seed_offset, aux=aux, worker_id=lane)
+            return rules.drift(rule, state, state.step + self.seed_offset, aux=aux, worker_id=lane)
+        finally:  # a drift that raises is counted and timed too
             self._drift_counts[lane] += 1
-            return d
-        finally:
             self._busy_s[lane] += time.perf_counter() - t0
 
     def submit(self, rule: rules.UpdateRule, state: ParamState) -> Future:

@@ -63,9 +63,9 @@ class RunReport:
 
 
 def finalize_report(records, total_steps: int, config_echo: dict, final_loss: float | None,
-                    wall_time_ms: float, oracle_wall_time_ms: float | None = None,
-                    worker_busy_ms: list[float] | None = None, partial: bool = False,
-                    drift_evals: int = 0, drift_wait_ms: float | None = None) -> RunReport:
+                    wall_time_ms: float, worker_busy_ms: list[float] | None = None,
+                    partial: bool = False, drift_evals: int = 0,
+                    drift_wait_ms: float | None = None) -> RunReport:
     """Aggregate round records; validates the skip-sum invariant on full runs.
 
     ``drift_evals`` is the number of drifts the pool served during the run,
@@ -95,7 +95,6 @@ def finalize_report(records, total_steps: int, config_echo: dict, final_loss: fl
         final_loss=final_loss,
         config_echo=config_echo,
         partial=partial,
-        oracle_wall_time_ms=oracle_wall_time_ms,
         worker_busy_ms=worker_busy_ms,
         drift_evals=drift_evals,
         work_amplification=drift_evals / total_steps,

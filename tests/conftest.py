@@ -53,6 +53,19 @@ class DecayOde(Problem):
         return np.ones(self.dim)
 
 
+class Snapshots:
+    """An ``engine.run`` observer that keeps the trajectory so far and, after
+    each round, the snapshot ``trajectory + window.states[1:]``."""
+
+    def __init__(self):
+        self.trajectory = []
+        self.snapshots = []
+
+    def __call__(self, accepted, window):
+        self.trajectory.extend(accepted)
+        self.snapshots.append(self.trajectory + list(window.states[1:]))
+
+
 @pytest.fixture
 def decay_ode():
     return DecayOde()

@@ -7,6 +7,7 @@ import json
 import tempfile
 import threading
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -99,12 +100,14 @@ def test_adaptive_both_reports_deltas_and_exits_0(tmp_path):
 def test_exact_both_that_differs_exits_1(tmp_path, monkeypatch, capsys):
     real_run = cli.engine_run
 
-    def shifted_run(*args, **kwargs):
-        result = real_run(*args, **kwargs)
-        last = result.trajectory[-1]
-        result.trajectory[-1] = ParamState(last.step, last.values + 1.0, last.dim_tag,
-                                           last.moments)
-        return result
+    def shifted_run(rule, settings, observer=None, **kwargs):
+        def shifted(accepted, window):
+            *kept, last = accepted
+            if last.step == rule.total_steps:
+                last = ParamState(last.step, last.values + 1.0, last.dim_tag, last.moments)
+            observer([*kept, last], window)
+
+        return real_run(rule, settings, observer=shifted, **kwargs)
 
     monkeypatch.setattr(cli, "engine_run", shifted_run)
     code = cli.main(["run", "--problem", "quadratic", "--rule", "sgd", "--steps", "20",
@@ -125,25 +128,50 @@ def test_exact_adaptive_guidance_both_is_not_judged(tmp_path):
     assert json.loads((tmp_path / "compare.json").read_text())["passed"] is False
 
 
-@pytest.mark.parametrize("mode,recorded", [("engine", False), ("both", True)])
-def test_only_mode_both_keeps_the_trajectory(tmp_path, monkeypatch, mode, recorded):
-    # The engine's trajectory is read only to compare it with the oracle's.
+@pytest.mark.parametrize("mode,observed", [("engine", False), ("both", True)])
+def test_only_mode_both_passes_an_observer(tmp_path, monkeypatch, mode, observed):
+    # The engine's states are seen only to compare them with the oracle's.
     real_run, seen = cli.engine_run, []
 
-    def recorded_run(rule, settings, **kwargs):
-        seen.append(settings.record_trajectory)
-        return real_run(rule, settings, **kwargs)
+    def recorded_run(rule, settings, observer=None, **kwargs):
+        seen.append(observer is not None)
+        return real_run(rule, settings, observer=observer, **kwargs)
 
     monkeypatch.setattr(cli, "engine_run", recorded_run)
     code = cli.main(["run", "--problem", "quadratic", "--rule", "adam", "--steps", "20",
                      "--window", "3", "--workers", "2", "--threshold", "0", "--mode", mode,
                      "--out", str(tmp_path)])
     assert code == 0
-    assert seen == [recorded]
+    assert seen == [observed]
     if mode == "both":
         compare = json.loads((tmp_path / "compare.json").read_text())
         assert compare["passed"] is True and compare["first_divergence"] is None
         assert len(compare["per_step_max_delta"]) == 21
+
+
+def test_mode_both_holds_no_state_past_its_window(tmp_path, monkeypatch):
+    # A frozen, huge threshold accepts every window whole, so round r's new
+    # slots 1..p-1 are accepted and the next window (based at slot p) holds
+    # none of them: the comparison must have let them go.
+    real_round, accepted, alive_at_start = engine.picard_round, [], []
+
+    def watched(window, rule, pool, threshold):
+        alive_at_start.append(sum(ref() is not None for ref in accepted))
+        candidate, errors = real_round(window, rule, pool, threshold)
+        skip = engine.compute_skip(errors, threshold)
+        accepted[:] = [weakref.ref(s) for s in candidate.states[1:skip]]
+        return candidate, errors
+
+    monkeypatch.setattr(engine, "picard_round", watched)
+    code = cli.main(["run", "--problem", "quadratic", "--rule", "sgd", "--dim", "1000",
+                     "--steps", "40", "--window", "5", "--workers", "2", "--threshold", "1e9",
+                     "--gamma", "1", "--mode", "both", "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["rounds"] == 8 and report["skip_histogram"] == {"5": 8}
+    assert alive_at_start == [0] * 8
+    compare = json.loads((tmp_path / "compare.json").read_text())
+    assert len(compare["per_step_max_delta"]) == 41
 
 
 # --- one owner per setting --------------------------------------------------
@@ -322,6 +350,18 @@ def test_overflowing_oracle_loss_exits_3_without_warning(tmp_path, capsys, mode)
 def test_unreadable_manifest_exits_2(tmp_path, capsys):
     assert cli.main(["verify", "--manifest", str(tmp_path / "missing.ini")]) == 2
     assert "manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("checksum", [None, "not-hex"])
+def test_bad_manifest_checksum_exits_2(tmp_path, capsys, checksum):
+    manifest = tmp_path / "manifest.ini"
+    lines = ["[case:tiny]", "problem = quadratic", "rule = sgd", "steps = 5"]
+    if checksum is not None:
+        lines.append(f"expected_checksum = {checksum}")
+    manifest.write_text("\n".join(lines) + "\n")
+    assert cli.main(["verify", "--manifest", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert "case:tiny.expected_checksum" in err and "Traceback" not in err
 
 
 # Every problem/rule pair make_rule accepts; split_prune_sgd gets a schedule below.

@@ -92,6 +92,16 @@ def run_cli(*args):
     return main(list(args))
 
 
+def test_engine_settings_takes_only_a_false_record_trajectory():
+    # The benchmark still passes record_trajectory=False; the engine keeps no
+    # trajectory, so True has nothing to turn on.
+    cfg = load_config(None, {"window": 3, "workers": 2})
+    settings = engine_settings(cfg, record_trajectory=False)
+    assert (settings.window, settings.workers) == (3, 2)
+    with pytest.raises(ValueError, match="observer"):
+        engine_settings(cfg, record_trajectory=True)
+
+
 def test_cli_invalid_gamma_exits_2(tmp_path, capsys):
     code = run_cli("run", "--problem", "quadratic", "--gamma", "1.5", "--out", str(tmp_path))
     assert code == 2

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import DecayOde
+from conftest import DecayOde, Snapshots
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -274,18 +274,36 @@ def test_run_zero_threshold_bitexact_any_window():
 
 def test_run_trajectory_covers_all_steps():
     rule = quad_rule(T=23)
-    res = run(rule, EngineSettings(window=5, workers=2, threshold0=1e-6, gamma=0.9))
-    assert [s.step for s in res.trajectory] == list(range(24))
+    seen = Snapshots()
+    res = run(rule, EngineSettings(window=5, workers=2, threshold0=1e-6, gamma=0.9),
+              observer=seen)
+    assert [s.step for s in seen.trajectory] == list(range(24))
     assert sum(k * v for k, v in res.report.skip_histogram.items()) == 23
+
+
+def test_observer_sees_each_round_and_its_time_is_not_the_runs():
+    # Window 1: each round accepts one state, the first round step 0 too.
+    accepted_counts = []
+
+    def slow(accepted, window):
+        accepted_counts.append(len(accepted))
+        assert window.base_step == accepted[-1].step
+        time.sleep(0.05)
+
+    res = run(quad_rule(T=10), EngineSettings(window=1, workers=1, threshold0=0.0),
+              observer=slow)
+    assert accepted_counts == [2] + [1] * 9
+    assert res.report.wall_time_ms < 250  # the observer slept 500 ms
 
 
 def test_run_anchor_monotone_in_telemetry():
     rule = quad_rule(T=30, noise=0.1)
-    res = run(rule, EngineSettings(window=4, workers=2, threshold0=1e-5, gamma=0.8,
-                                   record_snapshots=True))
+    seen = Snapshots()
+    res = run(rule, EngineSettings(window=4, workers=2, threshold0=1e-5, gamma=0.8),
+              observer=seen)
     # once a step is finalized its state never changes across later snapshots
-    for k, snap in enumerate(res.snapshots[:-1]):
-        later = res.snapshots[-1]
+    for k, snap in enumerate(seen.snapshots[:-1]):
+        later = seen.snapshots[-1]
         base_k = res.records[k].base_step + res.records[k].skip
         for tau in range(base_k + 1):
             assert states_equal_bits(snap[tau], later[tau])
@@ -527,24 +545,31 @@ def test_a_reused_pools_report_counts_its_own_run():
 
 
 class FailsAtSeed9(po.problems.QuadraticProblem):
-    """A quadratic whose gradient fails at seed 9, so it declares it reads the seed."""
+    """A quadratic whose gradient fails at seed 9, so it declares it reads the
+    seed; it appends the seed of every call to ``calls``."""
 
     seed_free = False
+    calls: list[int]
 
     def grad(self, values, seed):
+        self.calls.append(seed)
         if seed == 9:
             raise po.ObjectiveError("gradient failed at seed 9")
         return super().grad(values, seed)
 
 
 def test_aborted_run_counts_every_drift_served():
-    # Drifts served in the failing round and prefetched for the next one count.
-    rule = make_rule("sgd", FailsAtSeed9(dim=4), 0.1, total_steps=30)
+    # Drifts served in the failing round and prefetched for the next one
+    # count, and so do those that raise.
+    problem = FailsAtSeed9(dim=4)
+    problem.calls = []
+    rule = make_rule("sgd", problem, 0.1, total_steps=30)
     with WorkerPool(2) as pool:
         with pytest.raises(po.ObjectiveError) as exc:
             run(rule, EngineSettings(window=5, workers=2, threshold0=0.0), pool)
         served = sum(pool.timing_report()["drifts_served"])
-    assert exc.value.partial_report.drift_evals == served == 32
+    assert problem.calls.count(9) == 2
+    assert exc.value.partial_report.drift_evals == served == len(problem.calls) == 34
 
 
 # --- shared drifts --------------------------------------------------------------
@@ -665,8 +690,7 @@ def test_accepted_states_are_freed_before_the_next_round(monkeypatch):
     # slots 1..p-1 are accepted and the next window (based at slot p) holds
     # none of them.
     rule = quad_rule(dim=1000, T=40)
-    settings = EngineSettings(window=5, workers=2, threshold0=1e9, gamma=1.0,
-                              record_trajectory=False)
+    settings = EngineSettings(window=5, workers=2, threshold0=1e9, gamma=1.0)
     accepted: list[weakref.ref] = []
     alive_at_start = []
 
@@ -687,8 +711,7 @@ def test_consumed_drifts_are_freed_slot_by_slot(monkeypatch):
     # Noise > 0: no slot shares a drift.  One lane: the lane has let go of
     # drift j by the time drift j + 1, which it runs next, has arrived.
     rule = quad_rule(dim=1000, T=40, noise=0.1)
-    settings = EngineSettings(window=5, workers=1, threshold0=1e-6, gamma=0.9,
-                              record_trajectory=False)
+    settings = EngineSettings(window=5, workers=1, threshold0=1e-6, gamma=0.9)
     previous: list[weakref.ref] = []
     alive = []
 

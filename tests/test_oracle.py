@@ -2,12 +2,12 @@ import time
 
 import numpy as np
 import pytest
-from conftest import DecayOde
+from conftest import DecayOde, Snapshots
 
 import picardopt as po
 from picardopt.engine import EngineSettings, run
-from picardopt.oracle import (Trajectory, compare_trajectories, prefix_check,
-                              solve_sequential)
+from picardopt.oracle import (StepComparison, Trajectory, compare_trajectories,
+                              prefix_check, solve_sequential)
 from picardopt.rules import make_rule
 from picardopt.state import MomentState, ParamState
 
@@ -83,14 +83,28 @@ def test_compare_length_mismatch_raises():
         compare_trajectories(traj, short)
 
 
+def test_step_comparison_takes_states_in_step_order():
+    rule = make_rule("euler_ode", DecayOde(), 1.0, total_steps=4)
+    traj, _ = solve_sequential(rule)
+    comparison = StepComparison(traj)
+    comparison.extend(traj.states[:2])
+    comparison.extend(traj.states[2:])
+    assert comparison.passed and comparison.per_step_max_delta == [0.0] * 5
+    with pytest.raises(ValueError, match="wanted 5 of 4"):
+        comparison.extend(traj.states[4:])
+    with pytest.raises(ValueError, match="wanted 0 of 4"):
+        StepComparison(traj).extend(traj.states[1:])
+
+
 def test_prefix_check_full_horizon_zero_threshold():
     prob = po.make_problem("linear_ode", dim=4, data_seed=2)
     T = 64
     rule = make_rule("euler_ode", prob, 1.0, total_steps=T)
     traj, _ = solve_sequential(rule)
-    res = run(rule, EngineSettings(window=T, workers=4, threshold0=0.0, gamma=1.0,
-                                   record_snapshots=True))
-    rep = prefix_check(traj, res.snapshots)
+    seen = Snapshots()
+    res = run(rule, EngineSettings(window=T, workers=4, threshold0=0.0, gamma=1.0),
+              observer=seen)
+    rep = prefix_check(traj, seen.snapshots)
     assert rep.passed, rep.first_failure
     assert rep.rounds_checked == res.report.rounds
 
