@@ -23,7 +23,10 @@ states and the window after it, and keeps what its caller needs.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, replace
@@ -285,6 +288,35 @@ def _config_echo(rule: UpdateRule, settings: EngineSettings) -> dict:
     }
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Let freed state arrays stay in the heap for the next round, once per
+    process, on glibc.
+
+    glibc serves a block of 128 KiB or more from mmap until the first one is
+    freed; it then raises its mmap threshold to that block's size and its
+    trim threshold to twice it, so a round that frees a window of large states
+    hands the top of the heap back to the OS and the next round's rollouts
+    grow it again on fresh zero pages.  Setting both thresholds to the
+    ceilings the dynamic ones can reach keeps those pages.  (Setting one
+    alone freezes the other where it stands, possibly at 128 KiB.)  The
+    change is process-wide.  It is skipped without glibc's ``mallopt`` and
+    when the environment already sets glibc malloc tunables
+    (``GLIBC_TUNABLES=glibc.malloc.*`` or a ``MALLOC_*_`` variable).
+    """
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "") or any(
+            name.startswith("MALLOC_") and name.endswith("_") for name in os.environ):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD (malloc.h), at the ceilings the
+    # dynamic thresholds reach on 64-bit builds.
+    if mallopt(-3, 32 << 20):
+        mallopt(-1, 64 << 20)
+
+
 def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = None,
         echo_extra: dict | None = None,
         observer: Callable[[Sequence[ParamState], Window], None] | None = None) -> EngineResult:
@@ -304,8 +336,10 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     ``observer(accepted, window)`` is called after each round with the states
     it accepted (from step 0 in the first round) and the new window: in order,
     the accepted states are the trajectory, which the run does not keep.  The
-    observer's time is not in the report's ``wall_time_ms``.
+    observer's time is not in the report's ``wall_time_ms``.  The first run in
+    a process tunes glibc's allocator (see ``_keep_freed_heap``).
     """
+    _keep_freed_heap()
     if pool is not None and (pool.n_workers, pool.seed_offset, pool.injected_cost_ms) != (
             settings.workers, settings.seed_offset, settings.injected_cost_ms):
         raise ValueError(

@@ -159,7 +159,7 @@ def rollout_one(rule: UpdateRule, d: Drift, state: ParamState) -> ParamState:
         vn, m1, m2 = kernels.adam_apply(
             state.values, moments.m1, moments.m2, d.payload, t_next, p.beta1, p.beta2, p.eps, eta
         )
-        moments = MomentState(m1, m2, t_next)
+        moments = MomentState._from_adam(m1, m2, t_next)
     elif rule.kind == SPLIT_PRUNE_SGD:
         vn = state.values - eta * d.payload
         action = rule.action_at(state.step)

@@ -75,6 +75,19 @@ class MomentState:
     def zeros(n: int) -> "MomentState":
         return MomentState(np.zeros(n), np.zeros(n), 0)
 
+    @classmethod
+    def _from_adam(cls, m1: np.ndarray, m2: np.ndarray, t: int) -> "MomentState":
+        """The moments of an Adam update at count ``t >= 1``, unscanned.
+
+        ``m2' = b2*m2 + (1-b2)*g*g`` is a sum of products of non-negative
+        numbers, so it is never negative; it is NaN only where ``m2`` was
+        inf and ``b2`` is 0, and then the update's values are NaN too and
+        the successor state rejects them.
+        """
+        out = object.__new__(cls)
+        out.__dict__.update(m1=_as_readonly_f64(m1), m2=_as_readonly_f64(m2), t=t)
+        return out
+
 
 @dataclass(frozen=True)
 class ParamState:

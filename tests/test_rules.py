@@ -88,6 +88,32 @@ def test_adam_matches_naive_bitwise():
         assert out.moments.t == et
 
 
+def test_adam_rollout_builds_its_moments_unscanned(monkeypatch):
+    rule = make_rule("adam", quad(), 0.1, total_steps=10)
+    s = ParamState(0, np.array([1.0, -2.0]), 2, MomentState.zeros(2))
+
+    def rescan(self):
+        raise AssertionError("MomentState.__post_init__ ran")
+
+    monkeypatch.setattr(MomentState, "__post_init__", rescan)
+    out = rollout_one(rule, Drift(0, np.array([0.5, -3.0]), 0), s)
+    m = out.moments
+    assert type(m) is MomentState and m.t == 1
+    assert not m.m1.flags.writeable and not m.m2.flags.writeable
+    np.testing.assert_allclose(m.m2, [0.00025, 0.009])
+    with pytest.raises(AttributeError):
+        m.t = 2
+
+
+def test_adam_rollout_with_nan_second_moment_is_poisoned():
+    # beta2 = 0 with an inf second moment gives 0 * inf = NaN: the unscanned
+    # moments pass it on, and the successor's NaN values reject it.
+    rule = make_rule("adam", quad(), 0.1, total_steps=10, adam=po.AdamParams(beta2=0.0))
+    s = ParamState(0, np.array([1.0, -2.0]), 2, MomentState(np.zeros(2), np.array([np.inf, 1.0]), 1))
+    with pytest.raises(PoisonedDrift):
+        rollout_one(rule, Drift(0, np.array([0.5, -3.0]), 0), s)
+
+
 def test_adam_moments_monotone_over_run():
     rule = make_rule("adam", quad(dim=3), 0.05, total_steps=30)
     s = initial_state(rule)

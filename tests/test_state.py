@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import sys
 
@@ -90,6 +91,17 @@ def test_nonfinite_values_rejected():
 def test_moment_length_mismatch_rejected():
     with pytest.raises(DimensionError):
         ParamState(0, np.array([1.0, 2.0]), 2, MomentState(np.zeros(3), np.zeros(3), 0))
+
+
+def test_negative_second_moment_rejected(tmp_path):
+    with pytest.raises(ValueError, match="second moments"):
+        MomentState(np.zeros(2), np.array([0.5, -1e-300]), 1)
+    # The same state read from a checkpoint file: the last 8 bytes are m2[-1].
+    buf = state_to_bytes(make_state(moments=True))
+    path = tmp_path / "negative_m2.bin"
+    path.write_bytes(struct.pack("<Q", 1) + buf[:-8] + struct.pack("<d", -0.25))
+    with pytest.raises(ValueError, match="second moments"):
+        read_states(path)
 
 
 def test_drift_nonfinite_payload_rejected():
