@@ -8,17 +8,16 @@ adaptively thresholded skip rule, trading parallel workers for fewer
 sequential rounds.
 """
 
-from .engine import (EngineResult, EngineSettings, RoundErrors, ThresholdState,
-                     Window, advance_window, compute_skip, fixed_point_distance,
-                     picard_round, run, update_threshold)
+from .engine import (EngineResult, EngineSettings, Window, advance_window, compute_skip,
+                     fixed_point_distance, picard_round, run, update_threshold)
 from .errors import (ConfigError, DimensionError, InternalConsistencyError,
                      ObjectiveError, PicardoptError, PoisonedDrift, ScheduleError)
 from .kernels import kernel_path
 from .oracle import (StepComparison, Trajectory, compare_trajectories, prefix_check,
                      solve_sequential)
-from .pool import AuxModel, WorkerPool
+from .pool import WorkerPool
 from .problems import PROBLEM_KINDS, Problem, make_problem
-from .rules import (RULE_KINDS, AdamParams, UpdateRule, drift, initial_state,
+from .rules import (RULE_KINDS, AdamParams, AuxModel, UpdateRule, drift, initial_state,
                     make_rule, rollout_one, sequential_step)
 from .schedule import ScheduleAction, split_offset
 from .state import (Drift, MomentState, ParamState, read_states, state_checksum,

@@ -75,7 +75,6 @@ class RunConfig:
     workers: int | None = None
     threshold: float | None = None
     gamma: float | None = None
-    aggregation: str | None = None
     seed_offset: int | None = None
     injected_cost_ms: float | None = None
 
@@ -102,8 +101,7 @@ SECTIONS = {
     "rule": {"kind": "rule_kind", "step_size": "step_size", "beta1": "beta1",
              "beta2": "beta2", "eps": "eps", "schedule": "schedule"},
     "engine": {"steps": "steps", "window": "window", "workers": "workers",
-               "threshold": "threshold", "gamma": "gamma",
-               "aggregation": "aggregation", "seed_offset": "seed_offset",
+               "threshold": "threshold", "gamma": "gamma", "seed_offset": "seed_offset",
                "injected_cost_ms": "injected_cost_ms"},
     "output": {"dir": "out_dir", "mode": "mode"},
     "sweep": {"axis": "sweep_axis", "values": "sweep_values"},
@@ -248,8 +246,7 @@ def engine_settings(cfg: RunConfig, *, record_trajectory: bool = False) -> Engin
     caller that wants the accepted states passes ``engine.run`` an observer."""
     if record_trajectory is not False:
         raise ValueError("record_trajectory is gone: pass engine.run an observer")
-    settings = {"threshold0" if key == "threshold" else key: getattr(cfg, name)
-                for key, name in SECTIONS["engine"].items()
+    settings = {key: getattr(cfg, name) for key, name in SECTIONS["engine"].items()
                 if key != "steps" and getattr(cfg, name) is not None}
     try:
         return EngineSettings(**settings)

@@ -5,7 +5,7 @@ in parallel at the previous iterate, rolls the successors out strictly left to
 right from the window anchor (slot 0, which is final and never recomputed),
 measures per-slot normalized squared errors against the previous iterate,
 advances the window by the skip rule, and adapts the acceptance threshold by
-an EMA of the round's errors.
+an EMA of each round's median error.
 
 Rounds are pipelined: a slot is rolled out as soon as its drift arrives, and
 once the skip is known each newly rolled-out state that the next window will
@@ -27,10 +27,10 @@ import ctypes
 import functools
 import math
 import os
+import statistics
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .schedule import reconcile_vector
 from .state import ParamState, finite_checked, with_step
 from .telemetry import RoundRecord, RunReport, finalize_report
 
-AGGREGATIONS = ("mean", "median")
 DOT_BLOCK = 8192
 
 
@@ -63,41 +62,6 @@ class Window:
     @property
     def size(self) -> int:
         return len(self.states) - 1
-
-
-@dataclass(frozen=True)
-class ThresholdState:
-    e: float
-    gamma: float
-    agg: str = "median"
-
-    def __post_init__(self):
-        if not 0.0 <= self.e < math.inf:
-            raise ValueError("threshold must be finite and >= 0")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
-        if self.agg not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-
-
-@dataclass(frozen=True)
-class RoundErrors:
-    per_slot: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_slot", tuple(float(e) for e in self.per_slot))
-        if any(e < 0.0 or not np.isfinite(e) for e in self.per_slot):
-            raise ValueError("round errors must be finite and >= 0")
-
-    @cached_property
-    def median(self) -> float:
-        """``np.median`` of the errors, bitwise: the middle value, or the mean
-        ``(a + b) / 2`` of the two middle values."""
-        ordered = sorted(self.per_slot)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return ordered[mid]
-        return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 @finite_checked
@@ -134,32 +98,33 @@ def fixed_point_distance(new: ParamState, old: ParamState, rule: UpdateRule) -> 
     return dist
 
 
-def compute_skip(errors: RoundErrors, threshold: float) -> int:
+def compute_skip(errors: Sequence[float], threshold: float) -> int:
     """Smallest slot whose error exceeds the threshold, else the window size.
 
     Always in [1, p]: the window advances at least one step per round.
     """
-    for j, err in enumerate(errors.per_slot, start=1):
+    for j, err in enumerate(errors, start=1):
         if err > threshold:
             return j
-    return len(errors.per_slot)
+    return len(errors)
 
 
-def update_threshold(ts: ThresholdState, errors: RoundErrors) -> ThresholdState:
-    agg = errors.median if ts.agg == "median" else float(np.mean(errors.per_slot))
-    e_next = ts.gamma * ts.e + (1.0 - ts.gamma) * agg
-    return replace(ts, e=e_next)
+def update_threshold(e: float, gamma: float, median: float) -> float:
+    """The next round's threshold: an EMA, with decay ``gamma``, of each
+    round's median error."""
+    return gamma * e + (1.0 - gamma) * median
 
 
 def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool,
-                 threshold: float) -> tuple[Window, RoundErrors]:
+                 threshold: float) -> tuple[tuple[ParamState, ...], tuple[float, ...]]:
     """One fixed-point refinement: parallel drifts at the previous iterate,
     then strict left-to-right rollout anchored at slot 0 (which is final and
     passes through unchanged).
 
-    Returns the next-iteration window candidate (same base) plus per-slot
-    errors for slots 1..p.  Drift payloads produced at stale-dimension guesses
-    are mapped to the rolling state's dimension before rollout.
+    Returns the round's states for steps base..base+p (slot 0 is the anchor)
+    plus the per-slot errors for slots 1..p.  Drift payloads produced at
+    stale-dimension guesses are mapped to the rolling state's dimension
+    before rollout.
 
     Slot j is rolled out and its error measured as soon as its drift arrives.
     Given the ``threshold`` the caller will skip by, the first slot whose
@@ -200,7 +165,7 @@ def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool,
         if failure is not None:
             raise failure
         raise
-    return Window(base, tuple(new)), RoundErrors(tuple(errors))
+    return tuple(new), tuple(errors)
 
 
 def advance_window(window: Window, new_states, skip: int, total_steps: int) -> Window:
@@ -234,9 +199,8 @@ class EngineSettings:
 
     window: int | None = None
     workers: int = 8
-    threshold0: float = 1e-6
+    threshold: float = 1e-6
     gamma: float | None = None
-    aggregation: str = "median"
     seed_offset: int = 0
     injected_cost_ms: float = 0.0
 
@@ -246,14 +210,17 @@ class EngineSettings:
         if self.window is None:
             self.window = max(1, self.workers - 1)
         if self.gamma is None:
-            self.gamma = 1.0 if self.threshold0 == 0.0 else 0.9
+            self.gamma = 1.0 if self.threshold == 0.0 else 0.9
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.seed_offset < 0:
             raise ValueError("seed_offset must be >= 0")
         if not 0.0 <= self.injected_cost_ms < math.inf:
             raise ValueError("injected_cost_ms must be finite and >= 0")
-        ThresholdState(self.threshold0, self.gamma, self.aggregation)  # validates
+        if not 0.0 <= self.threshold < math.inf:
+            raise ValueError("threshold must be finite and >= 0")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError("gamma must lie in [0, 1]")
 
     def is_exact(self, rule: UpdateRule) -> bool:
         """Threshold frozen at 0: the engine must match the oracle bitwise.
@@ -261,7 +228,7 @@ class EngineSettings:
         Never for ``adaptive_guidance``: its lane-local predictors see the
         engine's drifts, the oracle's predictor only the sequential ones.
         """
-        return rule.kind != ADAPTIVE_GUIDANCE and self.threshold0 == 0.0 and self.gamma == 1.0
+        return rule.kind != ADAPTIVE_GUIDANCE and self.threshold == 0.0 and self.gamma == 1.0
 
 
 @dataclass
@@ -278,12 +245,10 @@ def _config_echo(rule: UpdateRule, settings: EngineSettings) -> dict:
                  "schedule": " ".join(str(action) for action in rule.schedule)}
     if rule.adam is not None:
         echo_rule.update(asdict(rule.adam))
-    engine = {"threshold" if key == "threshold0" else key: value
-              for key, value in asdict(settings).items()}
     return {
         "problem": {"kind": rule.problem.kind, **rule.problem.settings()},
         "rule": echo_rule,
-        "engine": {"steps": rule.total_steps, **engine},
+        "engine": {"steps": rule.total_steps, **asdict(settings)},
         "kernel_path": kernels.kernel_path(),
     }
 
@@ -350,7 +315,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     theta0 = initial_state(rule)
     size0 = min(settings.window, T)
     window = Window(0, [theta0] + [with_step(theta0, j) for j in range(1, size0 + 1)])
-    ts = ThresholdState(settings.threshold0, settings.gamma, settings.aggregation)
+    threshold = settings.threshold
 
     records: list[RoundRecord] = []
     echo = {**_config_echo(rule, settings), **(echo_extra or {})}
@@ -364,13 +329,13 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     t_start = time.perf_counter()
     try:
         while window.base_step < T:
-            candidate, errors = picard_round(window, rule, pool, ts.e)
-            new_states = candidate.states
-            skip = compute_skip(errors, ts.e)
-            records.append(RoundRecord(len(records) + 1, window.base_step, skip, ts.e,
-                                       min(errors.per_slot), errors.median, max(errors.per_slot)))
+            new_states, errors = picard_round(window, rule, pool, threshold)
+            skip = compute_skip(errors, threshold)
+            median = statistics.median(errors)
+            records.append(RoundRecord(len(records) + 1, window.base_step, skip, threshold,
+                                       min(errors), median, max(errors)))
             first = 0 if window.base_step == 0 else 1
-            ts = update_threshold(ts, errors)
+            threshold = update_threshold(threshold, settings.gamma, median)
             window = advance_window(window, new_states, skip, T)
             if observer is not None:
                 t_observer = time.perf_counter()
@@ -378,7 +343,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
                 t_start += time.perf_counter() - t_observer  # not the run's time
             # The accepted states the new window does not hold go now, not
             # at the end of the next round.
-            del candidate, new_states
+            del new_states
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
         terminal = window.states[0]
         (final_loss,) = checked_losses(rule.problem, [terminal], settings.seed_offset)

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoisonedDrift
-from .pool import AuxModel
 from .problems import Problem
-from .rules import ADAPTIVE_GUIDANCE, UpdateRule, initial_state, sequential_step
+from .rules import ADAPTIVE_GUIDANCE, AuxModel, UpdateRule, initial_state, sequential_step
 from .state import ParamState, finite_checked, states_equal_bits, with_step
 
 

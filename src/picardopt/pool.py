@@ -23,27 +23,8 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 
-import numpy as np
-
 from . import rules
 from .state import Drift, ParamState
-
-
-class AuxModel:
-    """Worker-local EMA gradient predictor (control variate), decay 0.95."""
-
-    DECAY = 0.95
-
-    def __init__(self, dim: int):
-        self.ema_grad = np.zeros(dim)
-        self.updates_seen = 0
-
-    def predict(self) -> np.ndarray:
-        return self.ema_grad.copy()
-
-    def update(self, g: np.ndarray) -> None:
-        self.ema_grad = self.DECAY * self.ema_grad + (1.0 - self.DECAY) * g
-        self.updates_seen += 1
 
 
 class DriftView(Sequence):
@@ -109,7 +90,7 @@ class WorkerPool:
         self.seed_offset = seed_offset
         self.injected_cost_ms = injected_cost_ms
         # Each lane writes only its own entries, so no lock is needed.
-        self.aux_models: list[AuxModel | None] = [None] * n_workers
+        self.aux_models: list[rules.AuxModel | None] = [None] * n_workers
         self._busy_s = [0.0] * n_workers
         self._drift_counts = [0] * n_workers
         self._wait_s = 0.0
@@ -144,7 +125,7 @@ class WorkerPool:
         if rule.kind == rules.ADAPTIVE_GUIDANCE:
             aux = self.aux_models[lane]
             if aux is None:
-                aux = self.aux_models[lane] = AuxModel(state.dim)
+                aux = self.aux_models[lane] = rules.AuxModel(state.dim)
         t0 = time.perf_counter()
         try:
             if self.injected_cost_ms > 0.0:

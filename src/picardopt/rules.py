@@ -112,6 +112,20 @@ def initial_state(rule: UpdateRule) -> ParamState:
     return ParamState(0, values, rule.problem.initial_dim_tag(), moments)
 
 
+class AuxModel:
+    """Worker-local EMA gradient predictor (control variate), decay 0.95."""
+
+    DECAY = 0.95
+
+    def __init__(self, dim: int):
+        self.ema_grad = np.zeros(dim)
+        self.updates_seen = 0
+
+    def update(self, g: np.ndarray) -> None:
+        self.ema_grad = self.DECAY * self.ema_grad + (1.0 - self.DECAY) * g
+        self.updates_seen += 1
+
+
 @finite_checked
 def drift(rule: UpdateRule, state: ParamState, seed: int, aux=None, worker_id: int = -1) -> Drift:
     """Evaluate the parallelizable unit at ``state`` under a per-step seed."""
@@ -124,7 +138,7 @@ def drift(rule: UpdateRule, state: ParamState, seed: int, aux=None, worker_id: i
         if aux is None:
             raise ValueError("adaptive_guidance drift needs an auxiliary predictor")
         g = rule.problem.grad(state.values, seed)
-        payload = g - aux.predict()
+        payload = g - aux.ema_grad
         aux.update(g)
         aux_version = aux.updates_seen
     else:

@@ -58,7 +58,7 @@ def test_criterion_01_zero_threshold_exactness(problem_kind, rule_kind):
         oracle, _ = solve_sequential(rule)
         for p in WINDOWS:
             for workers in WORKER_COUNTS:
-                res = run(rule, EngineSettings(window=p, workers=workers, threshold0=0.0,
+                res = run(rule, EngineSettings(window=p, workers=workers, threshold=0.0,
                                                gamma=1.0))
                 assert states_equal_bits(res.terminal, oracle.states[-1]), \
                     f"{problem_kind}+{rule_kind} T={T} p={p} w={workers} not bitexact"
@@ -77,7 +77,7 @@ def test_criterion_02_prefix_induction(problem_kind, rule_kind, eta):
     rule = make_rule(rule_kind, problem, eta, total_steps=T)
     oracle, _ = solve_sequential(rule)
     seen = Snapshots()
-    run(rule, EngineSettings(window=T, workers=8, threshold0=0.0, gamma=1.0), observer=seen)
+    run(rule, EngineSettings(window=T, workers=8, threshold=0.0, gamma=1.0), observer=seen)
     rep = prefix_check(oracle, seen.snapshots)
     assert rep.passed, f"prefix mismatch at (round, step) {rep.first_failure}"
     print(f"ACCEPTANCE 2 [{problem_kind}+{rule_kind}]: full-horizon prefix exact for all "
@@ -90,7 +90,7 @@ def test_criterion_03_vanilla_picard_convergence():
     rule = make_rule("euler_ode", problem, 1.0, total_steps=T)
     oracle, _ = solve_sequential(rule)
     seen = Snapshots()
-    run(rule, EngineSettings(window=T, workers=8, threshold0=0.0, gamma=1.0), observer=seen)
+    run(rule, EngineSettings(window=T, workers=8, threshold=0.0, gamma=1.0), observer=seen)
     K = None
     for k, snap in enumerate(seen.snapshots, start=1):
         err = max(float(np.max(np.abs(s.values - t.values)))
@@ -116,7 +116,7 @@ def test_criterion_04_round_count_speedup(problem_kind, rule_kind, eta, noise, d
     problem = po.make_problem(problem_kind, data_seed=data_seed, noise=noise)
     rule = make_rule(rule_kind, problem, eta, total_steps=T)
     oracle, _ = solve_sequential(rule)
-    res = run(rule, EngineSettings(window=7, workers=8, threshold0=1e-6, gamma=0.9))
+    res = run(rule, EngineSettings(window=7, workers=8, threshold=1e-6, gamma=0.9))
     speedup = T / res.report.rounds
     lo = oracle.losses[-1]
     rel = abs(res.report.final_loss - lo) / abs(lo)
@@ -132,7 +132,7 @@ def test_criterion_05_dimension_change_correctness():
     rule = make_rule("split_prune_sgd", problem, 3e-4, total_steps=T,
                      schedule=split_prune_schedule(T))
     oracle, _ = solve_sequential(rule)
-    res = run(rule, EngineSettings(window=7, workers=8, threshold0=0.0, gamma=1.0))
+    res = run(rule, EngineSettings(window=7, workers=8, threshold=0.0, gamma=1.0))
     assert res.terminal.dim_tag == oracle.states[-1].dim_tag
     assert states_equal_bits(res.terminal, oracle.states[-1])
     print(f"ACCEPTANCE 5: 3 splits + 1 prune over T={T}: dim_tag "
@@ -146,7 +146,7 @@ def test_criterion_06_window_size_ablation_shape():
     _, oracle_wall = solve_sequential(rule, injected_cost_ms=20.0)
     speedups = {}
     for p in (1, 3, 5, 7, 9, 11):
-        res = run(rule, EngineSettings(window=p, workers=8, threshold0=1e-6, gamma=0.9,
+        res = run(rule, EngineSettings(window=p, workers=8, threshold=1e-6, gamma=0.9,
                                        injected_cost_ms=20.0))
         speedups[p] = oracle_wall / res.report.wall_time_ms
     best = max(speedups, key=speedups.get)
@@ -161,15 +161,15 @@ def test_criterion_07_ema_robustness():
     problem = po.make_problem("quadratic", data_seed=0, noise=0.1)
     rule = make_rule("adaptive_guidance", problem, 0.1, total_steps=T)
     e_default = 1e-6
-    base = run(rule, EngineSettings(window=7, workers=8, threshold0=e_default, gamma=0.9))
+    base = run(rule, EngineSettings(window=7, workers=8, threshold=e_default, gamma=0.9))
     kb = base.report.rounds
     ratios = {}
     for gamma in (0.2, 0.4, 0.6, 0.8):
-        res = run(rule, EngineSettings(window=7, workers=8, threshold0=e_default * 0.01,
+        res = run(rule, EngineSettings(window=7, workers=8, threshold=e_default * 0.01,
                                        gamma=gamma))
         ratios[gamma] = res.report.rounds / kb
         assert ratios[gamma] <= 1.5, f"gamma={gamma} took {ratios[gamma]:.2f}x baseline"
-    frozen = run(rule, EngineSettings(window=7, workers=8, threshold0=e_default * 0.01,
+    frozen = run(rule, EngineSettings(window=7, workers=8, threshold=e_default * 0.01,
                                       gamma=1.0))
     ratio1 = frozen.report.rounds / kb
     assert ratio1 > 3.0, f"gamma=1.0 only {ratio1:.2f}x baseline"
@@ -244,7 +244,7 @@ def test_criterion_10_progress_and_termination():
         problem = po.make_problem(kind, dim=6, data_seed=i, noise=noise)
         eta = DEFAULT_STEP_SIZES[(kind, rule_kind)]
         rule = make_rule(rule_kind, problem, eta, total_steps=T)
-        res = run(rule, EngineSettings(window=p, workers=workers, threshold0=e0,
+        res = run(rule, EngineSettings(window=p, workers=workers, threshold=e0,
                                        gamma=gamma))
         assert res.report.rounds <= T
         covered = sum(k * v for k, v in res.report.skip_histogram.items())

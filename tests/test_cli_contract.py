@@ -36,7 +36,6 @@ RUN_FLAGS = [
     ("--workers", "3", "workers", 3),
     ("--threshold", "0.001", "threshold", 0.001),
     ("--gamma", "0.5", "gamma", 0.5),
-    ("--aggregation", "mean", "aggregation", "mean"),
     ("--seed-offset", "4", "seed_offset", 4),
     ("--injected-cost-ms", "1.5", "injected_cost_ms", 1.5),
     ("--mode", "oracle", "mode", "oracle"),
@@ -71,7 +70,8 @@ def test_sweep_flag_sets_same_field(monkeypatch, flag, text, name, value):
     assert getattr(cfg, name) == value
 
 
-@pytest.mark.parametrize("flag,text", [("--compare-mode", "tolerance"), ("--compare-tol", "1e-3")])
+@pytest.mark.parametrize("flag,text", [("--compare-mode", "tolerance"), ("--compare-tol", "1e-3"),
+                                       ("--aggregation", "mean")])
 def test_compare_flags_rejected(flag, text, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", flag, text])
@@ -159,7 +159,7 @@ def test_mode_both_holds_no_state_past_its_window(tmp_path, monkeypatch):
         alive_at_start.append(sum(ref() is not None for ref in accepted))
         candidate, errors = real_round(window, rule, pool, threshold)
         skip = engine.compute_skip(errors, threshold)
-        accepted[:] = [weakref.ref(s) for s in candidate.states[1:skip]]
+        accepted[:] = [weakref.ref(s) for s in candidate[1:skip]]
         return candidate, errors
 
     monkeypatch.setattr(engine, "picard_round", watched)
@@ -230,7 +230,7 @@ def test_cli_and_library_echo_the_same_values(tmp_path):
     assert code == 0
     cli_echo = json.loads((tmp_path / "report.json").read_text())["config_echo"]
     rule = po.make_rule("adam", po.make_problem("quadratic"), 0.05, total_steps=20)
-    result = po.run(rule, po.EngineSettings(window=3, workers=2, threshold0=1e-6, gamma=0.9))
+    result = po.run(rule, po.EngineSettings(window=3, workers=2, threshold=1e-6, gamma=0.9))
     library_echo = json.loads(json.dumps(result.report.config_echo))
     assert cli_echo.pop("mode") == "engine"
     assert cli_echo == library_echo
@@ -422,7 +422,9 @@ def test_fuzz_exit_codes(pair, scale, steps, window, workers, threshold, mode):
 
 
 def test_removed_compare_section_exits_2(tmp_path, capsys):
-    ini = tmp_path / "old.ini"
-    ini.write_text("[compare]\nmode = tolerance\ntol = 1e-3\n")
-    assert cli.main(["run", "--config", str(ini), "--out", str(tmp_path)]) == 2
-    assert "compare" in capsys.readouterr().err
+    for text, key in (("[compare]\nmode = tolerance\ntol = 1e-3\n", "compare"),
+                      ("[engine]\naggregation = median\n", "engine.aggregation")):
+        ini = tmp_path / "old.ini"
+        ini.write_text(text)
+        assert cli.main(["run", "--config", str(ini), "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err

@@ -1,10 +1,12 @@
 import json
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
 from picardopt.cli import main
-from picardopt.config import engine_settings, load_config
+from picardopt.config import build_problem, build_rule, engine_settings, load_config
 from picardopt.errors import ConfigError
 from picardopt.state import read_states
 from picardopt.telemetry import reports_equal_excluding_wall
@@ -48,6 +50,16 @@ def test_config_file_parsed_with_comments(config_file):
     assert cfg.window == 3
 
 
+def test_readme_ini_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    path = tmp_path / "readme.ini"
+    path.write_text(example)
+    cfg = load_config(str(path))
+    rule = build_rule(cfg, build_problem(cfg))
+    assert (rule.problem.kind, rule.kind, rule.total_steps) == ("splat2d", "split_prune_sgd", 300)
+
+
 def test_flag_overrides_file(config_file):
     cfg = load_config(str(config_file), {"steps": 10, "gamma": 0.5})
     assert cfg.steps == 10 and cfg.gamma == 0.5
@@ -62,7 +74,7 @@ def test_window_defaults_to_workers_minus_one():
 def test_threshold_default_per_family():
     cfg = load_config(None, {"problem_kind": "quadratic"})
     assert cfg.threshold is None
-    assert engine_settings(cfg).threshold0 == 1e-6
+    assert engine_settings(cfg).threshold == 1e-6
 
 
 def test_invalid_gamma_names_field():

@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 import picardopt as po
 import picardopt.engine as engine_mod
 from picardopt import cli
-from picardopt.engine import (DOT_BLOCK, EngineSettings, RoundErrors,
-                              ThresholdState, Window, advance_window,
+from picardopt.engine import (DOT_BLOCK, EngineSettings, Window, advance_window,
                               compute_skip, fixed_point_distance, picard_round,
                               run, update_threshold)
 from picardopt.errors import DimensionError
@@ -33,22 +32,22 @@ def quad_rule(dim=4, T=50, kind="sgd", eta=0.1, noise=0.0, seed=0):
 
 
 def test_skip_first_exceedance():
-    errors = RoundErrors((1e-9, 1e-9, 2e-3, 1e-9))
+    errors = (1e-9, 1e-9, 2e-3, 1e-9)
     assert compute_skip(errors, 1e-6) == 3
 
 
 def test_skip_all_below_threshold():
-    assert compute_skip(RoundErrors((1e-9, 1e-9)), 1e-6) == 2
+    assert compute_skip((1e-9, 1e-9), 1e-6) == 2
 
 
 def test_skip_forced_minimum_progress():
-    assert compute_skip(RoundErrors((5e-6,)), 1e-6) == 1
+    assert compute_skip((5e-6,), 1e-6) == 1
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e3), min_size=1, max_size=12),
        st.floats(min_value=0, max_value=1e3))
 def test_skip_always_in_range_and_first(errors, threshold):
-    skip = compute_skip(RoundErrors(tuple(errors)), threshold)
+    skip = compute_skip(tuple(errors), threshold)
     assert 1 <= skip <= len(errors)
     assert all(e <= threshold for e in errors[: skip - 1])
     if skip < len(errors) or (errors and errors[skip - 1] > threshold):
@@ -58,27 +57,28 @@ def test_skip_always_in_range_and_first(errors, threshold):
 # --- update_threshold ----------------------------------------------------------
 
 
+def round_median(errors):
+    """The median ``engine.run`` takes of a round's errors."""
+    return engine_mod.statistics.median(errors)
+
+
 def test_threshold_ema_formula():
-    ts = ThresholdState(1e-4, 0.9, "median")
-    out = update_threshold(ts, RoundErrors((2e-4, 2e-4, 2e-4)))
-    assert out.e == pytest.approx(1.1e-4)
+    out = update_threshold(1e-4, 0.9, round_median((2e-4, 2e-4, 2e-4)))
+    assert out == pytest.approx(1.1e-4)
 
 
 def test_threshold_gamma_one_frozen():
-    ts = ThresholdState(5e-5, 1.0, "mean")
-    assert update_threshold(ts, RoundErrors((9.0, 9.0))).e == 5e-5
+    assert update_threshold(5e-5, 1.0, round_median((9.0, 9.0))) == 5e-5
 
 
 def test_threshold_gamma_zero_full_adaptation():
-    ts = ThresholdState(5e-5, 0.0, "mean")
-    assert update_threshold(ts, RoundErrors((2.0, 4.0))).e == 3.0
+    assert update_threshold(5e-5, 0.0, round_median((2.0, 4.0))) == 3.0
 
 
 @given(st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=10),
        st.lists(st.floats(min_value=0, max_value=10), min_size=1, max_size=8))
 def test_threshold_stays_nonnegative(gamma, e0, errors):
-    ts = ThresholdState(e0, gamma, "median")
-    assert update_threshold(ts, RoundErrors(tuple(errors))).e >= 0.0
+    assert update_threshold(e0, gamma, round_median(tuple(errors))) >= 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 7])
@@ -90,17 +90,16 @@ def test_round_median_equals_np_median_bitwise(n):
             errors = rng.choice(choices, size=n)
         else:
             errors = np.exp(rng.uniform(-700.0, 690.0, size=n))
-        got = RoundErrors(tuple(errors)).median
+        got = round_median(tuple(errors.tolist()))
         assert got.hex() == float(np.median(errors)).hex(), errors
 
 
 def test_threshold_validation():
-    with pytest.raises(ValueError):
-        ThresholdState(-1.0, 0.9, "median")
-    with pytest.raises(ValueError):
-        ThresholdState(0.0, 1.5, "median")
-    with pytest.raises(ValueError):
-        ThresholdState(0.0, 0.9, "mode")
+    for kwargs in (dict(threshold=-1.0), dict(threshold=float("nan")),
+                   dict(threshold=float("inf")), dict(threshold=0.0, gamma=1.5),
+                   dict(threshold=0.0, gamma=float("nan"))):
+        with pytest.raises(ValueError):
+            EngineSettings(**kwargs)
 
 
 # --- fixed_point_distance -------------------------------------------------------
@@ -180,8 +179,8 @@ def test_round_size_one_equals_sequential():
     with WorkerPool(2) as pool:
         cand, errors = picard_round(w, rule, pool, 0.0)
     expect = sequential_step(rule, theta0, 0)
-    assert states_equal_bits(cand.states[1], expect)
-    assert len(errors.per_slot) == 1
+    assert states_equal_bits(cand[1], expect)
+    assert len(errors) == 1
 
 
 def test_round_constant_guess_unrolls_euler():
@@ -192,7 +191,7 @@ def test_round_constant_guess_unrolls_euler():
     with WorkerPool(4) as pool:
         cand, _ = picard_round(w, rule, pool, 0.0)
     for tau in range(5):
-        assert cand.states[tau].values[0] == pytest.approx(1.0 - tau / 4)
+        assert cand[tau].values[0] == pytest.approx(1.0 - tau / 4)
 
 
 def test_round_exact_anchor_propagates_one_step():
@@ -202,7 +201,7 @@ def test_round_exact_anchor_propagates_one_step():
     w = Window(1, [anchor, junk])
     with WorkerPool(1) as pool:
         cand, _ = picard_round(w, rule, pool, 0.0)
-    assert states_equal_bits(cand.states[1], sequential_step(rule, anchor, 1))
+    assert states_equal_bits(cand[1], sequential_step(rule, anchor, 1))
 
 
 # --- advance_window ----------------------------------------------------------------
@@ -258,7 +257,7 @@ def test_advance_rejects_bad_skip():
 def test_run_p1_equals_oracle_exactly():
     rule = quad_rule(T=10)
     traj, _ = po.solve_sequential(rule)
-    res = run(rule, EngineSettings(window=1, workers=1, threshold0=0.0, gamma=1.0))
+    res = run(rule, EngineSettings(window=1, workers=1, threshold=0.0, gamma=1.0))
     assert res.report.rounds == 10
     assert states_equal_bits(res.terminal, traj.states[-1])
     assert res.report.skip_histogram == {1: 10}
@@ -268,7 +267,7 @@ def test_run_zero_threshold_bitexact_any_window():
     rule = quad_rule(T=40, kind="adam", eta=0.02)
     traj, _ = po.solve_sequential(rule)
     for p, w in ((3, 4), (7, 2)):
-        res = run(rule, EngineSettings(window=p, workers=w, threshold0=0.0, gamma=1.0))
+        res = run(rule, EngineSettings(window=p, workers=w, threshold=0.0, gamma=1.0))
         assert states_equal_bits(res.terminal, traj.states[-1])
         assert res.report.rounds <= 40
 
@@ -276,7 +275,7 @@ def test_run_zero_threshold_bitexact_any_window():
 def test_run_trajectory_covers_all_steps():
     rule = quad_rule(T=23)
     seen = Snapshots()
-    res = run(rule, EngineSettings(window=5, workers=2, threshold0=1e-6, gamma=0.9),
+    res = run(rule, EngineSettings(window=5, workers=2, threshold=1e-6, gamma=0.9),
               observer=seen)
     assert [s.step for s in seen.trajectory] == list(range(24))
     assert sum(k * v for k, v in res.report.skip_histogram.items()) == 23
@@ -291,7 +290,7 @@ def test_observer_sees_each_round_and_its_time_is_not_the_runs():
         assert window.base_step == accepted[-1].step
         time.sleep(0.05)
 
-    res = run(quad_rule(T=10), EngineSettings(window=1, workers=1, threshold0=0.0),
+    res = run(quad_rule(T=10), EngineSettings(window=1, workers=1, threshold=0.0),
               observer=slow)
     assert accepted_counts == [2] + [1] * 9
     assert res.report.wall_time_ms < 250  # the observer slept 500 ms
@@ -300,7 +299,7 @@ def test_observer_sees_each_round_and_its_time_is_not_the_runs():
 def test_run_anchor_monotone_in_telemetry():
     rule = quad_rule(T=30, noise=0.1)
     seen = Snapshots()
-    res = run(rule, EngineSettings(window=4, workers=2, threshold0=1e-5, gamma=0.8),
+    res = run(rule, EngineSettings(window=4, workers=2, threshold=1e-5, gamma=0.8),
               observer=seen)
     # once a step is finalized its state never changes across later snapshots
     for k, snap in enumerate(seen.snapshots[:-1]):
@@ -314,21 +313,21 @@ def test_run_worker_count_invariance():
     rule = quad_rule(T=60, noise=0.1)
     terminals = set()
     for w in (1, 2, 8):
-        res = run(rule, EngineSettings(window=6, workers=w, threshold0=1e-6, gamma=0.9))
+        res = run(rule, EngineSettings(window=6, workers=w, threshold=1e-6, gamma=0.9))
         terminals.add(po.state_checksum(res.terminal))
     assert len(terminals) == 1
 
 
 def test_run_progress_and_round_bound():
     rule = quad_rule(T=37, noise=0.1)
-    res = run(rule, EngineSettings(window=5, workers=4, threshold0=1e-3, gamma=0.5))
+    res = run(rule, EngineSettings(window=5, workers=4, threshold=1e-3, gamma=0.5))
     assert res.report.rounds <= 37
     assert all(r.skip >= 1 for r in res.records)
 
 
 def test_run_threshold_recorded_before_update():
     rule = quad_rule(T=10, noise=0.1)
-    res = run(rule, EngineSettings(window=3, workers=2, threshold0=7e-7, gamma=0.9))
+    res = run(rule, EngineSettings(window=3, workers=2, threshold=7e-7, gamma=0.9))
     assert res.records[0].threshold == 7e-7
 
 
@@ -336,7 +335,7 @@ def test_run_poisoned_attaches_partial_report():
     prob = po.make_problem("rosenbrock", dim=4)
     rule = make_rule("sgd", prob, 1e6, total_steps=50)  # diverges fast
     with pytest.raises(po.PoisonedDrift) as exc:
-        run(rule, EngineSettings(window=3, workers=2, threshold0=0.0, gamma=1.0))
+        run(rule, EngineSettings(window=3, workers=2, threshold=0.0, gamma=1.0))
     assert exc.value.partial_report.partial
     assert exc.value.partial_window is not None
 
@@ -349,13 +348,13 @@ def test_run_closes_own_pool_on_non_package_error():
     rule = make_rule("sgd", Broken(), 0.1, total_steps=10)
     before = threading.active_count()
     with pytest.raises(RuntimeError):
-        run(rule, EngineSettings(window=3, workers=4, threshold0=0.0, gamma=1.0))
+        run(rule, EngineSettings(window=3, workers=4, threshold=0.0, gamma=1.0))
     assert threading.active_count() == before
 
 
 def test_run_window_one_at_T_one():
     rule = quad_rule(T=1)
-    res = run(rule, EngineSettings(window=7, workers=2, threshold0=1e-6, gamma=0.9))
+    res = run(rule, EngineSettings(window=7, workers=2, threshold=1e-6, gamma=0.9))
     assert res.report.rounds == 1
     assert res.terminal.step == 1
 
@@ -365,7 +364,7 @@ def test_run_window_one_at_T_one():
 ])
 def test_run_rejects_pool_that_disagrees_with_settings(pool_args):
     rule = quad_rule(T=10, noise=0.1)
-    settings = EngineSettings(window=3, workers=2, threshold0=0.0, gamma=1.0)
+    settings = EngineSettings(window=3, workers=2, threshold=0.0, gamma=1.0)
     before = threading.active_count()
     with WorkerPool(**pool_args) as pool:
         with pytest.raises(ValueError, match="disagrees with the settings"):
@@ -386,11 +385,11 @@ def test_adaptive_guidance_runs_on_a_passed_pool():
 
 @pytest.mark.parametrize("kwargs,expected", [
     ({}, (7, 8, 1e-6, 0.9)),
-    (dict(workers=1, threshold0=0.0), (1, 1, 0.0, 1.0)),
+    (dict(workers=1, threshold=0.0), (1, 1, 0.0, 1.0)),
 ])
 def test_engine_settings_own_the_defaults(kwargs, expected):
     s = EngineSettings(**kwargs)
-    assert (s.window, s.workers, s.threshold0, s.gamma) == expected
+    assert (s.window, s.workers, s.threshold, s.gamma) == expected
 
 
 # --- pipelined dispatch --------------------------------------------------------
@@ -437,11 +436,11 @@ def recording_pool(n, **kwargs):
     return pool, log
 
 
-@pytest.mark.parametrize("threshold0,gamma", [(0.0, 1.0), (1e-6, 0.9)])
-def test_pipelined_run_reuses_prefetched_drifts(threshold0, gamma):
+@pytest.mark.parametrize("threshold,gamma", [(0.0, 1.0), (1e-6, 0.9)])
+def test_pipelined_run_reuses_prefetched_drifts(threshold, gamma):
     T, p = 40, 7
     rule = quad_rule(T=T, noise=0.1)
-    settings = EngineSettings(window=p, workers=2, threshold0=threshold0, gamma=gamma)
+    settings = EngineSettings(window=p, workers=2, threshold=threshold, gamma=gamma)
     pool, log = recording_pool(2)
     with pool:
         res = run(rule, settings, pool)
@@ -455,7 +454,7 @@ def test_pipelined_run_reuses_prefetched_drifts(threshold0, gamma):
     # 7 slots a round on 2 lanes: the odd slot rotates between the lanes
     assert max(served) - min(served) <= 1
     # the result does not depend on the pool (one worker, fresh pool)
-    ref = run(rule, EngineSettings(window=p, workers=1, threshold0=threshold0, gamma=gamma))
+    ref = run(rule, EngineSettings(window=p, workers=1, threshold=threshold, gamma=gamma))
     assert po.state_checksum(res.terminal) == po.state_checksum(ref.terminal)
 
 
@@ -464,7 +463,7 @@ def test_pipelined_submits_nothing_at_or_past_horizon():
         rule = quad_rule(T=T, noise=0.1)
         pool, log = recording_pool(3)
         with pool:
-            res = run(rule, EngineSettings(window=p, workers=3, threshold0=0.0, gamma=1.0), pool)
+            res = run(rule, EngineSettings(window=p, workers=3, threshold=0.0, gamma=1.0), pool)
         assert all(step < T for step, _ in log)
         assert len(log) - res.report.drift_evals == sum(1 for _, g in log if not g)
 
@@ -490,7 +489,7 @@ def test_aborted_run_drains_prefetched_work():
     # Threshold 0 prefetches every round; the drift at step 3 fails on its
     # second visit, in round 2, while round 3's drifts are in flight.
     rule = make_rule("sgd", Trap(fail=3, moved_only=True), 0.1, total_steps=20)
-    settings = EngineSettings(window=5, workers=2, threshold0=0.0, gamma=1.0,
+    settings = EngineSettings(window=5, workers=2, threshold=0.0, gamma=1.0,
                               injected_cost_ms=10.0)
     pool, log = recording_pool(2, injected_cost_ms=10.0)
     with pool:
@@ -515,7 +514,7 @@ def test_aborted_run_drains_prefetched_work():
 def test_adaptive_guidance_reproducible_for_fixed_workers():
     rule = quad_rule(T=80, kind="adaptive_guidance", noise=0.1)
     for workers in (2, 3):
-        runs = [run(rule, EngineSettings(window=7, workers=workers, threshold0=1e-6,
+        runs = [run(rule, EngineSettings(window=7, workers=workers, threshold=1e-6,
                                          gamma=0.9)) for _ in range(2)]
         assert [r.csv_line() for r in runs[0].records] == [r.csv_line() for r in runs[1].records]
         assert po.state_checksum(runs[0].terminal) == po.state_checksum(runs[1].terminal)
@@ -567,7 +566,7 @@ def test_aborted_run_counts_every_drift_served():
     rule = make_rule("sgd", problem, 0.1, total_steps=30)
     with WorkerPool(2) as pool:
         with pytest.raises(po.ObjectiveError) as exc:
-            run(rule, EngineSettings(window=5, workers=2, threshold0=0.0), pool)
+            run(rule, EngineSettings(window=5, workers=2, threshold=0.0), pool)
         served = sum(pool.timing_report()["drifts_served"])
     assert problem.calls.count(9) == 2
     assert exc.value.partial_report.drift_evals == served == len(problem.calls) == 34
@@ -691,7 +690,7 @@ def test_accepted_states_are_freed_before_the_next_round(monkeypatch):
     # slots 1..p-1 are accepted and the next window (based at slot p) holds
     # none of them.
     rule = quad_rule(dim=1000, T=40)
-    settings = EngineSettings(window=5, workers=2, threshold0=1e9, gamma=1.0)
+    settings = EngineSettings(window=5, workers=2, threshold=1e9, gamma=1.0)
     accepted: list[weakref.ref] = []
     alive_at_start = []
 
@@ -699,7 +698,7 @@ def test_accepted_states_are_freed_before_the_next_round(monkeypatch):
         alive_at_start.append(sum(ref() is not None for ref in accepted))
         candidate, errors = picard_round(window, rule, pool, threshold)
         skip = compute_skip(errors, threshold)
-        accepted[:] = [weakref.ref(s) for s in candidate.states[1:skip]]
+        accepted[:] = [weakref.ref(s) for s in candidate[1:skip]]
         return candidate, errors
 
     monkeypatch.setattr(engine_mod, "picard_round", watched)
@@ -712,7 +711,7 @@ def test_consumed_drifts_are_freed_slot_by_slot(monkeypatch):
     # Noise > 0: no slot shares a drift.  One lane: the lane has let go of
     # drift j by the time drift j + 1, which it runs next, has arrived.
     rule = quad_rule(dim=1000, T=40, noise=0.1)
-    settings = EngineSettings(window=5, workers=1, threshold0=1e-6, gamma=0.9)
+    settings = EngineSettings(window=5, workers=1, threshold=1e-6, gamma=0.9)
     previous: list[weakref.ref] = []
     alive = []
 

@@ -102,7 +102,7 @@ def test_prefix_check_full_horizon_zero_threshold():
     rule = make_rule("euler_ode", prob, 1.0, total_steps=T)
     traj, _ = solve_sequential(rule)
     seen = Snapshots()
-    res = run(rule, EngineSettings(window=T, workers=4, threshold0=0.0, gamma=1.0),
+    res = run(rule, EngineSettings(window=T, workers=4, threshold=0.0, gamma=1.0),
               observer=seen)
     rep = prefix_check(traj, seen.snapshots)
     assert rep.passed, rep.first_failure

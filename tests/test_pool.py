@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import picardopt as po
-from picardopt.pool import AuxModel, WorkerPool
-from picardopt.rules import initial_state, make_rule
+from picardopt.pool import WorkerPool
+from picardopt.rules import AuxModel, initial_state, make_rule
 from picardopt.state import ParamState, with_step
 
 
@@ -105,7 +105,7 @@ def test_aux_model_decay():
     aux = AuxModel(2)
     aux.update(np.array([1.0, 0.0]))
     aux.update(np.array([1.0, 0.0]))
-    np.testing.assert_allclose(aux.predict(), [0.05 * 0.95 + 0.05, 0.0])
+    np.testing.assert_allclose(aux.ema_grad, [0.05 * 0.95 + 0.05, 0.0])
     assert aux.updates_seen == 2
 
 
