@@ -124,7 +124,8 @@ def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool,
     Returns the round's states for steps base..base+p (slot 0 is the anchor)
     plus the per-slot errors for slots 1..p.  Drift payloads produced at
     stale-dimension guesses are mapped to the rolling state's dimension
-    before rollout.
+    before rollout, and a drift shared from another slot's state takes this
+    slot's step (its seed stays the one it was computed with).
 
     Slot j is rolled out and its error measured as soon as its drift arrives.
     Given the ``threshold`` the caller will skip by, the first slot whose
@@ -139,32 +140,39 @@ def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool,
         raise ValueError("picard_round needs a window of size >= 1")
     old = window.states
     base = window.base_step
-    drifts = pool.gather_drifts(rule, list(old[:p]))
+    futures = pool.gather_drifts(rule, list(old[:p]))
     new = [old[0]]
     errors = []
     skip = None
     next_size = 0
     try:
         for j in range(p):
-            d = drifts[j]
+            d = pool.result(futures[j])
+            futures[j] = None  # a drift a later slot shares lives until that slot is read
+            if d.step != old[j].step:
+                d = d.relabelled(old[j].step)
             rolling = new[j]
             if len(d.payload) != rolling.dim:
                 lifted = reconcile_payload(rule, d.payload, old[j].dim_tag, rolling.dim_tag, rolling.step)
                 d = replace(d, payload=lifted)
             new.append(rollout_one(rule, d, rolling))
-            drifts.release(j)
+            del d
             errors.append(fixed_point_distance(new[j + 1], old[j + 1], rule))
             if skip is None and (errors[-1] > threshold or j + 1 == p):
                 skip = j + 1
                 next_size = min(p, rule.total_steps - base - skip)  # as advance_window clamps it
             if skip is not None and j + 1 - skip < next_size:
                 pool.submit(rule, new[j + 1])
-    except BaseException:
-        failure = drifts.first_failure()
+    except BaseException as err:
+        for future in futures:  # the futures not yet read: the smallest failing slot's error wins
+            if future is not None:
+                try:
+                    pool.result(future)
+                except BaseException as exc:
+                    err = exc
+                    break
         pool.drain()
-        if failure is not None:
-            raise failure
-        raise
+        raise err
     return tuple(new), tuple(errors)
 
 
@@ -188,13 +196,14 @@ def advance_window(window: Window, new_states, skip: int, total_steps: int) -> W
     return Window(new_base, tuple(kept))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineSettings:
     """The engine's settings, and the one place their defaults live.
 
     An unset ``window`` is ``workers - 1`` (at least 1); an unset ``gamma``
     is 1.0 at threshold 0, the exact mode, so the threshold stays frozen
-    there unless asked to adapt, and 0.9 otherwise.
+    there unless asked to adapt, and 0.9 otherwise.  Frozen, so every value
+    a run reads passed ``__post_init__``'s checks.
     """
 
     window: int | None = None
@@ -208,9 +217,9 @@ class EngineSettings:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.window is None:
-            self.window = max(1, self.workers - 1)
+            object.__setattr__(self, "window", max(1, self.workers - 1))
         if self.gamma is None:
-            self.gamma = 1.0 if self.threshold == 0.0 else 0.9
+            object.__setattr__(self, "gamma", 1.0 if self.threshold == 0.0 else 0.9)
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.seed_offset < 0:
@@ -295,8 +304,9 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     however the run ends; a pool passed in must agree with ``settings`` on
     workers, seed offset and injected cost, and is reset first, so it gives
     the bits of a fresh pool.  The report's drift count, busy and wait times
-    are this run's share of the pool's counters.  ``echo_extra`` adds keys to
-    the report's ``config_echo``.
+    are this run's share of the pool's counters; the wait time is what its
+    rounds spent blocked in ``pool.result``, aborted rounds included.
+    ``echo_extra`` adds keys to the report's ``config_echo``.
 
     ``observer(accepted, window)`` is called after each round with the states
     it accepted (from step 0 in the first round) and the new window: in order,
@@ -363,8 +373,9 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
 def _report(records, T: int, echo: dict, pool: WorkerPool, counters: dict, wall_ms: float,
             final_loss: float | None = None) -> RunReport:
     """The run's report, partial when ``final_loss`` is None.  Its drift
-    count, busy and wait times are what the pool's counters grew by since
-    ``counters``, the pool's ``timing_report()`` at the start of the run."""
+    count, busy times and ``drift_wait_ms`` (time blocked in ``pool.result``)
+    are what the pool's counters grew by since ``counters``, the pool's
+    ``timing_report()`` at the start of the run."""
     now = pool.timing_report()
     return finalize_report(
         records, T, echo, final_loss=final_loss, wall_time_ms=wall_ms,

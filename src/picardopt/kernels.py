@@ -57,7 +57,8 @@ def rosenbrock_grad(x):
     return g
 
 
-def splat_field(points, grid_x, grid_y):
+def _splat(points, grid_x, grid_y):
+    """(field, d2, e, dx, dy, sig2, w) of Gaussian splats on the grid."""
     x = points[:, 0]
     y = points[:, 1]
     sig2 = np.exp(points[:, 2]) ** 2
@@ -67,19 +68,15 @@ def splat_field(points, grid_x, grid_y):
     dy = grid_y[None, :, None] - y[:, None, None]
     d2 = dx * dx + dy * dy
     e = np.exp(-d2 / (2.0 * sig2[:, None, None]))
-    return np.sum(w[:, None, None] * e, axis=0)
+    return np.sum(w[:, None, None] * e, axis=0), d2, e, dx, dy, sig2, w
+
+
+def splat_field(points, grid_x, grid_y):
+    return _splat(points, grid_x, grid_y)[0]
 
 
 def splat_loss_grad(points, grid_x, grid_y, target):
-    x = points[:, 0]
-    y = points[:, 1]
-    sig2 = np.exp(points[:, 2]) ** 2
-    w = points[:, 3]
-    dx = grid_x[None, None, :] - x[:, None, None]
-    dy = grid_y[None, :, None] - y[:, None, None]
-    d2 = dx * dx + dy * dy
-    e = np.exp(-d2 / (2.0 * sig2[:, None, None]))
-    field = np.sum(w[:, None, None] * e, axis=0)
+    field, d2, e, dx, dy, sig2, w = _splat(points, grid_x, grid_y)
     resid = field - target
     loss = float(np.sum(resid * resid))
     r = 2.0 * resid

@@ -3,11 +3,12 @@
 Workers are single-thread FIFO lanes in this process.  Every drift the pool
 starts takes the next dispatch index, counted from the last ``reset``, and
 runs on lane ``dispatch index mod n_workers``: deterministic, independent of
-timing, and balanced across rounds.  A gather returns the drifts ordered by
-slot, and reading slot j waits for slot j alone, so the caller can consume
-early slots while later ones still run.  ``submit`` alone starts drifts; a
-state whose drift input is already in flight (submitted ahead, or for an
-earlier slot of the same gather) takes that drift instead.  An optional
+timing, and balanced across rounds.  A gather returns each slot's future in
+slot order, and ``result`` waits for one future alone, so the caller can
+consume early slots while later ones still run.  ``submit`` alone starts
+drifts; a state whose drift input is already in flight (submitted ahead, or
+for an earlier slot of the same gather) takes that drift's future instead, so
+its drift may carry another step than the slot's.  An optional
 injected per-drift sleep emulates heavy accelerator workloads so wall-clock
 speedup curves are observable at desk scale.
 
@@ -20,62 +21,10 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from . import rules
 from .state import Drift, ParamState
-
-
-class DriftView(Sequence):
-    """The drifts of one gather, ordered by slot.
-
-    Item j waits for slot j only and re-raises that drift's error.  A shared
-    drift is relabelled with slot j's step and seed.  Time spent waiting is
-    added to the pool's ``wait_ms``.  Once slot j is consumed, ``release(j)``
-    lets its drift go, so a round holds only the drifts it has still to read.
-    """
-
-    def __init__(self, pool: WorkerPool, futures: list[Future], steps: list[int]):
-        self._pool = pool
-        self._futures: list[Future | None] = futures
-        self._steps = steps
-
-    def __len__(self) -> int:
-        return len(self._futures)
-
-    def _wait(self, j: int) -> Future:
-        future = self._futures[j]
-        if future is None:
-            raise LookupError(f"slot {j}'s drift was released")
-        if not future.done():
-            t0 = time.perf_counter()
-            future.exception()  # blocks until done
-            self._pool._wait_s += time.perf_counter() - t0
-        return future
-
-    def __getitem__(self, j: int) -> Drift:
-        d = self._wait(j).result()
-        step = self._steps[j]
-        if d.step != step:
-            d = d.relabelled(step, step + self._pool.seed_offset)
-        return d
-
-    def release(self, j: int) -> None:
-        """Forget slot j's drift.  A drift shared with a later slot stays
-        alive until that slot is released too."""
-        self._futures[j] = None
-
-    def first_failure(self) -> BaseException | None:
-        """Wait for every slot not yet released (those succeeded); the error of
-        the smallest failing slot, or None."""
-        for j, future in enumerate(self._futures):
-            if future is None:
-                continue
-            exc = self._wait(j).exception()
-            if exc is not None:
-                return exc
-        return None
 
 
 class WorkerPool:
@@ -130,7 +79,7 @@ class WorkerPool:
         try:
             if self.injected_cost_ms > 0.0:
                 time.sleep(self.injected_cost_ms / 1000.0)
-            return rules.drift(rule, state, state.step + self.seed_offset, aux=aux, worker_id=lane)
+            return rules.drift(rule, state, state.step + self.seed_offset, aux=aux)
         finally:  # a drift that raises is counted and timed too
             self._drift_counts[lane] += 1
             self._busy_s[lane] += time.perf_counter() - t0
@@ -151,22 +100,29 @@ class WorkerPool:
         self._in_flight[id(key)] = (key, future)
         return future
 
-    def gather_drifts(self, rule: rules.UpdateRule, states: list[ParamState]) -> DriftView:
-        """Drifts for all states, ordered by slot, without waiting for them.
+    def gather_drifts(self, rule: rules.UpdateRule, states: list[ParamState]) -> list[Future]:
+        """The future of each state's drift, in slot order, without waiting.
 
         Each slot is submitted in slot order, so it takes a drift already in
         flight for its input, or else starts one; then the table is emptied.
-        Reading the returned view waits per slot and re-raises that slot's
-        error; a slot that took another state's drift raises that drift's.
+        A slot that took another state's drift has that drift's future.
         """
         if not states:
             raise ValueError("gather_drifts needs at least one state")
-        steps = [s.step for s in states]
-        if len(set(steps)) != len(steps):
+        if len({s.step for s in states}) != len(states):
             raise ValueError("gather_drifts states must have distinct steps")
         futures = [self.submit(rule, s) for s in states]
         self._in_flight.clear()
-        return DriftView(self, futures, steps)
+        return futures
+
+    def result(self, future: Future) -> Drift:
+        """Wait for a drift and return it, or re-raise its error.  Time spent
+        blocked is added to ``wait_ms``."""
+        if not future.done():
+            t0 = time.perf_counter()
+            future.exception()  # blocks until done
+            self._wait_s += time.perf_counter() - t0
+        return future.result()
 
     def drain(self) -> None:
         """Wait until every lane has finished all work submitted so far, and
@@ -177,8 +133,8 @@ class WorkerPool:
 
     def timing_report(self) -> dict:
         """Accumulated per-lane busy time and counts of drifts evaluated for
-        the pool's lifetime, plus the time callers spent waiting on gathered
-        drifts."""
+        the pool's lifetime, plus the time callers spent blocked in
+        ``result``."""
         return {
             "n_workers": self.n_workers,
             "busy_ms": [1000.0 * s for s in self._busy_s],

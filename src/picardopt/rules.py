@@ -127,7 +127,7 @@ class AuxModel:
 
 
 @finite_checked
-def drift(rule: UpdateRule, state: ParamState, seed: int, aux=None, worker_id: int = -1) -> Drift:
+def drift(rule: UpdateRule, state: ParamState, seed: int, aux=None) -> Drift:
     """Evaluate the parallelizable unit at ``state`` under a per-step seed."""
     if state.step >= rule.total_steps:
         raise ValueError(f"state step {state.step} is at or past the horizon {rule.total_steps}")
@@ -145,7 +145,7 @@ def drift(rule: UpdateRule, state: ParamState, seed: int, aux=None, worker_id: i
         payload = rule.problem.grad(state.values, seed)
         aux_version = 0
     # Drift construction raises PoisonedDrift on non-finite payloads.
-    return Drift(state.step, payload, seed, worker_id, aux_version)
+    return Drift(state.step, payload, seed, aux_version)
 
 
 @finite_checked

@@ -128,15 +128,14 @@ class Drift:
     """Output of one computational unit evaluated at a state.
 
     ``payload`` is rule-specific (ODE drift, raw gradient, ...); ``seed`` is
-    the per-step seed it was produced under and ``worker_id`` records which
-    pool worker ran it.  ``aux_version`` carries auxiliary-predictor
-    provenance into the successor state (diagnostics only).
+    the per-step seed it was produced under.  ``aux_version`` carries
+    auxiliary-predictor provenance into the successor state (diagnostics
+    only).
     """
 
     step: int
     payload: np.ndarray
     seed: int
-    worker_id: int = -1
     aux_version: int = 0
 
     def __post_init__(self):
@@ -144,9 +143,10 @@ class Drift:
         if not np.all(np.isfinite(self.payload)):
             raise PoisonedDrift(self.step, self.seed, "drift payload contains NaN/Inf")
 
-    def relabelled(self, step: int, seed: int) -> "Drift":
-        """The same payload (shared, not re-checked) under another step and seed."""
-        return _relabelled(self, step=step, seed=seed)
+    def relabelled(self, step: int) -> "Drift":
+        """The same drift (payload shared, not re-checked) serving another
+        step; the seed stays the one it was computed with."""
+        return _relabelled(self, step=step)
 
 
 def with_step(state: ParamState, step: int) -> ParamState:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import platform
 import threading
@@ -392,6 +393,16 @@ def test_engine_settings_own_the_defaults(kwargs, expected):
     assert (s.window, s.workers, s.threshold, s.gamma) == expected
 
 
+def test_engine_settings_are_frozen():
+    # __post_init__ is the only check, so no field may change after it ran:
+    # a NaN threshold set afterwards would accept every window whole.
+    s = EngineSettings(window=7, workers=2)
+    for field in dataclasses.fields(EngineSettings):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, field.name, float("nan"))
+    assert (s.window, s.workers, s.threshold, s.gamma) == (7, 2, 1e-6, 0.9)
+
+
 # --- pipelined dispatch --------------------------------------------------------
 
 
@@ -625,13 +636,13 @@ def test_shared_slots_raise_their_sources_error(tmp_path, monkeypatch, capsys):
     theta0 = initial_state(rule)
     states = [theta0] + [with_step(theta0, j) for j in (1, 2, 3)]
     with WorkerPool(2) as pool:
-        drifts = pool.gather_drifts(rule, states)
+        futures = pool.gather_drifts(rule, states)
+        assert all(f is futures[0] for f in futures)
         errors = []
-        for j in range(4):
+        for f in futures:
             with pytest.raises(po.ObjectiveError, match="seed 0") as exc:
-                drifts[j]
+                pool.result(f)
             errors.append(exc.value)
-        assert drifts.first_failure() is errors[0]
         assert all(e is errors[0] for e in errors)
     # through the CLI: exit 3 with a partial report
     monkeypatch.setitem(po.problems.PROBLEM_KINDS, "boom", Boom)
@@ -724,6 +735,29 @@ def test_consumed_drifts_are_freed_slot_by_slot(monkeypatch):
     res = run(rule, settings)
     assert len(alive) == sum(min(5, 40 - r.base_step) for r in res.records) - 1
     assert not any(alive)
+
+
+def test_shared_drifts_are_freed_after_their_last_slot(monkeypatch):
+    # Noise 0: slots holding clones of one state share its drift.  A payload
+    # lives until the last slot sharing it is rolled out; by the time another
+    # drift, run later on the one lane, is rolled out (in this round or as
+    # the next round's slot 0), it is gone.
+    rule = quad_rule(dim=1000, T=40)
+    settings = EngineSettings(window=5, workers=1, threshold=1e-6, gamma=0.9)
+    rolled: list[weakref.ref] = []
+    shared, stale = [], []
+
+    def watched(rule, d, state):
+        shared.append(sum(ref() is d.payload for ref in rolled))
+        stale.append(sum(ref() is not None and ref() is not d.payload for ref in rolled))
+        rolled.append(weakref.ref(d.payload))
+        return rollout_one(rule, d, state)
+
+    monkeypatch.setattr(engine_mod, "rollout_one", watched)
+    res = run(rule, settings)
+    assert len(rolled) == sum(min(5, 40 - r.base_step) for r in res.records)
+    assert shared[:5] == [0, 1, 2, 3, 4]  # the first window holds clones of the initial state
+    assert not any(stale)
 
 
 # --- the freed heap -----------------------------------------------------------

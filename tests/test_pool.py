@@ -1,13 +1,12 @@
 import math
 import threading
-import weakref
 
 import numpy as np
 import pytest
 
 import picardopt as po
 from picardopt.pool import WorkerPool
-from picardopt.rules import AuxModel, initial_state, make_rule
+from picardopt.rules import AuxModel, make_rule
 from picardopt.state import ParamState, with_step
 
 
@@ -21,27 +20,51 @@ def states_for(rule, n, start=0):
     return [ParamState(start + j, rng.standard_normal(4), 4) for j in range(n)]
 
 
+def drifts_of(pool, rule, states):
+    """Each slot's drift, gathered and read through ``pool.result`` in slot order."""
+    return [pool.result(f) for f in pool.gather_drifts(rule, states)]
+
+
+class LaneRecording(po.problems.QuadraticProblem):
+    """A quadratic whose gradient records, by seed, the thread that ran it."""
+
+    def __init__(self):
+        super().__init__(dim=4)
+        self.threads = {}
+
+    def grad(self, values, seed):
+        self.threads[seed] = threading.current_thread().name
+        return super().grad(values, seed)
+
+
 def test_round_robin_assignment():
-    # the lane is the dispatch index (counted over the pool's life) mod workers
-    rule = quad_rule()
+    # the lane is the dispatch index (counted over the pool's life) mod
+    # workers; lane w is one thread, named picardopt-lane{w}_0
+    problem = LaneRecording()
+    rule = make_rule("sgd", problem, 0.1, total_steps=100)
     with WorkerPool(4) as pool:
-        first = [d.worker_id for d in pool.gather_drifts(rule, states_for(rule, 7))]
-        second = [d.worker_id for d in pool.gather_drifts(rule, states_for(rule, 3, start=7))]
-    assert first == [0, 1, 2, 3, 0, 1, 2]
-    assert second == [3, 0, 1]
+        drifts_of(pool, rule, states_for(rule, 7))
+        first = [problem.threads[seed] for seed in range(7)]
+        drifts_of(pool, rule, states_for(rule, 3, start=7))
+        second = [problem.threads[seed] for seed in range(7, 10)]
+    assert first == [f"picardopt-lane{w}_0" for w in (0, 1, 2, 3, 0, 1, 2)]
+    assert second == [f"picardopt-lane{w}_0" for w in (3, 0, 1)]
 
 
 def test_worker_ids_follow_assignment():
-    rule = quad_rule()
-    with WorkerPool(4) as pool:
-        drifts = pool.gather_drifts(rule, states_for(rule, 7))
-    assert [d.worker_id for d in drifts] == [0, 1, 2, 3, 0, 1, 2]
+    # a fresh pool puts state i on lane i mod workers, whatever the count
+    problem = LaneRecording()
+    rule = make_rule("sgd", problem, 0.1, total_steps=100)
+    with WorkerPool(3) as pool:
+        drifts_of(pool, rule, states_for(rule, 7))
+    lanes = [problem.threads[seed] for seed in range(7)]
+    assert lanes == [f"picardopt-lane{w}_0" for w in (0, 1, 2, 0, 1, 2, 0)]
 
 
 def test_results_ordered_by_step_with_correct_seeds():
     rule = quad_rule()
     with WorkerPool(3, seed_offset=11) as pool:
-        drifts = pool.gather_drifts(rule, states_for(rule, 5, start=20))
+        drifts = drifts_of(pool, rule, states_for(rule, 5, start=20))
     assert [d.step for d in drifts] == [20, 21, 22, 23, 24]
     assert all(d.seed == d.step + 11 for d in drifts)
 
@@ -52,7 +75,7 @@ def test_purity_across_worker_counts():
     payloads = []
     for n in (1, 8):
         with WorkerPool(n) as pool:
-            payloads.append(b"".join(d.payload.tobytes() for d in pool.gather_drifts(rule, states)))
+            payloads.append(b"".join(d.payload.tobytes() for d in drifts_of(pool, rule, states)))
     assert payloads[0] == payloads[1]
 
 
@@ -63,18 +86,19 @@ def test_failure_surfaces_smallest_slot():
     bad1 = ParamState(1, np.full(4, 1e200), 4)
     bad2 = ParamState(2, np.full(4, 1e200), 4)
     with WorkerPool(2) as pool:
-        drifts = pool.gather_drifts(rule, [good, bad1, bad2])
-        assert drifts[0].step == 0
+        futures = pool.gather_drifts(rule, [good, bad1, bad2])
+        assert pool.result(futures[0]).step == 0
         with pytest.raises(po.PoisonedDrift) as exc:
-            list(drifts)
-        assert drifts.first_failure() is exc.value
+            [pool.result(f) for f in futures]
+        assert futures[1].exception() is exc.value
+        assert futures[2].exception().step == 2
     assert exc.value.step == 1
 
 
 def test_busy_time_accounts_injected_cost():
     rule = quad_rule()
     with WorkerPool(1, injected_cost_ms=5.0) as pool:
-        list(pool.gather_drifts(rule, states_for(rule, 6)))
+        drifts_of(pool, rule, states_for(rule, 6))
         report = pool.timing_report()
     assert report["drifts_served"] == [6]
     assert report["busy_ms"][0] >= 6 * 5.0 * 0.9
@@ -84,7 +108,7 @@ def test_balanced_workload_busy_ratio():
     rule = quad_rule()
     with WorkerPool(4, injected_cost_ms=5.0) as pool:
         for _ in range(2):
-            list(pool.gather_drifts(rule, states_for(rule, 8)))
+            drifts_of(pool, rule, states_for(rule, 8))
         busy = pool.timing_report()["busy_ms"]
     assert max(busy) / min(busy) < 1.5
 
@@ -94,7 +118,7 @@ def test_aux_models_isolated_and_counted():
     with WorkerPool(2) as pool:
         assert pool.aux_models == [None, None]  # each lane makes its own at its first drift
         for r in range(2):
-            list(pool.gather_drifts(rule, states_for(rule, 5, start=5 * r)))
+            drifts_of(pool, rule, states_for(rule, 5, start=5 * r))
     # 10 drifts in dispatch order over 2 lanes: the fifth slot of the first
     # gather goes to lane 0, the first slot of the second to lane 1
     assert pool.aux_models[0].updates_seen == 5
@@ -121,7 +145,7 @@ def test_lanes_balanced_across_gathers():
     rule = quad_rule()
     with WorkerPool(2) as pool:
         for r in range(5):
-            list(pool.gather_drifts(rule, states_for(rule, 7, start=7 * r)))
+            drifts_of(pool, rule, states_for(rule, 7, start=7 * r))
         served = pool.timing_report()["drifts_served"]
     assert sum(served) == 35
     assert max(served) - min(served) <= 1
@@ -133,46 +157,34 @@ def test_submitted_state_is_reused_by_gather():
     with WorkerPool(2) as pool:
         early = pool.submit(rule, states[1])
         assert pool.submit(rule, states[1]) is early
-        drifts = pool.gather_drifts(rule, states)
+        futures = pool.gather_drifts(rule, states)
+        assert futures[1] is early
+        drifts = [pool.result(f) for f in futures]
         assert drifts[1] is early.result()
-        list(drifts)
         assert sum(pool.timing_report()["drifts_served"]) == 4
         # once gathered, the state is no longer in flight: a new gather recomputes
-        list(pool.gather_drifts(rule, states[:1]))
+        drifts_of(pool, rule, states[:1])
         assert sum(pool.timing_report()["drifts_served"]) == 5
 
 
 @pytest.mark.parametrize("noise,served", [(0.0, 1), (0.1, 4)])
 def test_clones_share_one_drift_relabelled(noise, served):
     # A seed-free gradient ignores the step, so with_step clones of one state
-    # take its drift, relabelled with their own step and seed.
+    # take its drift's future; relabelled to another step, the drift keeps
+    # its payload and the seed it was computed with.
     rule = quad_rule(noise=noise)
     s = states_for(rule, 1, start=5)[0]
     states = [s] + [with_step(s, 5 + j) for j in (1, 2, 3)]
     with WorkerPool(2, seed_offset=11) as pool:
-        drifts = list(pool.gather_drifts(rule, states))
+        futures = pool.gather_drifts(rule, states)
+        drifts = [pool.result(f) for f in futures]
         assert sum(pool.timing_report()["drifts_served"]) == served
-    assert [d.step for d in drifts] == [5, 6, 7, 8]
-    assert [d.seed for d in drifts] == [16, 17, 18, 19]
-    assert all((d.payload is drifts[0].payload) == (noise == 0.0) for d in drifts[1:])
-
-
-def test_released_drift_lives_while_a_later_slot_shares_it():
-    rule = quad_rule()
-    theta0 = initial_state(rule)
-    states = [theta0] + [with_step(theta0, j) for j in (1, 2)]
-    with WorkerPool(1) as pool:
-        drifts = pool.gather_drifts(rule, states)
-        payload = weakref.ref(drifts[0].payload)
-        drifts.release(0)
-        drifts.release(1)
-        pool.drain()  # the lane has let go of its work item
-        assert drifts[2].payload is payload()
-        with pytest.raises(LookupError, match="released"):
-            drifts[0]
-        drifts.release(2)
-        assert payload() is None
-        assert drifts.first_failure() is None
+    assert len({id(f) for f in futures}) == served
+    steps = [5] * 4 if noise == 0.0 else [5, 6, 7, 8]
+    assert [d.step for d in drifts] == steps
+    assert [d.seed for d in drifts] == [step + 11 for step in steps]
+    moved = drifts[0].relabelled(7)
+    assert (moved.step, moved.seed) == (7, 16) and moved.payload is drifts[0].payload
 
 
 def test_submitted_clone_serves_every_slot_holding_its_values():
@@ -183,10 +195,9 @@ def test_submitted_clone_serves_every_slot_holding_its_values():
     states = [s, with_step(s, 1), with_step(s, 2)]
     with WorkerPool(2) as pool:
         early = pool.submit(rule, states[2])
-        drifts = pool.gather_drifts(rule, states)
-        assert drifts[2] is early.result()
-        assert all(d.payload is drifts[2].payload for d in drifts)
-        assert [d.step for d in drifts] == [0, 1, 2]
+        futures = pool.gather_drifts(rule, states)
+        assert all(f is early for f in futures)
+        assert pool.result(early).step == 2
         assert sum(pool.timing_report()["drifts_served"]) == 1
 
 
@@ -205,7 +216,7 @@ def test_drain_waits_for_submitted_work():
         pool.drain()
         assert all(f.done() for f in futures)
         # drained drifts are forgotten, so a gather submits them again
-        list(pool.gather_drifts(rule, states_for(rule, 1)))
+        drifts_of(pool, rule, states_for(rule, 1))
         assert sum(pool.timing_report()["drifts_served"]) == 5
 
 
@@ -214,7 +225,7 @@ def test_close_joins_lanes():
     before = threading.active_count()
     pool = WorkerPool(3)
     pool.submit(rule, states_for(rule, 1)[0])
-    list(pool.gather_drifts(rule, states_for(rule, 3, start=1)))
+    drifts_of(pool, rule, states_for(rule, 3, start=1))
     assert threading.active_count() > before
     pool.close()
     assert threading.active_count() == before
@@ -223,7 +234,7 @@ def test_close_joins_lanes():
 def test_wait_time_counts_blocking_reads():
     rule = quad_rule()
     with WorkerPool(1, injected_cost_ms=20.0) as pool:
-        list(pool.gather_drifts(rule, states_for(rule, 2)))
+        drifts_of(pool, rule, states_for(rule, 2))
         wait_ms = pool.timing_report()["wait_ms"]
     assert 20.0 <= wait_ms
 
@@ -241,7 +252,7 @@ def test_lane_counters_under_contention():
             for r in range(20):
                 states = states_for(rule, 7, start=7 * r)
                 pool.submit(rule, states[3])
-                assert len(list(pool.gather_drifts(rule, states))) == 7
+                assert len(drifts_of(pool, rule, states)) == 7
             served = pool.timing_report()["drifts_served"]
     finally:
         sys.setswitchinterval(interval)

@@ -29,7 +29,7 @@ def test_clone_is_independent():
 
 def test_clone_and_relabel_share_checked_arrays(monkeypatch):
     s = make_state(step=2, moments=True)
-    d = Drift(2, np.array([0.5, -1.0]), seed=2, worker_id=1, aux_version=4)
+    d = Drift(2, np.array([0.5, -1.0]), seed=2, aux_version=4)
 
     def rescan(self):
         raise AssertionError("__post_init__ ran again")
@@ -39,9 +39,9 @@ def test_clone_and_relabel_share_checked_arrays(monkeypatch):
     clone = with_step(s, 5)
     assert clone.step == 5 and clone.values is s.values and clone.moments is s.moments
     assert (clone.dim_tag, clone.aux_version) == (s.dim_tag, s.aux_version)
-    moved = d.relabelled(7, 9)
-    assert (moved.step, moved.seed) == (7, 9) and moved.payload is d.payload
-    assert (moved.worker_id, moved.aux_version) == (1, 4)
+    moved = d.relabelled(7)  # the seed stays the one the drift was computed with
+    assert (moved.step, moved.seed) == (7, 2) and moved.payload is d.payload
+    assert moved.aux_version == 4
     assert (s.step, d.step, d.seed) == (2, 2, 2)
     with pytest.raises(AttributeError):
         clone.step = 3
