@@ -17,6 +17,11 @@ execution: the anchor only ever advances onto slots whose recomputation
 reproduced the previous iterate exactly, so the prefix stays exact and every
 round still advances at least one step (rounds <= total steps).
 
+A round refines its window in place: as soon as a slot's error is measured,
+the round's new state replaces the guess there, so a round holds one window,
+not the old one next to the new.  If a round fails, the window is left as
+refined so far, every slot a valid candidate for its step.
+
 The engine keeps no trajectory: ``run``'s observer sees each round's accepted
 states and the window after it, and keeps what its caller needs.
 """
@@ -46,15 +51,20 @@ from .telemetry import RoundRecord, RunReport, finalize_report
 DOT_BLOCK = 8192
 
 
-@dataclass(frozen=True)
+@dataclass
 class Window:
-    """Contiguous run of candidate states: slot 0 is the converged anchor."""
+    """Contiguous run of candidate states: slot 0 is the converged anchor.
+
+    ``states`` is a list, slot j holding step ``base_step + j``, that
+    ``picard_round`` refines in place; a caller that keeps a window's states
+    past the next round must copy the list.
+    """
 
     base_step: int
-    states: tuple[ParamState, ...]
+    states: list[ParamState]
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
+        self.states = list(self.states)
         for j, s in enumerate(self.states):
             if s.step != self.base_step + j:
                 raise ValueError(f"window slot {j} holds step {s.step}, wanted {self.base_step + j}")
@@ -116,32 +126,36 @@ def update_threshold(e: float, gamma: float, median: float) -> float:
 
 
 def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool,
-                 threshold: float) -> tuple[tuple[ParamState, ...], tuple[float, ...]]:
-    """One fixed-point refinement: parallel drifts at the previous iterate,
-    then strict left-to-right rollout anchored at slot 0 (which is final and
-    passes through unchanged).
+                 threshold: float) -> tuple[float, ...]:
+    """One fixed-point refinement of ``window``, in place: parallel drifts at
+    the previous iterate, then strict left-to-right rollout anchored at slot 0
+    (which is final and stays).
 
-    Returns the round's states for steps base..base+p (slot 0 is the anchor)
-    plus the per-slot errors for slots 1..p.  Drift payloads produced at
-    stale-dimension guesses are mapped to the rolling state's dimension
-    before rollout, and a drift shared from another slot's state takes this
-    slot's step (its seed stays the one it was computed with).
+    Returns the per-slot errors for slots 1..p.  As soon as slot j's error is
+    measured, the round's state for step base + j replaces the guess there,
+    and nothing keeps the guess, so on return the window holds the round's
+    states.  Drift payloads produced at stale-dimension guesses are mapped to
+    the rolling state's dimension before rollout, and a drift shared from
+    another slot's state takes this slot's step (its seed stays the one it
+    was computed with).
 
     Slot j is rolled out and its error measured as soon as its drift arrives.
     Given the ``threshold`` the caller will skip by, the first slot whose
     error exceeds it fixes the skip s (as ``compute_skip``), and from then on
-    each new state ``new[s + k]`` is submitted as slot k of the next window,
+    each new state at slot s + k is submitted as slot k of the next window,
     never past that window's size, so never at or past the horizon.  On
     failure all submitted drifts are drained first; the error of the
-    smallest failing drift of this round wins over a rollout error.
+    smallest failing drift of this round wins over a rollout error.  The
+    window is then as refined so far: slot 0 the anchor, each slot whose
+    error was measured the round's state, the rest the previous guesses.
     """
     p = window.size
     if p < 1:
         raise ValueError("picard_round needs a window of size >= 1")
-    old = window.states
+    states = window.states
     base = window.base_step
-    futures = pool.gather_drifts(rule, list(old[:p]))
-    new = [old[0]]
+    stale_tags = [s.dim_tag for s in states[:p]]  # each drift's payload has its guess's dimension
+    futures = pool.gather_drifts(rule, states[:p])
     errors = []
     skip = None
     next_size = 0
@@ -149,20 +163,21 @@ def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool,
         for j in range(p):
             d = pool.result(futures[j])
             futures[j] = None  # a drift a later slot shares lives until that slot is read
-            if d.step != old[j].step:
-                d = d.relabelled(old[j].step)
-            rolling = new[j]
+            if d.step != base + j:
+                d = d.relabelled(base + j)
+            rolling = states[j]
             if len(d.payload) != rolling.dim:
-                lifted = reconcile_payload(rule, d.payload, old[j].dim_tag, rolling.dim_tag, rolling.step)
+                lifted = reconcile_payload(rule, d.payload, stale_tags[j], rolling.dim_tag, rolling.step)
                 d = replace(d, payload=lifted)
-            new.append(rollout_one(rule, d, rolling))
+            refined = rollout_one(rule, d, rolling)
             del d
-            errors.append(fixed_point_distance(new[j + 1], old[j + 1], rule))
+            errors.append(fixed_point_distance(refined, states[j + 1], rule))
+            states[j + 1] = refined
             if skip is None and (errors[-1] > threshold or j + 1 == p):
                 skip = j + 1
                 next_size = min(p, rule.total_steps - base - skip)  # as advance_window clamps it
             if skip is not None and j + 1 - skip < next_size:
-                pool.submit(rule, new[j + 1])
+                pool.submit(rule, refined)
     except BaseException as err:
         for future in futures:  # the futures not yet read: the smallest failing slot's error wins
             if future is not None:
@@ -173,14 +188,13 @@ def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool,
                     break
         pool.drain()
         raise err
-    return tuple(new), tuple(errors)
+    return tuple(errors)
 
 
-def advance_window(window: Window, new_states, skip: int, total_steps: int) -> Window:
+def advance_window(window: Window, skip: int, total_steps: int) -> Window:
     """Slide the window forward by ``skip`` and refill the tail.
 
-    ``new_states`` are the round's computed states for steps base..base+p.
-    Slots beyond the old horizon are clones of the last computed state
+    Slots beyond the old horizon are clones of the window's last state
     (moments included, step re-indexed); the size is clamped so the window
     never extends past the horizon.
     """
@@ -189,11 +203,11 @@ def advance_window(window: Window, new_states, skip: int, total_steps: int) -> W
         raise ValueError(f"skip {skip} outside [1, {p}]")
     new_base = window.base_step + skip
     new_size = min(p, total_steps - new_base)
-    kept = list(new_states[skip : skip + new_size + 1])
-    last = new_states[-1]
+    kept = window.states[skip : skip + new_size + 1]
+    last = window.states[-1]
     while len(kept) < new_size + 1:
         kept.append(with_step(last, new_base + len(kept)))
-    return Window(new_base, tuple(kept))
+    return Window(new_base, kept)
 
 
 @dataclass(frozen=True)
@@ -297,13 +311,14 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     """Drive the windowed iteration from step 0 to the horizon.
 
     All window slots start as clones of the initial state.  Per round:
-    refine, skip, record telemetry, adapt the threshold (after the skip
-    decision, preserving the reference ordering), advance.  When a round or
-    the final loss fails, the partial report and current window are attached
-    to the raised error for checkpointing.  A pool created here is closed
-    however the run ends; a pool passed in must agree with ``settings`` on
-    workers, seed offset and injected cost, and is reset first, so it gives
-    the bits of a fresh pool.  The report's drift count, busy and wait times
+    refine the window in place, skip, record telemetry, adapt the threshold
+    (after the skip decision, preserving the reference ordering), advance.
+    When a round or the final loss fails, the partial report and the window
+    (for a failed round, as refined so far; see ``picard_round``) are
+    attached to the raised error for checkpointing.  A pool created here is
+    closed however the run ends; a pool passed in must agree with
+    ``settings`` on workers, seed offset and injected cost, and is reset
+    first, so it gives the bits of a fresh pool.  The report's drift count, busy and wait times
     are this run's share of the pool's counters; the wait time is what its
     rounds spent blocked in ``pool.result``, aborted rounds included.
     ``echo_extra`` adds keys to the report's ``config_echo``.
@@ -311,8 +326,10 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     ``observer(accepted, window)`` is called after each round with the states
     it accepted (from step 0 in the first round) and the new window: in order,
     the accepted states are the trajectory, which the run does not keep.  The
-    observer's time is not in the report's ``wall_time_ms``.  The first run in
-    a process tunes glibc's allocator (see ``_keep_freed_heap``).
+    next round refines that window in place, so an observer that keeps it
+    must copy its states.  The observer's time is not in the report's
+    ``wall_time_ms``.  The first run in a process tunes glibc's allocator
+    (see ``_keep_freed_heap``).
     """
     _keep_freed_heap()
     if pool is not None and (pool.n_workers, pool.seed_offset, pool.injected_cost_ms) != (
@@ -339,21 +356,21 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     t_start = time.perf_counter()
     try:
         while window.base_step < T:
-            new_states, errors = picard_round(window, rule, pool, threshold)
+            errors = picard_round(window, rule, pool, threshold)
             skip = compute_skip(errors, threshold)
             median = statistics.median(errors)
             records.append(RoundRecord(len(records) + 1, window.base_step, skip, threshold,
                                        min(errors), median, max(errors)))
-            first = 0 if window.base_step == 0 else 1
+            accepted = window.states[(0 if window.base_step == 0 else 1) : skip + 1]
             threshold = update_threshold(threshold, settings.gamma, median)
-            window = advance_window(window, new_states, skip, T)
+            window = advance_window(window, skip, T)
             if observer is not None:
                 t_observer = time.perf_counter()
-                observer(new_states[first : skip + 1], window)
+                observer(accepted, window)
                 t_start += time.perf_counter() - t_observer  # not the run's time
             # The accepted states the new window does not hold go now, not
             # at the end of the next round.
-            del new_states
+            del accepted
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
         terminal = window.states[0]
         (final_loss,) = checked_losses(rule.problem, [terminal], settings.seed_offset)

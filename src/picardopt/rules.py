@@ -163,8 +163,12 @@ def rollout_one(rule: UpdateRule, d: Drift, state: ParamState) -> ParamState:
 
     if rule.kind == EULER_ODE:
         vn = state.values + (1.0 / rule.total_steps) * d.payload
-    elif rule.kind in (SGD, ADAPTIVE_GUIDANCE):
+    elif rule.kind in (SGD, ADAPTIVE_GUIDANCE, SPLIT_PRUNE_SGD):
         vn = state.values - eta * d.payload
+        action = rule.action_at(state.step)  # only split_prune_sgd has a schedule
+        if action is not None:
+            vn = apply_action(vn, action, rule.problem.point_width, with_offset=True)
+            dim_tag = dim_tag + action.delta
     elif rule.kind == ADAM:
         if moments is None:
             raise ValueError("adam rollout requires moment state")
@@ -174,12 +178,6 @@ def rollout_one(rule: UpdateRule, d: Drift, state: ParamState) -> ParamState:
             state.values, moments.m1, moments.m2, d.payload, t_next, p.beta1, p.beta2, p.eps, eta
         )
         moments = MomentState._from_adam(m1, m2, t_next)
-    elif rule.kind == SPLIT_PRUNE_SGD:
-        vn = state.values - eta * d.payload
-        action = rule.action_at(state.step)
-        if action is not None:
-            vn = apply_action(vn, action, rule.problem.point_width, with_offset=True)
-            dim_tag = dim_tag + action.delta
     else:  # pragma: no cover - guarded by make_rule
         raise ValueError(f"unknown rule kind {rule.kind!r}")
 

@@ -157,10 +157,10 @@ def test_mode_both_holds_no_state_past_its_window(tmp_path, monkeypatch):
 
     def watched(window, rule, pool, threshold):
         alive_at_start.append(sum(ref() is not None for ref in accepted))
-        candidate, errors = real_round(window, rule, pool, threshold)
+        errors = real_round(window, rule, pool, threshold)
         skip = engine.compute_skip(errors, threshold)
-        accepted[:] = [weakref.ref(s) for s in candidate[1:skip]]
-        return candidate, errors
+        accepted[:] = [weakref.ref(s) for s in window.states[1:skip]]
+        return errors
 
     monkeypatch.setattr(engine, "picard_round", watched)
     code = cli.main(["run", "--problem", "quadratic", "--rule", "sgd", "--dim", "1000",

@@ -178,9 +178,9 @@ def test_round_size_one_equals_sequential():
     theta0 = initial_state(rule)
     w = Window(0, [theta0, with_step(theta0, 1)])
     with WorkerPool(2) as pool:
-        cand, errors = picard_round(w, rule, pool, 0.0)
+        errors = picard_round(w, rule, pool, 0.0)
     expect = sequential_step(rule, theta0, 0)
-    assert states_equal_bits(cand[1], expect)
+    assert states_equal_bits(w.states[1], expect)
     assert len(errors) == 1
 
 
@@ -190,9 +190,9 @@ def test_round_constant_guess_unrolls_euler():
     theta0 = initial_state(rule)
     w = Window(0, [theta0] + [with_step(theta0, j) for j in (1, 2, 3, 4)])
     with WorkerPool(4) as pool:
-        cand, _ = picard_round(w, rule, pool, 0.0)
+        picard_round(w, rule, pool, 0.0)
     for tau in range(5):
-        assert cand[tau].values[0] == pytest.approx(1.0 - tau / 4)
+        assert w.states[tau].values[0] == pytest.approx(1.0 - tau / 4)
 
 
 def test_round_exact_anchor_propagates_one_step():
@@ -201,55 +201,47 @@ def test_round_exact_anchor_propagates_one_step():
     junk = ParamState(2, np.full(4, 9.0), 4)
     w = Window(1, [anchor, junk])
     with WorkerPool(1) as pool:
-        cand, _ = picard_round(w, rule, pool, 0.0)
-    assert states_equal_bits(cand[1], sequential_step(rule, anchor, 1))
+        picard_round(w, rule, pool, 0.0)
+    assert states_equal_bits(w.states[1], sequential_step(rule, anchor, 1))
 
 
 # --- advance_window ----------------------------------------------------------------
 
 
-def window_of(rule, base, size):
-    s = with_step(initial_state(rule), base)
-    return Window(base, [with_step(s, base + j) for j in range(size + 1)])
+def refined_window(base, size):
+    """A window as a round leaves it: slot j holds values all equal to j."""
+    return Window(base, [ParamState(base + j, np.full(4, float(j)), 4) for j in range(size + 1)])
 
 
 def test_advance_full_skip_refills_from_last():
-    rule = quad_rule(T=100)
-    w = window_of(rule, 0, 3)
-    new_states = [ParamState(j, np.full(4, float(j)), 4) for j in range(4)]
-    out = advance_window(w, new_states, skip=3, total_steps=100)
+    w = refined_window(0, 3)
+    out = advance_window(w, skip=3, total_steps=100)
     assert out.base_step == 3 and out.size == 3
-    assert out.states[0] is new_states[3]
+    assert out.states[0] is w.states[3]
     for j in range(1, 4):
         assert np.all(out.states[j].values == 3.0)
         assert out.states[j].step == 3 + j
 
 
 def test_advance_skip_one_shifts_and_appends():
-    rule = quad_rule(T=100)
-    w = window_of(rule, 0, 3)
-    new_states = [ParamState(j, np.full(4, float(j)), 4) for j in range(4)]
-    out = advance_window(w, new_states, skip=1, total_steps=100)
+    w = refined_window(0, 3)
+    out = advance_window(w, skip=1, total_steps=100)
     assert out.base_step == 1
     assert [s.values[0] for s in out.states] == [1.0, 2.0, 3.0, 3.0]
 
 
 def test_advance_clamps_near_horizon():
-    rule = quad_rule(T=5)
-    w = window_of(rule, 2, 3)  # covers 2..5
-    new_states = [ParamState(2 + j, np.full(4, float(j)), 4) for j in range(4)]
-    out = advance_window(w, new_states, skip=2, total_steps=5)
+    w = refined_window(2, 3)  # covers 2..5
+    out = advance_window(w, skip=2, total_steps=5)
     assert out.base_step == 4
     assert out.size == 1  # clamped to T - base
     assert [s.step for s in out.states] == [4, 5]
 
 
 def test_advance_rejects_bad_skip():
-    rule = quad_rule(T=100)
-    w = window_of(rule, 0, 3)
-    new_states = list(w.states)
+    w = refined_window(0, 3)
     with pytest.raises(ValueError):
-        advance_window(w, new_states, skip=0, total_steps=100)
+        advance_window(w, skip=0, total_steps=100)
 
 
 # --- run ---------------------------------------------------------------------------
@@ -488,12 +480,52 @@ def test_round_drift_failure_wins_over_rollout_failure():
     with WorkerPool(2) as pool:
         with pytest.raises(po.ObjectiveError, match="seed 4"):
             picard_round(w, rule, pool, 0.0)
-    # without the drift failure the rollout error surfaces
+    # without the drift failure the rollout error surfaces; the failed round
+    # refined ``w``, so start again from the initial guesses
     rule = make_rule("sgd", Trap(huge=2), 10.0, total_steps=10)
+    w = Window(0, [theta0] + [with_step(theta0, j) for j in range(1, 6)])
     with WorkerPool(2) as pool:
         with pytest.raises(po.PoisonedDrift) as exc:
             picard_round(w, rule, pool, 0.0)
     assert exc.value.step == 3 and exc.value.seed == -1
+
+
+class LateTrap(Trap):
+    """Fails at step 3 once the state there has moved: in round 2 at threshold 0."""
+
+    def __init__(self, data_seed=0):  # the CLI always sets a data seed
+        super().__init__(fail=3, moved_only=True)
+
+
+def test_failed_round_checkpoints_its_window_as_refined(tmp_path, monkeypatch):
+    # Round 1 (base 0, skip 1) leaves window w at steps 1..5; round 2 reads
+    # the drifts at w[0] and w[1] and fails on w[2]'s, so slots 1 and 2 were
+    # refined and slots 3 and 4 still hold w's guesses.
+    rule = make_rule("sgd", LateTrap(), 0.1, total_steps=10)
+    settings = EngineSettings(window=4, workers=2, threshold=0.0, gamma=1.0)
+    windows = []
+    with pytest.raises(po.ObjectiveError, match="seed 3") as exc:
+        run(rule, settings, observer=lambda accepted, window: windows.append(list(window.states)))
+    (w,) = windows
+    partial = exc.value.partial_window
+    assert exc.value.partial_report.rounds == 1
+    assert partial.base_step == 1 and [s.step for s in partial.states] == [1, 2, 3, 4, 5]
+    anchor = partial.states[0]
+    assert anchor is w[0]
+    assert states_equal_bits(anchor, sequential_step(rule, initial_state(rule), 0))
+    assert states_equal_bits(partial.states[1], sequential_step(rule, anchor, 1))
+    slot2 = rollout_one(rule, po.drift(rule, w[1], 2), partial.states[1])
+    assert states_equal_bits(partial.states[2], slot2)
+    assert not states_equal_bits(partial.states[2], w[2])
+    assert partial.states[3] is w[3] and partial.states[4] is w[4]
+    # the CLI writes that window to abort_window.bin and exits 3
+    monkeypatch.setitem(po.problems.PROBLEM_KINDS, "late_trap", LateTrap)
+    code = cli.main(["run", "--problem", "late_trap", "--rule", "sgd", "--step-size", "0.1",
+                     "--steps", "10", "--window", "4", "--workers", "2", "--threshold", "0",
+                     "--out", str(tmp_path)])
+    assert code == 3
+    saved = po.read_states(tmp_path / "abort_window.bin")
+    assert len(saved) == 5 and all(map(states_equal_bits, saved, partial.states))
 
 
 def test_aborted_run_drains_prefetched_work():
@@ -707,10 +739,10 @@ def test_accepted_states_are_freed_before_the_next_round(monkeypatch):
 
     def watched(window, rule, pool, threshold):
         alive_at_start.append(sum(ref() is not None for ref in accepted))
-        candidate, errors = picard_round(window, rule, pool, threshold)
+        errors = picard_round(window, rule, pool, threshold)
         skip = compute_skip(errors, threshold)
-        accepted[:] = [weakref.ref(s) for s in candidate[1:skip]]
-        return candidate, errors
+        accepted[:] = [weakref.ref(s) for s in window.states[1:skip]]
+        return errors
 
     monkeypatch.setattr(engine_mod, "picard_round", watched)
     res = run(rule, settings)
@@ -732,6 +764,26 @@ def test_consumed_drifts_are_freed_slot_by_slot(monkeypatch):
         return rollout_one(rule, d, state)
 
     monkeypatch.setattr(engine_mod, "rollout_one", watched)
+    res = run(rule, settings)
+    assert len(alive) == sum(min(5, 40 - r.base_step) for r in res.records) - 1
+    assert not any(alive)
+
+
+def test_replaced_guesses_are_freed_slot_by_slot(monkeypatch):
+    # Noise > 0: no slot shares a drift.  One lane: slot j's guess is gone,
+    # from the window and from the lane that ran its drift, by the time slot
+    # j + 1's error is measured, in this round or as the next round's slot 1.
+    rule = quad_rule(dim=1000, T=40, noise=0.1)
+    settings = EngineSettings(window=5, workers=1, threshold=1e-6, gamma=0.9)
+    previous: list[weakref.ref] = []
+    alive = []
+
+    def watched(new, old, rule):
+        alive.extend(ref() is not None for ref in previous)
+        previous[:] = [weakref.ref(old)]
+        return fixed_point_distance(new, old, rule)
+
+    monkeypatch.setattr(engine_mod, "fixed_point_distance", watched)
     res = run(rule, settings)
     assert len(alive) == sum(min(5, 40 - r.base_step) for r in res.records) - 1
     assert not any(alive)
