@@ -17,10 +17,15 @@ execution: the anchor only ever advances onto slots whose recomputation
 reproduced the previous iterate exactly, so the prefix stays exact and every
 round still advances at least one step (rounds <= total steps).
 
-A round refines its window in place: as soon as a slot's error is measured,
-the round's new state replaces the guess there, so a round holds one window,
-not the old one next to the new.  If a round fails, the window is left as
-refined so far, every slot a valid candidate for its step.
+A round holds only what a later step reads.  It refines its window in
+place: as soon as a slot's error is measured, the round's new state replaces
+the guess there.  Once a slot's successor is rolled out and the slot is
+accepted but is not the next anchor, it leaves the window's front, so the
+window ends the round at its new anchor.  A state past the skip is a guess
+for the next round, which reads only its values, so an Adam guess is kept
+without moments.  If a round fails, the window is left as slid and refined
+so far, starting at the newest accepted state, every slot a valid candidate
+for its step.
 
 The engine keeps no trajectory: ``run``'s observer sees each round's accepted
 states and the window after it, and keeps what its caller needs.
@@ -45,7 +50,7 @@ from .oracle import checked_losses
 from .pool import WorkerPool
 from .rules import ADAPTIVE_GUIDANCE, UpdateRule, initial_state, reconcile_payload, rollout_one
 from .schedule import reconcile_vector
-from .state import ParamState, finite_checked, with_step
+from .state import ParamState, finite_checked, with_step, without_moments
 from .telemetry import RoundRecord, RunReport, finalize_report
 
 DOT_BLOCK = 8192
@@ -53,11 +58,13 @@ DOT_BLOCK = 8192
 
 @dataclass
 class Window:
-    """Contiguous run of candidate states: slot 0 is the converged anchor.
+    """Contiguous run of candidate states: slot 0 is the converged anchor,
+    with moments for Adam; the later slots are guesses, which may carry none.
 
     ``states`` is a list, slot j holding step ``base_step + j``, that
-    ``picard_round`` refines in place; a caller that keeps a window's states
-    past the next round must copy the list.
+    ``picard_round`` slides and refines in place and ``advance_window``
+    refills; a caller that keeps a window's states past the next round must
+    copy the list.
     """
 
     base_step: int
@@ -125,29 +132,34 @@ def update_threshold(e: float, gamma: float, median: float) -> float:
     return gamma * e + (1.0 - gamma) * median
 
 
-def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool,
-                 threshold: float) -> tuple[float, ...]:
+def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool, threshold: float,
+                 accepted: list[ParamState] | None = None) -> tuple[float, ...]:
     """One fixed-point refinement of ``window``, in place: parallel drifts at
-    the previous iterate, then strict left-to-right rollout anchored at slot 0
-    (which is final and stays).
+    the previous iterate, then strict left-to-right rollout anchored at slot 0.
 
     Returns the per-slot errors for slots 1..p.  As soon as slot j's error is
     measured, the round's state for step base + j replaces the guess there,
-    and nothing keeps the guess, so on return the window holds the round's
-    states.  Drift payloads produced at stale-dimension guesses are mapped to
-    the rolling state's dimension before rollout, and a drift shared from
-    another slot's state takes this slot's step (its seed stays the one it
-    was computed with).
+    and nothing keeps the guess.  The state being rolled from is held apart
+    from the window.  Drift payloads produced at stale-dimension guesses are
+    mapped to the rolling state's dimension before rollout, and a drift
+    shared from another slot's state takes this slot's step (its seed stays
+    the one it was computed with).
 
     Slot j is rolled out and its error measured as soon as its drift arrives.
     Given the ``threshold`` the caller will skip by, the first slot whose
-    error exceeds it fixes the skip s (as ``compute_skip``), and from then on
-    each new state at slot s + k is submitted as slot k of the next window,
-    never past that window's size, so never at or past the horizon.  On
-    failure all submitted drifts are drained first; the error of the
-    smallest failing drift of this round wins over a rollout error.  The
-    window is then as refined so far: slot 0 the anchor, each slot whose
-    error was measured the round's state, the rest the previous guesses.
+    error exceeds it fixes the skip s (as ``compute_skip``).  Until then,
+    once slot j + 1 is rolled out, slot j (accepted, and not the next anchor)
+    leaves the window's front, ``base_step`` moves up by one, and the slot
+    is appended to ``accepted`` when it is a list; so on return the window
+    starts at the new anchor, slot s, and is short by s slots.  Each state
+    past the skip is a guess for the next round, kept without moments
+    (``without_moments``), and each new state at slot s + k is submitted as
+    slot k of the next window, never past that window's size, so never at or
+    past the horizon.  On failure all submitted drifts are drained first; the
+    error of the smallest failing drift of this round wins over a rollout
+    error.  The window is then as slid and refined so far: slot 0 the newest
+    accepted state, each later slot whose error was measured the round's
+    state, the rest the previous guesses.
     """
     p = window.size
     if p < 1:
@@ -156,6 +168,7 @@ def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool,
     base = window.base_step
     stale_tags = [s.dim_tag for s in states[:p]]  # each drift's payload has its guess's dimension
     futures = pool.gather_drifts(rule, states[:p])
+    rolling = states[0]
     errors = []
     skip = None
     next_size = 0
@@ -165,19 +178,31 @@ def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool,
             futures[j] = None  # a drift a later slot shares lives until that slot is read
             if d.step != base + j:
                 d = d.relabelled(base + j)
-            rolling = states[j]
             if len(d.payload) != rolling.dim:
                 lifted = reconcile_payload(rule, d.payload, stale_tags[j], rolling.dim_tag, rolling.step)
                 d = replace(d, payload=lifted)
             refined = rollout_one(rule, d, rolling)
             del d
-            errors.append(fixed_point_distance(refined, states[j + 1], rule))
-            states[j + 1] = refined
-            if skip is None and (errors[-1] > threshold or j + 1 == p):
-                skip = j + 1
-                next_size = min(p, rule.total_steps - base - skip)  # as advance_window clamps it
+            slot = base + j + 1 - window.base_step  # where slot j + 1 sits in the window
+            errors.append(fixed_point_distance(refined, states[slot], rule))
+            if skip is None:
+                # Errors 1..j are within the threshold: slot j is accepted and
+                # is not the next anchor, so it leaves the window's front.
+                if accepted is not None:
+                    accepted.append(states[0])
+                del states[0]
+                window.base_step += 1
+                slot -= 1
+                states[slot] = refined
+                if errors[-1] > threshold or j + 1 == p:
+                    skip = j + 1
+                    # the next window's size, as advance_window clamps it
+                    next_size = min(p, rule.total_steps - base - skip)
+            else:
+                states[slot] = without_moments(refined)  # the next round reads its values alone
             if skip is not None and j + 1 - skip < next_size:
-                pool.submit(rule, refined)
+                pool.submit(rule, states[slot])
+            rolling = refined
     except BaseException as err:
         for future in futures:  # the futures not yet read: the smallest failing slot's error wins
             if future is not None:
@@ -192,22 +217,21 @@ def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool,
 
 
 def advance_window(window: Window, skip: int, total_steps: int) -> Window:
-    """Slide the window forward by ``skip`` and refill the tail.
+    """Refill the tail of a window that a round slid forward by ``skip``.
 
-    Slots beyond the old horizon are clones of the window's last state
-    (moments included, step re-indexed); the size is clamped so the window
-    never extends past the horizon.
+    The round left the window at its new anchor, ``skip`` slots short; the
+    tail is refilled with clones of the window's last state, without moments
+    (step re-indexed), up to the size it had, clamped so the window never
+    extends past the horizon.  Returns the window, refilled in place.
     """
-    p = window.size
-    if not 1 <= skip <= p:
-        raise ValueError(f"skip {skip} outside [1, {p}]")
-    new_base = window.base_step + skip
-    new_size = min(p, total_steps - new_base)
-    kept = window.states[skip : skip + new_size + 1]
-    last = window.states[-1]
-    while len(kept) < new_size + 1:
-        kept.append(with_step(last, new_base + len(kept)))
-    return Window(new_base, kept)
+    if skip < 1:
+        raise ValueError(f"skip {skip} is below 1")
+    states = window.states
+    size = min(window.size + skip, total_steps - window.base_step)
+    guess = without_moments(states[-1])
+    while len(states) < size + 1:
+        states.append(with_step(guess, window.base_step + len(states)))
+    return window
 
 
 @dataclass(frozen=True)
@@ -310,11 +334,12 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
         observer: Callable[[Sequence[ParamState], Window], None] | None = None) -> EngineResult:
     """Drive the windowed iteration from step 0 to the horizon.
 
-    All window slots start as clones of the initial state.  Per round:
-    refine the window in place, skip, record telemetry, adapt the threshold
-    (after the skip decision, preserving the reference ordering), advance.
-    When a round or the final loss fails, the partial report and the window
-    (for a failed round, as refined so far; see ``picard_round``) are
+    All window slots start as clones of the initial state, the guesses
+    without moments.  Per round: slide and refine the window in place, skip,
+    record telemetry, adapt the threshold (after the skip decision,
+    preserving the reference ordering), refill the window's tail.  When a
+    round or the final loss fails, the partial report and the window (for a
+    failed round, as slid and refined so far; see ``picard_round``) are
     attached to the raised error for checkpointing.  A pool created here is
     closed however the run ends; a pool passed in must agree with
     ``settings`` on workers, seed offset and injected cost, and is reset
@@ -324,12 +349,13 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     ``echo_extra`` adds keys to the report's ``config_echo``.
 
     ``observer(accepted, window)`` is called after each round with the states
-    it accepted (from step 0 in the first round) and the new window: in order,
-    the accepted states are the trajectory, which the run does not keep.  The
-    next round refines that window in place, so an observer that keeps it
-    must copy its states.  The observer's time is not in the report's
-    ``wall_time_ms``.  The first run in a process tunes glibc's allocator
-    (see ``_keep_freed_heap``).
+    it accepted (from step 0 in the first round), moments included, and the
+    new window: in order, the accepted states are the trajectory, which the
+    run does not keep.  Only with an observer does a round keep the states
+    it rolls past, for the observer.  The next round slides and refines that
+    window in place, so an observer that keeps it must copy its states.  The
+    observer's time is not in the report's ``wall_time_ms``.  The first run
+    in a process tunes glibc's allocator (see ``_keep_freed_heap``).
     """
     _keep_freed_heap()
     if pool is not None and (pool.n_workers, pool.seed_offset, pool.injected_cost_ms) != (
@@ -339,9 +365,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
             f"{pool.injected_cost_ms}) disagrees with the settings (workers {settings.workers}, "
             f"seed_offset {settings.seed_offset}, injected_cost_ms {settings.injected_cost_ms})")
     T = rule.total_steps
-    theta0 = initial_state(rule)
-    size0 = min(settings.window, T)
-    window = Window(0, [theta0] + [with_step(theta0, j) for j in range(1, size0 + 1)])
+    window = _first_window(rule, min(settings.window, T))
     threshold = settings.threshold
 
     records: list[RoundRecord] = []
@@ -356,21 +380,24 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     t_start = time.perf_counter()
     try:
         while window.base_step < T:
-            errors = picard_round(window, rule, pool, threshold)
+            base = window.base_step
+            accepted = None if observer is None else []
+            errors = picard_round(window, rule, pool, threshold, accepted)
             skip = compute_skip(errors, threshold)
             median = statistics.median(errors)
-            records.append(RoundRecord(len(records) + 1, window.base_step, skip, threshold,
+            records.append(RoundRecord(len(records) + 1, base, skip, threshold,
                                        min(errors), median, max(errors)))
-            accepted = window.states[(0 if window.base_step == 0 else 1) : skip + 1]
             threshold = update_threshold(threshold, settings.gamma, median)
             window = advance_window(window, skip, T)
             if observer is not None:
+                # The round kept the states it rolled past, the old anchor
+                # (reported last round, unless it is step 0) first.
+                if base > 0:
+                    del accepted[0]
+                accepted.append(window.states[0])
                 t_observer = time.perf_counter()
                 observer(accepted, window)
                 t_start += time.perf_counter() - t_observer  # not the run's time
-            # The accepted states the new window does not hold go now, not
-            # at the end of the next round.
-            del accepted
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
         terminal = window.states[0]
         (final_loss,) = checked_losses(rule.problem, [terminal], settings.seed_offset)
@@ -385,6 +412,13 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
 
     report = _report(records, T, echo, pool, counters, wall_ms, final_loss)
     return EngineResult(terminal, report, records)
+
+
+def _first_window(rule: UpdateRule, size: int) -> Window:
+    """The initial state and ``size`` clones of it as guesses, without moments."""
+    theta0 = initial_state(rule)
+    guess = without_moments(theta0)
+    return Window(0, [theta0] + [with_step(guess, j) for j in range(1, size + 1)])
 
 
 def _report(records, T: int, echo: dict, pool: WorkerPool, counters: dict, wall_ms: float,

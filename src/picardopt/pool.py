@@ -88,8 +88,11 @@ class WorkerPool:
         """Start the drift at ``state`` (seed ``state.step + seed_offset``) on
         the next lane, unless its input is already in flight: then return that
         drift.  The input is the values array when the rule's drift ignores
-        the step (only ``with_step`` clones share arrays, so matching by
-        identity is exact), else the state itself."""
+        the step, else the state itself.  States share a values array only
+        as ``with_step`` clones, or as a guess (``without_moments``) and the
+        full state it was cut from; such a drift reads the values alone, so
+        the same values give the same drift, and matching by identity is
+        exact."""
         key = state.values if rule.step_invariant else state
         held = self._in_flight.get(id(key))
         if held is not None:

@@ -96,7 +96,9 @@ class ParamState:
     ``dim_tag`` counts points for dimension-changing rules (len(values) ==
     dim_tag * point width); for flat problems it equals len(values).
     ``aux_version`` tags which auxiliary-predictor snapshot influenced this
-    state; diagnostics only.
+    state; diagnostics only.  An Adam state carries its ``moments``, except
+    a guess, which may carry none (``without_moments``): a fixed-point round
+    reads only a guess's values and never rolls out from it.
     """
 
     step: int
@@ -155,6 +157,12 @@ def with_step(state: ParamState, step: int) -> ParamState:
     if step < 0:
         raise ValueError("step must be >= 0")
     return _relabelled(state, step=step)
+
+
+def without_moments(state: ParamState) -> ParamState:
+    """The same state without its moments (values shared, not re-checked),
+    or ``state`` itself when it has none."""
+    return state if state.moments is None else _relabelled(state, moments=None)
 
 
 def state_checksum(state: ParamState) -> int:

@@ -152,14 +152,16 @@ def test_only_mode_both_passes_an_observer(tmp_path, monkeypatch, mode, observed
 def test_mode_both_holds_no_state_past_its_window(tmp_path, monkeypatch):
     # A frozen, huge threshold accepts every window whole, so round r's new
     # slots 1..p-1 are accepted and the next window (based at slot p) holds
-    # none of them: the comparison must have let them go.
+    # none of them.  The round keeps them for the observer, after its old
+    # anchor: the comparison must have let them go.
     real_round, accepted, alive_at_start = engine.picard_round, [], []
 
-    def watched(window, rule, pool, threshold):
+    def watched(window, rule, pool, threshold, kept):
         alive_at_start.append(sum(ref() is not None for ref in accepted))
-        errors = real_round(window, rule, pool, threshold)
+        errors = real_round(window, rule, pool, threshold, kept)
         skip = engine.compute_skip(errors, threshold)
-        accepted[:] = [weakref.ref(s) for s in window.states[1:skip]]
+        assert len(kept) == skip and kept[-1].step == window.base_step - 1
+        accepted[:] = [weakref.ref(s) for s in kept[1:]]
         return errors
 
     monkeypatch.setattr(engine, "picard_round", watched)

@@ -21,7 +21,7 @@ from picardopt.errors import DimensionError
 from picardopt.pool import WorkerPool
 from picardopt.rules import initial_state, make_rule, rollout_one, sequential_step
 from picardopt.schedule import ScheduleAction, apply_action
-from picardopt.state import ParamState, states_equal_bits, with_step
+from picardopt.state import MomentState, ParamState, states_equal_bits, with_step
 
 
 def quad_rule(dim=4, T=50, kind="sgd", eta=0.1, noise=0.0, seed=0):
@@ -177,22 +177,33 @@ def test_round_size_one_equals_sequential():
     rule = quad_rule(T=10)
     theta0 = initial_state(rule)
     w = Window(0, [theta0, with_step(theta0, 1)])
+    accepted = []
     with WorkerPool(2) as pool:
-        errors = picard_round(w, rule, pool, 0.0)
+        errors = picard_round(w, rule, pool, 0.0, accepted)
     expect = sequential_step(rule, theta0, 0)
-    assert states_equal_bits(w.states[1], expect)
+    # the window slid onto its new anchor, and the old one left its front
+    assert w.base_step == 1 and len(w.states) == 1
+    assert states_equal_bits(w.states[0], expect)
+    assert len(accepted) == 1 and accepted[0] is theta0
     assert len(errors) == 1
 
 
 def test_round_constant_guess_unrolls_euler():
-    # f(x) = -x, theta0 = 1, T = 4: after one full-window round slot tau holds 1 - tau/4
+    # f(x) = -x, theta0 = 1, T = 4: after one full-window round slot tau holds
+    # 1 - tau/4.  Every error is positive, so the round skips by one: slot 0
+    # leaves the window, which then holds slots 1..4.
     rule = make_rule("euler_ode", DecayOde(), 1.0, total_steps=4)
     theta0 = initial_state(rule)
     w = Window(0, [theta0] + [with_step(theta0, j) for j in (1, 2, 3, 4)])
+    accepted = []
     with WorkerPool(4) as pool:
-        picard_round(w, rule, pool, 0.0)
+        picard_round(w, rule, pool, 0.0, accepted)
+    assert accepted == [theta0] and w.base_step == 1
+    slots = accepted + w.states
+    assert len(slots) == 5
     for tau in range(5):
-        assert w.states[tau].values[0] == pytest.approx(1.0 - tau / 4)
+        assert slots[tau].step == tau
+        assert slots[tau].values[0] == pytest.approx(1.0 - tau / 4)
 
 
 def test_round_exact_anchor_propagates_one_step():
@@ -202,44 +213,55 @@ def test_round_exact_anchor_propagates_one_step():
     w = Window(1, [anchor, junk])
     with WorkerPool(1) as pool:
         picard_round(w, rule, pool, 0.0)
-    assert states_equal_bits(w.states[1], sequential_step(rule, anchor, 1))
+    assert w.base_step == 2 and len(w.states) == 1
+    assert states_equal_bits(w.states[0], sequential_step(rule, anchor, 1))
 
 
 # --- advance_window ----------------------------------------------------------------
 
 
-def refined_window(base, size):
-    """A window as a round leaves it: slot j holds values all equal to j."""
-    return Window(base, [ParamState(base + j, np.full(4, float(j)), 4) for j in range(size + 1)])
+def slid_window(base, skip, size):
+    """A window as a round of ``size`` slots at ``base`` that skipped by
+    ``skip`` leaves it: slots skip..size, slot j holding values all equal to
+    j, the anchor with Adam moments."""
+    anchor = ParamState(base + skip, np.full(4, float(skip)), 4, MomentState.zeros(4))
+    return Window(base + skip, [anchor] + [ParamState(base + j, np.full(4, float(j)), 4)
+                                           for j in range(skip + 1, size + 1)])
 
 
 def test_advance_full_skip_refills_from_last():
-    w = refined_window(0, 3)
+    w = slid_window(0, 3, 3)
+    anchor = w.states[0]
     out = advance_window(w, skip=3, total_steps=100)
     assert out.base_step == 3 and out.size == 3
-    assert out.states[0] is w.states[3]
+    assert out.states[0] is anchor and anchor.moments is not None
     for j in range(1, 4):
         assert np.all(out.states[j].values == 3.0)
         assert out.states[j].step == 3 + j
+        # a refilled slot is a guess: the anchor's values, without its moments
+        assert out.states[j].values is anchor.values and out.states[j].moments is None
 
 
 def test_advance_skip_one_shifts_and_appends():
-    w = refined_window(0, 3)
+    w = slid_window(0, 1, 3)
     out = advance_window(w, skip=1, total_steps=100)
     assert out.base_step == 1
     assert [s.values[0] for s in out.states] == [1.0, 2.0, 3.0, 3.0]
 
 
 def test_advance_clamps_near_horizon():
-    w = refined_window(2, 3)  # covers 2..5
+    w = slid_window(2, 2, 3)  # covered 2..5, now 4..5
     out = advance_window(w, skip=2, total_steps=5)
     assert out.base_step == 4
     assert out.size == 1  # clamped to T - base
     assert [s.step for s in out.states] == [4, 5]
+    # a full skip refills the tail only up to the horizon
+    out = advance_window(slid_window(0, 3, 3), skip=3, total_steps=5)
+    assert out.base_step == 3 and [s.step for s in out.states] == [3, 4, 5]
 
 
 def test_advance_rejects_bad_skip():
-    w = refined_window(0, 3)
+    w = slid_window(0, 1, 3)
     with pytest.raises(ValueError):
         advance_window(w, skip=0, total_steps=100)
 
@@ -499,8 +521,9 @@ class LateTrap(Trap):
 
 def test_failed_round_checkpoints_its_window_as_refined(tmp_path, monkeypatch):
     # Round 1 (base 0, skip 1) leaves window w at steps 1..5; round 2 reads
-    # the drifts at w[0] and w[1] and fails on w[2]'s, so slots 1 and 2 were
-    # refined and slots 3 and 4 still hold w's guesses.
+    # the drifts at w[0] and w[1] and fails on w[2]'s.  Round 2's slot 1
+    # (step 2) missed w[1], so it is the new anchor: w[0] left the window's
+    # front, slot 2 was refined and slots 3 and 4 still hold w's guesses.
     rule = make_rule("sgd", LateTrap(), 0.1, total_steps=10)
     settings = EngineSettings(window=4, workers=2, threshold=0.0, gamma=1.0)
     windows = []
@@ -509,15 +532,16 @@ def test_failed_round_checkpoints_its_window_as_refined(tmp_path, monkeypatch):
     (w,) = windows
     partial = exc.value.partial_window
     assert exc.value.partial_report.rounds == 1
-    assert partial.base_step == 1 and [s.step for s in partial.states] == [1, 2, 3, 4, 5]
+    assert [s.step for s in w] == [1, 2, 3, 4, 5]
+    assert partial.base_step == 2 and [s.step for s in partial.states] == [2, 3, 4, 5]
+    assert states_equal_bits(w[0], sequential_step(rule, initial_state(rule), 0))
     anchor = partial.states[0]
-    assert anchor is w[0]
-    assert states_equal_bits(anchor, sequential_step(rule, initial_state(rule), 0))
-    assert states_equal_bits(partial.states[1], sequential_step(rule, anchor, 1))
-    slot2 = rollout_one(rule, po.drift(rule, w[1], 2), partial.states[1])
-    assert states_equal_bits(partial.states[2], slot2)
-    assert not states_equal_bits(partial.states[2], w[2])
-    assert partial.states[3] is w[3] and partial.states[4] is w[4]
+    assert states_equal_bits(anchor, sequential_step(rule, w[0], 1))
+    assert not states_equal_bits(anchor, w[1])
+    slot2 = rollout_one(rule, po.drift(rule, w[1], 2), anchor)
+    assert states_equal_bits(partial.states[1], slot2)
+    assert not states_equal_bits(partial.states[1], w[2])
+    assert partial.states[2] is w[3] and partial.states[3] is w[4]
     # the CLI writes that window to abort_window.bin and exits 3
     monkeypatch.setitem(po.problems.PROBLEM_KINDS, "late_trap", LateTrap)
     code = cli.main(["run", "--problem", "late_trap", "--rule", "sgd", "--step-size", "0.1",
@@ -525,7 +549,7 @@ def test_failed_round_checkpoints_its_window_as_refined(tmp_path, monkeypatch):
                      "--out", str(tmp_path)])
     assert code == 3
     saved = po.read_states(tmp_path / "abort_window.bin")
-    assert len(saved) == 5 and all(map(states_equal_bits, saved, partial.states))
+    assert len(saved) == 4 and all(map(states_equal_bits, saved, partial.states))
 
 
 def test_aborted_run_drains_prefetched_work():
@@ -729,25 +753,107 @@ def test_distance_bits_independent_of_blas_threads():
 
 
 def test_accepted_states_are_freed_before_the_next_round(monkeypatch):
-    # A frozen, huge threshold accepts every window whole, so round r's new
-    # slots 1..p-1 are accepted and the next window (based at slot p) holds
-    # none of them.
+    # A frozen, huge threshold accepts every window whole: each round rolls
+    # past its anchor and its new slots 1..p-1, which leave the window, so
+    # the next window (based at slot p) holds none of them.  They are gone
+    # when the round returns, and so still when the next one starts.
     rule = quad_rule(dim=1000, T=40)
     settings = EngineSettings(window=5, workers=2, threshold=1e9, gamma=1.0)
     accepted: list[weakref.ref] = []
-    alive_at_start = []
+    rolled: list[weakref.ref] = []
+    alive_at_end, alive_at_start = [], []
 
-    def watched(window, rule, pool, threshold):
+    def watched_rollout(rule, d, state):
+        out = rollout_one(rule, d, state)
+        rolled.append(weakref.ref(out))
+        return out
+
+    def watched(window, rule, pool, threshold, kept=None):
         alive_at_start.append(sum(ref() is not None for ref in accepted))
-        errors = picard_round(window, rule, pool, threshold)
+        rolled.clear()
+        anchor = weakref.ref(window.states[0])
+        errors = picard_round(window, rule, pool, threshold, kept)
         skip = compute_skip(errors, threshold)
-        accepted[:] = [weakref.ref(s) for s in window.states[1:skip]]
+        assert len(rolled) == skip and rolled[-1]() is window.states[0]
+        accepted[:] = [anchor] + rolled[:-1]
+        alive_at_end.append(sum(ref() is not None for ref in accepted))
         return errors
 
+    monkeypatch.setattr(engine_mod, "rollout_one", watched_rollout)
     monkeypatch.setattr(engine_mod, "picard_round", watched)
     res = run(rule, settings)
     assert res.report.rounds == 8 and set(res.report.skip_histogram) == {5}
+    assert alive_at_end == [0] * 8
     assert alive_at_start == [0] * 8
+
+
+@pytest.mark.parametrize("threshold,gamma,noise", [(0.0, 1.0, 0.0), (1e-6, 0.9, 0.1),
+                                                   (1e9, 1.0, 0.0)])
+def test_a_round_holds_only_what_a_later_step_reads(monkeypatch, threshold, gamma, noise):
+    # Adam, no observer.  At each rollout, every state rolled from or out so
+    # far with a step behind the state being rolled from is gone, unless it
+    # is the window's anchor: the accepted states left the window as the
+    # round rolled past them, and a guess keeps only the values of the full
+    # state it was cut from.  One lane, so a finished drift's input is let
+    # go before the next drift is served.
+    rule = quad_rule(dim=1000, T=40, kind="adam", eta=0.02, noise=noise)
+    settings = EngineSettings(window=5, workers=1, threshold=threshold, gamma=gamma)
+    windows: list[Window] = []
+    seen: list[tuple[int, weakref.ref]] = []
+    behind, alive, moments = [], [], []
+
+    def only_the_anchor_has_moments(window):
+        return (window.states[0].moments is not None
+                and all(s.moments is None for s in window.states[1:]))
+
+    def watched_rollout(rule, d, state):
+        front = windows[0].states[0]
+        refs = [ref for step, ref in seen if step < state.step]
+        behind.append(len(refs))
+        alive.append(sum(ref() is not None and ref() is not front for ref in refs))
+        out = rollout_one(rule, d, state)
+        seen.extend([(state.step, weakref.ref(state)), (out.step, weakref.ref(out))])
+        return out
+
+    def watched(window, rule, pool, threshold, accepted=None):
+        assert accepted is None
+        windows[:] = [window]
+        moments.append(only_the_anchor_has_moments(window))
+        errors = picard_round(window, rule, pool, threshold, accepted)
+        moments.append(only_the_anchor_has_moments(window))
+        return errors
+
+    monkeypatch.setattr(engine_mod, "rollout_one", watched_rollout)
+    monkeypatch.setattr(engine_mod, "picard_round", watched)
+    res = run(rule, settings)
+    assert len(alive) == sum(min(5, 40 - r.base_step) for r in res.records)
+    assert sum(behind) > len(behind) and not any(alive)
+    assert len(moments) == 2 * res.report.rounds and all(moments)
+    ref = run(rule, settings)  # unwatched: the same bits
+    assert po.state_checksum(res.terminal) == po.state_checksum(ref.terminal)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("problem,settings,eta", [
+    ("quadratic", dict(dim=20), 0.02),
+    ("tiny_mlp", dict(noise=0.5), 0.01),
+])
+def test_observer_gets_the_oracles_states_with_moments(problem, settings, eta, workers):
+    rule = make_rule("adam", po.make_problem(problem, **settings), eta, total_steps=60)
+    traj, _ = po.solve_sequential(rule)
+    got, guesses = [], []
+
+    def observer(accepted, window):
+        got.extend(accepted)
+        assert window.states[0] is accepted[-1]
+        guesses.extend(s.moments is None for s in window.states[1:])
+
+    res = run(rule, EngineSettings(window=7, workers=workers, threshold=0.0), observer=observer)
+    assert res.report.rounds < 60
+    assert [s.step for s in got] == list(range(61))
+    assert all(s.moments is not None for s in got)
+    assert all(map(states_equal_bits, got, traj.states))
+    assert guesses and all(guesses)  # the window's guesses carry no moments
 
 
 def test_consumed_drifts_are_freed_slot_by_slot(monkeypatch):
