@@ -13,14 +13,13 @@ from .engine import (EngineResult, EngineSettings, Window, advance_window, compu
 from .errors import (ConfigError, DimensionError, InternalConsistencyError,
                      ObjectiveError, PicardoptError, PoisonedDrift, ScheduleError)
 from .kernels import kernel_path
-from .oracle import (StepComparison, Trajectory, compare_trajectories, prefix_check,
-                     solve_sequential)
+from .oracle import SequentialRun, StepComparison, solve_sequential
 from .pool import WorkerPool
 from .problems import PROBLEM_KINDS, Problem, make_problem
 from .rules import (RULE_KINDS, AdamParams, AuxModel, UpdateRule, drift, initial_state,
                     make_rule, rollout_one, sequential_step)
 from .schedule import ScheduleAction, split_offset
-from .state import (Drift, MomentState, ParamState, read_states, state_checksum,
+from .state import (Drift, MomentState, ParamState, iter_states, state_checksum,
                     states_equal_bits, write_states)
 from .telemetry import RoundRecord, RunReport, finalize_report
 

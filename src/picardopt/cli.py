@@ -27,8 +27,8 @@ from .config import (OPTIONS, SWEEP_AXES, RunConfig, build_problem, build_rule,
                      engine_settings, load_config, sweep_points)
 from .engine import run as engine_run
 from .errors import ConfigError, ObjectiveError, PicardoptError, PoisonedDrift
-from .oracle import StepComparison, Trajectory, solve_sequential
-from .state import state_checksum, states_equal_bits, write_states
+from .oracle import StepComparison, solve_sequential
+from .state import iter_states, state_checksum, state_writer, states_equal_bits, write_states
 from .telemetry import write_report_json, write_rounds_csv
 
 EXIT_OK = 0
@@ -53,11 +53,6 @@ def _add_config_flags(p: argparse.ArgumentParser, sweep: bool) -> None:
                            metavar=key.upper(), help=f"overrides [{section}] {key}")
 
 
-def _write_losses_csv(path, traj: Trajectory) -> None:
-    lines = ["step,loss"] + [f"{i},{loss!r}" for i, loss in enumerate(traj.losses)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def cmd_run(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -65,19 +60,23 @@ def cmd_run(cfg: RunConfig) -> int:
     rule = build_rule(cfg, problem)
     settings = engine_settings(cfg)
 
-    oracle_traj = oracle_wall = None
+    oracle = oracle_wall = None
+    trajectory_path = out / "oracle_trajectory.bin"
     if cfg.mode in ("oracle", "both"):
-        oracle_traj, oracle_wall = solve_sequential(
-            rule, seed_offset=settings.seed_offset, injected_cost_ms=settings.injected_cost_ms
-        )
-        write_states(out / "oracle_trajectory.bin", oracle_traj.states)
-        _write_losses_csv(out / "oracle_losses.csv", oracle_traj)
+        # Written one state at a time; a failed oracle leaves no file.
+        with state_writer(trajectory_path, rule.total_steps + 1) as write:
+            oracle, oracle_wall = solve_sequential(
+                rule, seed_offset=settings.seed_offset,
+                injected_cost_ms=settings.injected_cost_ms, observer=write)
+        lines = ["step,loss"] + [f"{i},{loss!r}" for i, loss in enumerate(oracle.losses)]
+        (out / "oracle_losses.csv").write_text("\n".join(lines) + "\n")
 
     if cfg.mode == "oracle":
         return EXIT_OK
 
-    # --mode both compares each state as the engine accepts it, keeping none.
-    comparison = StepComparison(oracle_traj) if cfg.mode == "both" else None
+    # --mode both compares each state as the engine accepts it with the
+    # oracle's, read back from its file; neither side is kept.
+    comparison = StepComparison(iter_states(trajectory_path)) if cfg.mode == "both" else None
     observer = None if comparison is None else lambda accepted, _: comparison.extend(accepted)
     try:
         result = engine_run(rule, settings, echo_extra={"mode": cfg.mode}, observer=observer)
@@ -97,7 +96,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
     if comparison is not None:
         payload = comparison.to_json_dict()
-        lo, le = oracle_traj.losses[-1], result.report.final_loss
+        lo, le = oracle.losses[-1], result.report.final_loss
         payload.update(oracle_final_loss=lo, engine_final_loss=le,
                        final_loss_rel_diff=abs(le - lo) / max(abs(lo), 1e-300))
         (out / "compare.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -203,10 +202,10 @@ def cmd_verify(manifest_path: str | None) -> int:
         problem = build_problem(cfg)
         rule = build_rule(cfg, problem)
         settings = engine_settings(cfg)
-        oracle_traj, _ = solve_sequential(rule, seed_offset=settings.seed_offset)
+        oracle, _ = solve_sequential(rule, seed_offset=settings.seed_offset)
         result = engine_run(rule, settings)
         got = state_checksum(result.terminal)
-        exact = states_equal_bits(result.terminal, oracle_traj.states[-1])
+        exact = states_equal_bits(result.terminal, oracle.terminal)
         ok = exact and got == expected
         all_ok &= ok
         detail = f"checksum {got:016x}"

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import kernels
 from .errors import PicardoptError, PoisonedDrift
-from .oracle import checked_losses
+from .oracle import checked_loss
 from .pool import WorkerPool
 from .rules import ADAPTIVE_GUIDANCE, UpdateRule, initial_state, reconcile_payload, rollout_one
 from .schedule import reconcile_vector
@@ -400,7 +400,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
                 t_start += time.perf_counter() - t_observer  # not the run's time
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
         terminal = window.states[0]
-        (final_loss,) = checked_losses(rule.problem, [terminal], settings.seed_offset)
+        final_loss = checked_loss(rule.problem, terminal, settings.seed_offset)
     except PicardoptError as err:
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
         err.partial_report = _report(records, T, echo, pool, counters, wall_ms)  # type: ignore[attr-defined]

@@ -7,10 +7,14 @@ All mutation happens by building new states.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
+import os
 import struct
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +22,8 @@ from .errors import DimensionError, PoisonedDrift
 
 _MAGIC = b"PSTA"
 _VERSION = 1
+_HEAD = struct.Struct("<4sHBqqqq")  # magic, version, flags, step, dim_tag, aux_version, n
+_COUNT = struct.Struct("<Q")
 
 
 def finite_checked(fn):
@@ -177,18 +183,17 @@ def state_checksum(state: ParamState) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def states_equal_bits(a: ParamState, b: ParamState, include_moments: bool = True) -> bool:
+def states_equal_bits(a: ParamState, b: ParamState) -> bool:
     if a.step != b.step or a.dim_tag != b.dim_tag or a.dim != b.dim:
         return False
     if a.values.tobytes() != b.values.tobytes():
         return False
-    if include_moments:
-        if (a.moments is None) != (b.moments is None):
+    if (a.moments is None) != (b.moments is None):
+        return False
+    if a.moments is not None:
+        ma, mb = a.moments, b.moments
+        if ma.t != mb.t or ma.m1.tobytes() != mb.m1.tobytes() or ma.m2.tobytes() != mb.m2.tobytes():
             return False
-        if a.moments is not None:
-            ma, mb = a.moments, b.moments
-            if ma.t != mb.t or ma.m1.tobytes() != mb.m1.tobytes() or ma.m2.tobytes() != mb.m2.tobytes():
-                return False
     return True
 
 
@@ -208,56 +213,74 @@ def states_equal_bits(a: ParamState, b: ParamState, include_moments: bool = True
 # A checkpoint file is a uint64 state count followed by that many states.
 
 
-def state_to_bytes(state: ParamState) -> bytes:
-    flags = 1 if state.moments is not None else 0
-    head = _MAGIC + struct.pack(
-        "<HBqqqq", _VERSION, flags, state.step, state.dim_tag, state.aux_version, state.dim
-    )
-    parts = [head, state.values.tobytes()]
-    if state.moments is not None:
-        parts.append(struct.pack("<q", state.moments.t))
-        parts.append(state.moments.m1.tobytes())
-        parts.append(state.moments.m2.tobytes())
-    return b"".join(parts)
+@contextlib.contextmanager
+def state_writer(path, count: int):
+    """Write a checkpoint file of ``count`` states one at a time through the
+    ``write(state)`` the block gets, under a temporary name renamed to
+    ``path`` once the block ends with exactly ``count`` states written;
+    otherwise (ValueError if the count is off) the file is removed."""
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    written = 0
+
+    def write(state: ParamState) -> None:
+        nonlocal written
+        m = state.moments
+        f.write(_HEAD.pack(_MAGIC, _VERSION, m is not None, state.step, state.dim_tag,
+                           state.aux_version, state.dim))
+        f.write(state.values)
+        if m is not None:
+            f.write(struct.pack("<q", m.t))
+            f.write(m.m1)
+            f.write(m.m2)
+        written += 1
+
+    try:
+        with open(part, "wb") as f:
+            f.write(_COUNT.pack(count))
+            yield write
+        if written != count:
+            raise ValueError(f"{path}: {written} states written, {count} declared")
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
-def state_from_bytes(buf: bytes, offset: int = 0) -> tuple[ParamState, int]:
-    """Decode one state; returns (state, next offset)."""
-    if buf[offset : offset + 4] != _MAGIC:
-        raise ValueError("bad state magic")
-    offset += 4
-    version, flags, step, dim_tag, aux_version, n = struct.unpack_from("<HBqqqq", buf, offset)
-    if version != _VERSION:
-        raise ValueError(f"unsupported state version {version}")
-    offset += struct.calcsize("<HBqqqq")
-    values = np.frombuffer(buf, dtype="<f8", count=n, offset=offset).copy()
-    offset += 8 * n
-    moments = None
-    if flags & 1:
-        (t,) = struct.unpack_from("<q", buf, offset)
-        offset += 8
-        m1 = np.frombuffer(buf, dtype="<f8", count=n, offset=offset).copy()
-        offset += 8 * n
-        m2 = np.frombuffer(buf, dtype="<f8", count=n, offset=offset).copy()
-        offset += 8 * n
-        moments = MomentState(m1, m2, t)
-    return ParamState(step, values, dim_tag, moments, aux_version), offset
-
-
-def write_states(path, states) -> None:
-    with open(path, "wb") as f:
-        f.write(struct.pack("<Q", len(states)))
+def write_states(path, states: Sequence[ParamState]) -> None:
+    with state_writer(path, len(states)) as write:
         for s in states:
-            f.write(state_to_bytes(s))
+            write(s)
 
 
-def read_states(path) -> list[ParamState]:
+def iter_states(path) -> Iterator[ParamState]:
+    """The states of a checkpoint file, read one at a time.  A file that is
+    not its count header and then exactly that many well-formed states raises
+    ValueError: at the first record it cannot read or, for bytes past the
+    last state, before that state is yielded."""
     with open(path, "rb") as f:
-        buf = f.read()
-    (count,) = struct.unpack_from("<Q", buf, 0)
-    offset = 8
-    out = []
-    for _ in range(count):
-        s, offset = state_from_bytes(buf, offset)
-        out.append(s)
-    return out
+        size = os.fstat(f.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            if n > size - f.tell():  # checked first: a corrupt length allocates nothing
+                raise ValueError(f"{path} is truncated: {n} bytes wanted, {size - f.tell()} left")
+            return f.read(n)
+
+        (count,) = _COUNT.unpack(read(_COUNT.size))
+        state = None
+        for _ in range(count):  # each state is yielded once the next is read
+            if state is not None:
+                yield state
+            magic, version, flags, step, dim_tag, aux_version, n = _HEAD.unpack(read(_HEAD.size))
+            if magic != _MAGIC or version != _VERSION or n < 0:
+                raise ValueError(f"{path}: bad state header {magic!r} v{version}, {n} values")
+            values, moments = np.frombuffer(read(8 * n), "<f8"), None
+            if flags & 1:
+                (t,) = struct.unpack("<q", read(8))
+                m1 = np.frombuffer(read(8 * n), "<f8")
+                moments = MomentState(m1, np.frombuffer(read(8 * n), "<f8"), t)
+            state = ParamState(step, values, dim_tag, moments, aux_version)
+        if f.tell() != size:
+            raise ValueError(f"{path}: {size - f.tell()} bytes past the last of {count} states")
+        if state is not None:
+            yield state

@@ -123,9 +123,3 @@ def strip_wall_fields(obj):
     if isinstance(obj, list):
         return [strip_wall_fields(v) for v in obj]
     return obj
-
-
-def reports_equal_excluding_wall(json_a: str, json_b: str) -> bool:
-    a = strip_wall_fields(json.loads(json_a))
-    b = strip_wall_fields(json.loads(json_b))
-    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)

@@ -1,10 +1,15 @@
+import json
 import os
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from picardopt.oracle import solve_sequential
 from picardopt.problems import Problem
+from picardopt.state import ParamState, states_equal_bits
+from picardopt.telemetry import strip_wall_fields
 
 # pyproject's ``pythonpath`` puts src/ on this process's path; Python
 # subprocesses started by tests import the package from the same checkout.
@@ -64,6 +69,53 @@ class Snapshots:
     def __call__(self, accepted, window):
         self.trajectory.extend(accepted)
         self.snapshots.append(self.trajectory + list(window.states[1:]))
+
+
+@dataclass
+class Trajectory:
+    """The sequential trajectory, every state kept, for tests that index it."""
+
+    states: list[ParamState]
+    losses: list[float]
+
+    @property
+    def total_steps(self) -> int:
+        return len(self.states) - 1
+
+
+def sequential_trajectory(rule, **kwargs) -> Trajectory:
+    """``solve_sequential(rule, **kwargs)`` with every state it sees kept."""
+    states = []
+    run, _ = solve_sequential(rule, observer=states.append, **kwargs)
+    return Trajectory(states, run.losses)
+
+
+@dataclass
+class PrefixReport:
+    passed: bool
+    rounds_checked: int
+    first_failure: tuple[int, int] | None  # (round, step)
+
+
+def prefix_check(oracle_traj: Trajectory, snapshots: list[list[ParamState]]) -> PrefixReport:
+    """Verify that after round k the recorded states for steps <= k match the
+    sequential solution bitexactly (the inductive prefix property)."""
+    first_failure = None
+    for k, snap in enumerate(snapshots, start=1):
+        horizon = min(k, oracle_traj.total_steps)
+        for tau in range(horizon + 1):
+            if tau >= len(snap) or not states_equal_bits(snap[tau], oracle_traj.states[tau]):
+                first_failure = (k, tau)
+                break
+        if first_failure:
+            break
+    return PrefixReport(first_failure is None, len(snapshots), first_failure)
+
+
+def reports_equal_excluding_wall(json_a: str, json_b: str) -> bool:
+    a = strip_wall_fields(json.loads(json_a))
+    b = strip_wall_fields(json.loads(json_b))
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 @pytest.fixture

@@ -8,17 +8,16 @@ import json
 
 import numpy as np
 import pytest
-from conftest import Snapshots
+from conftest import Snapshots, prefix_check, reports_equal_excluding_wall, sequential_trajectory
 
 import picardopt as po
 from picardopt.cli import main as cli_main
 from picardopt.config import DEFAULT_STEP_SIZES
 from picardopt.engine import EngineSettings, run
-from picardopt.oracle import prefix_check, solve_sequential
+from picardopt.oracle import solve_sequential
 from picardopt.rules import make_rule
 from picardopt.schedule import ScheduleAction
 from picardopt.state import states_equal_bits
-from picardopt.telemetry import reports_equal_excluding_wall
 
 WINDOWS = (1, 3, 7)
 WORKER_COUNTS = (1, 4, 8)
@@ -60,7 +59,7 @@ def test_criterion_01_zero_threshold_exactness(problem_kind, rule_kind):
             for workers in WORKER_COUNTS:
                 res = run(rule, EngineSettings(window=p, workers=workers, threshold=0.0,
                                                gamma=1.0))
-                assert states_equal_bits(res.terminal, oracle.states[-1]), \
+                assert states_equal_bits(res.terminal, oracle.terminal), \
                     f"{problem_kind}+{rule_kind} T={T} p={p} w={workers} not bitexact"
                 assert res.report.rounds <= T
     print(f"ACCEPTANCE 1 [{problem_kind}+{rule_kind}]: zero-threshold bitexact for "
@@ -75,7 +74,7 @@ def test_criterion_02_prefix_induction(problem_kind, rule_kind, eta):
     T = 64
     problem = po.make_problem(problem_kind, data_seed=0)
     rule = make_rule(rule_kind, problem, eta, total_steps=T)
-    oracle, _ = solve_sequential(rule)
+    oracle = sequential_trajectory(rule)
     seen = Snapshots()
     run(rule, EngineSettings(window=T, workers=8, threshold=0.0, gamma=1.0), observer=seen)
     rep = prefix_check(oracle, seen.snapshots)
@@ -88,7 +87,7 @@ def test_criterion_03_vanilla_picard_convergence():
     T = 256
     problem = po.make_problem("linear_ode", data_seed=1)
     rule = make_rule("euler_ode", problem, 1.0, total_steps=T)
-    oracle, _ = solve_sequential(rule)
+    oracle = sequential_trajectory(rule)
     seen = Snapshots()
     run(rule, EngineSettings(window=T, workers=8, threshold=0.0, gamma=1.0), observer=seen)
     K = None
@@ -133,8 +132,8 @@ def test_criterion_05_dimension_change_correctness():
                      schedule=split_prune_schedule(T))
     oracle, _ = solve_sequential(rule)
     res = run(rule, EngineSettings(window=7, workers=8, threshold=0.0, gamma=1.0))
-    assert res.terminal.dim_tag == oracle.states[-1].dim_tag
-    assert states_equal_bits(res.terminal, oracle.states[-1])
+    assert res.terminal.dim_tag == oracle.terminal.dim_tag
+    assert states_equal_bits(res.terminal, oracle.terminal)
     print(f"ACCEPTANCE 5: 3 splits + 1 prune over T={T}: dim_tag "
           f"{res.terminal.dim_tag} matches oracle, terminal bitexact: PASS")
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import picardopt as po
 from picardopt import cli, engine
 from picardopt.config import DEFAULT_STEP_SIZES, SECTIONS, RunConfig
-from picardopt.state import ParamState, read_states
+from picardopt.state import ParamState, iter_states
 
 # Flags of ``run``, a value for each, and the RunConfig field and value it
 # must set (``test_schema_lists_every_field_once`` checks the schema itself).
@@ -191,7 +191,7 @@ def test_splat_points_set_the_size_and_the_echo(tmp_path):
     echo = json.loads((tmp_path / "report.json").read_text())["config_echo"]
     assert echo["problem"] == {"kind": "splat2d", "dim": 12, "data_seed": 0, "noise": 0.0,
                                "points": 3, "n_targets": 3}
-    assert read_states(tmp_path / "final_state.bin")[0].dim == 12
+    assert next(iter_states(tmp_path / "final_state.bin")).dim == 12
 
 
 @pytest.mark.parametrize("args,field", [
@@ -337,16 +337,22 @@ def test_degenerate_objective_in_oracle_exits_3(tmp_path):
 
 @pytest.mark.parametrize("mode", ["oracle", "both"])
 def test_overflowing_oracle_loss_exits_3_without_warning(tmp_path, capsys, mode):
-    # The sequential states stay finite, but the loss at step 5 overflows.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = cli.main(["run", "--problem", "rosenbrock", "--rule", "sgd", "--step-size", "0.01",
-                         "--steps", "5", "--threshold", "0", "--mode", mode,
-                         "--out", str(tmp_path)])
-    assert code == 3
-    assert "step 5" in capsys.readouterr().err
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert not (tmp_path / "oracle_losses.csv").exists()
+    # The sequential states stay finite up to step 5, but the loss at step 5
+    # overflows.  Over 50 steps the drift at step 6 fails too, and a step
+    # error wins over a loss error.
+    for steps, failed in (("5", "step 5"), ("50", "step 6")):
+        out = tmp_path / steps
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["run", "--problem", "rosenbrock", "--rule", "sgd", "--step-size",
+                             "0.01", "--steps", steps, "--threshold", "0", "--mode", mode,
+                             "--out", str(out)])
+        assert code == 3
+        assert failed in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (out / "oracle_losses.csv").exists()
+        assert not (out / "oracle_trajectory.bin").exists()
+        assert list(out.iterdir()) == []
 
 
 def test_unreadable_manifest_exits_2(tmp_path, capsys):

@@ -4,12 +4,12 @@ import threading
 from pathlib import Path
 
 import pytest
+from conftest import reports_equal_excluding_wall
 
 from picardopt.cli import main
 from picardopt.config import build_problem, build_rule, engine_settings, load_config
 from picardopt.errors import ConfigError
-from picardopt.state import read_states
-from picardopt.telemetry import reports_equal_excluding_wall
+from picardopt.state import iter_states
 
 CONFIG = """
 # example configuration
@@ -144,7 +144,7 @@ def test_cli_run_both_bitexact_exit0(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["total_steps"] == 50
     assert (tmp_path / "rounds.csv").exists()
-    assert len(read_states(tmp_path / "final_state.bin")) == 1
+    assert len(list(iter_states(tmp_path / "final_state.bin"))) == 1
     assert (tmp_path / "oracle_trajectory.bin").exists()
 
 
@@ -152,7 +152,7 @@ def test_cli_oracle_mode_artifacts(tmp_path):
     code = run_cli("run", "--problem", "quadratic", "--rule", "sgd", "--steps", "12",
                    "--mode", "oracle", "--out", str(tmp_path))
     assert code == 0
-    states = read_states(tmp_path / "oracle_trajectory.bin")
+    states = list(iter_states(tmp_path / "oracle_trajectory.bin"))
     assert len(states) == 13
     lines = (tmp_path / "oracle_losses.csv").read_text().strip().split("\n")
     assert lines[0] == "step,loss" and len(lines) == 14

@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import DecayOde, Snapshots
+from conftest import DecayOde, Snapshots, sequential_trajectory
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -271,19 +271,19 @@ def test_advance_rejects_bad_skip():
 
 def test_run_p1_equals_oracle_exactly():
     rule = quad_rule(T=10)
-    traj, _ = po.solve_sequential(rule)
+    oracle, _ = po.solve_sequential(rule)
     res = run(rule, EngineSettings(window=1, workers=1, threshold=0.0, gamma=1.0))
     assert res.report.rounds == 10
-    assert states_equal_bits(res.terminal, traj.states[-1])
+    assert states_equal_bits(res.terminal, oracle.terminal)
     assert res.report.skip_histogram == {1: 10}
 
 
 def test_run_zero_threshold_bitexact_any_window():
     rule = quad_rule(T=40, kind="adam", eta=0.02)
-    traj, _ = po.solve_sequential(rule)
+    oracle, _ = po.solve_sequential(rule)
     for p, w in ((3, 4), (7, 2)):
         res = run(rule, EngineSettings(window=p, workers=w, threshold=0.0, gamma=1.0))
-        assert states_equal_bits(res.terminal, traj.states[-1])
+        assert states_equal_bits(res.terminal, oracle.terminal)
         assert res.report.rounds <= 40
 
 
@@ -548,7 +548,7 @@ def test_failed_round_checkpoints_its_window_as_refined(tmp_path, monkeypatch):
                      "--steps", "10", "--window", "4", "--workers", "2", "--threshold", "0",
                      "--out", str(tmp_path)])
     assert code == 3
-    saved = po.read_states(tmp_path / "abort_window.bin")
+    saved = list(po.iter_states(tmp_path / "abort_window.bin"))
     assert len(saved) == 4 and all(map(states_equal_bits, saved, partial.states))
 
 
@@ -840,7 +840,7 @@ def test_a_round_holds_only_what_a_later_step_reads(monkeypatch, threshold, gamm
 ])
 def test_observer_gets_the_oracles_states_with_moments(problem, settings, eta, workers):
     rule = make_rule("adam", po.make_problem(problem, **settings), eta, total_steps=60)
-    traj, _ = po.solve_sequential(rule)
+    traj = sequential_trajectory(rule)
     got, guesses = [], []
 
     def observer(accepted, window):

@@ -175,7 +175,7 @@ def test_euler_approaches_analytic():
     T = 512
     rule = po.make_rule("euler_ode", p, step_size=1.0, total_steps=T)
     traj, _ = po.solve_sequential(rule)
-    err = np.max(np.abs(traj.states[-1].values - p.analytic_solution(1.0)))
+    err = np.max(np.abs(traj.terminal.values - p.analytic_solution(1.0)))
     assert err < 5.0 / T
 
 

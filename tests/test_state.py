@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from picardopt.errors import DimensionError, PoisonedDrift
-from picardopt.state import (Drift, MomentState, ParamState, read_states,
-                             state_checksum, state_from_bytes, state_to_bytes,
-                             states_equal_bits, with_step, write_states)
+from picardopt.state import (Drift, MomentState, ParamState, iter_states, state_checksum,
+                             state_writer, states_equal_bits, with_step, write_states)
 
 
 def make_state(step=0, values=(1.0, 2.0), moments=False):
@@ -97,11 +96,11 @@ def test_negative_second_moment_rejected(tmp_path):
     with pytest.raises(ValueError, match="second moments"):
         MomentState(np.zeros(2), np.array([0.5, -1e-300]), 1)
     # The same state read from a checkpoint file: the last 8 bytes are m2[-1].
-    buf = state_to_bytes(make_state(moments=True))
     path = tmp_path / "negative_m2.bin"
-    path.write_bytes(struct.pack("<Q", 1) + buf[:-8] + struct.pack("<d", -0.25))
+    write_states(path, [make_state(moments=True)])
+    path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", -0.25))
     with pytest.raises(ValueError, match="second moments"):
-        read_states(path)
+        list(iter_states(path))
 
 
 def test_drift_nonfinite_payload_rejected():
@@ -109,17 +108,20 @@ def test_drift_nonfinite_payload_rejected():
         Drift(4, np.array([np.nan]), seed=4)
 
 
-def test_binary_roundtrip_plain():
+def test_binary_roundtrip_plain(tmp_path):
+    # iter_states rejects bytes past the last state, so the file read back is
+    # exactly the one state written.
     s = make_state(step=7, values=(0.1, -2.5, 4.0))
-    back, consumed = state_from_bytes(state_to_bytes(s))
-    assert consumed == len(state_to_bytes(s))
+    write_states(tmp_path / "one.bin", [s])
+    (back,) = iter_states(tmp_path / "one.bin")
     assert states_equal_bits(s, back)
 
 
-def test_binary_roundtrip_with_moments():
+def test_binary_roundtrip_with_moments(tmp_path):
     v = np.array([0.25, 0.5])
     s = ParamState(3, v, 2, MomentState(v * 2, np.abs(v), 9), aux_version=4)
-    back, _ = state_from_bytes(state_to_bytes(s))
+    write_states(tmp_path / "one.bin", [s])
+    (back,) = iter_states(tmp_path / "one.bin")
     assert states_equal_bits(s, back)
     assert back.aux_version == 4
 
@@ -128,7 +130,80 @@ def test_checkpoint_file_roundtrip(tmp_path):
     states = [make_state(step=i, values=(float(i), 1.0), moments=i % 2 == 0) for i in range(5)]
     path = tmp_path / "ckpt.bin"
     write_states(path, states)
-    back = read_states(path)
+    back = list(iter_states(path))
     assert len(back) == 5
     assert all(states_equal_bits(a, b) for a, b in zip(states, back))
 
+
+
+def two_state_file(tmp_path):
+    path = tmp_path / "two.bin"
+    write_states(path, [make_state(step=0, moments=True), make_state(step=1)])
+    return path
+
+
+def test_iter_states_reads_one_state_at_a_time(tmp_path):
+    states = iter_states(two_state_file(tmp_path))
+    assert next(states).step == 0
+    assert next(states).step == 1
+    with pytest.raises(StopIteration):
+        next(states)
+
+
+@pytest.mark.parametrize("cut", [8, 20, 60])
+def test_iter_states_rejects_a_truncated_file(tmp_path, cut):
+    path = two_state_file(tmp_path)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(ValueError, match="truncated"):
+        list(iter_states(path))
+
+
+def test_iter_states_rejects_a_negative_value_count(tmp_path):
+    # The state's n sits after the count (8 bytes) and the record's magic,
+    # version, flags, step, dim_tag and aux_version (31 bytes).  Read as a
+    # count of all that is left, -1 would load the 2 values silently.
+    path = tmp_path / "one.bin"
+    write_states(path, [make_state()])
+    buf = bytearray(path.read_bytes())
+    buf[39:47] = struct.pack("<q", -1)
+    path.write_bytes(bytes(buf))
+    with pytest.raises(ValueError, match="-1 values"):
+        list(iter_states(path))
+
+
+def test_iter_states_rejects_bytes_past_the_last_state(tmp_path):
+    path = two_state_file(tmp_path)
+    whole = path.read_bytes()
+    path.write_bytes(whole + b"junk")
+    with pytest.raises(ValueError, match="4 bytes past the last of 2 states"):
+        list(iter_states(path))
+    # A count header of 1 over two states: rejected before the first is yielded.
+    path.write_bytes(struct.pack("<Q", 1) + whole[8:])
+    with pytest.raises(ValueError, match="bytes past the last of 1 states"):
+        next(iter_states(path))
+
+
+def test_iter_states_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match="truncated"):
+        list(iter_states(path))
+
+
+def test_state_writer_keeps_a_file_only_with_its_declared_count(tmp_path):
+    path = tmp_path / "out.bin"
+    with state_writer(path, 2) as write:
+        write(make_state(step=0))
+        assert not path.exists()  # written under a temporary name until complete
+        write(make_state(step=1))
+    assert [s.step for s in iter_states(path)] == [0, 1]
+    for n in (1, 3):  # fewer or more states than declared
+        with pytest.raises(ValueError, match=f"{n} states written, 2 declared"):
+            with state_writer(tmp_path / f"bad{n}.bin", 2) as write:
+                for step in range(n):
+                    write(make_state(step=step))
+    with pytest.raises(RuntimeError):
+        with state_writer(tmp_path / "raised.bin", 1) as write:
+            write(make_state())
+            raise RuntimeError("the producer failed")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]

@@ -1,10 +1,10 @@
 import json
 
 import pytest
+from conftest import reports_equal_excluding_wall
 
 from picardopt.errors import InternalConsistencyError
-from picardopt.telemetry import (CSV_HEADER, RoundRecord, finalize_report,
-                                 reports_equal_excluding_wall, rounds_csv_text,
+from picardopt.telemetry import (CSV_HEADER, RoundRecord, finalize_report, rounds_csv_text,
                                  strip_wall_fields)
 
 
