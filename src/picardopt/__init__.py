@@ -8,7 +8,7 @@ adaptively thresholded skip rule, trading parallel workers for fewer
 sequential rounds.
 """
 
-from .engine import (EngineResult, EngineSettings, Window, advance_window, compute_skip,
+from .engine import (EngineResult, EngineSettings, advance_window, compute_skip,
                      fixed_point_distance, picard_round, run, update_threshold)
 from .errors import (ConfigError, DimensionError, InternalConsistencyError,
                      ObjectiveError, PicardoptError, PoisonedDrift, ScheduleError)

@@ -86,7 +86,7 @@ def cmd_run(cfg: RunConfig) -> int:
             write_report_json(out / "report.json", report)
         window = getattr(err, "partial_window", None)
         if window is not None:
-            write_states(out / "abort_window.bin", window.states)
+            write_states(out / "abort_window.bin", window)
         raise
 
     result.report.oracle_wall_time_ms = oracle_wall

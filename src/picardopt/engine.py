@@ -1,21 +1,27 @@
 """Windowed fixed-point iteration over a sequential computation.
 
-Each round takes the current window of candidate states, evaluates all drifts
-in parallel at the previous iterate, rolls the successors out strictly left to
-right from the window anchor (slot 0, which is final and never recomputed),
+A window is a list of candidate states, slot j holding step
+``window[0].step + j``: slot 0 is the converged anchor, final and never
+recomputed, with moments for Adam; the later slots are guesses, which may
+carry none.  Each round evaluates all drifts in parallel at the previous
+iterate, rolls the successors out strictly left to right from the anchor,
 measures per-slot normalized squared errors against the previous iterate,
-advances the window by the skip rule, and adapts the acceptance threshold by
-an EMA of each round's median error.
+slides the window to the first slot whose error exceeds the threshold,
+refills its tail, and adapts the threshold by an EMA of each round's median
+error.
 
 Rounds are pipelined: a slot is rolled out as soon as its drift arrives, and
-once the skip is known each newly rolled-out state that the next window will
-hold is submitted at once, so the next round's drifts run while this round
-finishes.  Which drifts run, and every bit of the result, is unchanged.
+once the window stops sliding each newly rolled-out state is submitted at
+once, so the next round's drifts run while this round finishes.  Which
+drifts run, and every bit of the result, is unchanged.
 
 With a zero threshold the result is bitwise equal to direct sequential
 execution: the anchor only ever advances onto slots whose recomputation
 reproduced the previous iterate exactly, so the prefix stays exact and every
-round still advances at least one step (rounds <= total steps).
+round still advances at least one step (rounds <= total steps).  A drift,
+rollout or distance that fails past the anchor's own step ends the round
+there, not the run, since its drift was taken at a guess; at the anchor's
+step, the one sequential execution takes, it fails the run.
 
 A round holds only what a later step reads.  It refines its window in
 place: as soon as a slot's error is measured, the round's new state replaces
@@ -36,6 +42,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import numbers
 import os
 import statistics
 import time
@@ -45,7 +52,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import kernels
-from .errors import PicardoptError, PoisonedDrift
+from .errors import ObjectiveError, PicardoptError, PoisonedDrift
 from .oracle import checked_loss
 from .pool import WorkerPool
 from .rules import ADAPTIVE_GUIDANCE, UpdateRule, initial_state, reconcile_payload, rollout_one
@@ -54,31 +61,6 @@ from .state import ParamState, finite_checked, with_step, without_moments
 from .telemetry import RoundRecord, RunReport, finalize_report
 
 DOT_BLOCK = 8192
-
-
-@dataclass
-class Window:
-    """Contiguous run of candidate states: slot 0 is the converged anchor,
-    with moments for Adam; the later slots are guesses, which may carry none.
-
-    ``states`` is a list, slot j holding step ``base_step + j``, that
-    ``picard_round`` slides and refines in place and ``advance_window``
-    refills; a caller that keeps a window's states past the next round must
-    copy the list.
-    """
-
-    base_step: int
-    states: list[ParamState]
-
-    def __post_init__(self):
-        self.states = list(self.states)
-        for j, s in enumerate(self.states):
-            if s.step != self.base_step + j:
-                raise ValueError(f"window slot {j} holds step {s.step}, wanted {self.base_step + j}")
-
-    @property
-    def size(self) -> int:
-        return len(self.states) - 1
 
 
 @finite_checked
@@ -132,105 +114,98 @@ def update_threshold(e: float, gamma: float, median: float) -> float:
     return gamma * e + (1.0 - gamma) * median
 
 
-def picard_round(window: Window, rule: UpdateRule, pool: WorkerPool, threshold: float,
+def picard_round(window: list[ParamState], rule: UpdateRule, pool: WorkerPool, threshold: float,
                  accepted: list[ParamState] | None = None) -> tuple[float, ...]:
     """One fixed-point refinement of ``window``, in place: parallel drifts at
-    the previous iterate, then strict left-to-right rollout anchored at slot 0.
+    the previous iterate, then strict left-to-right rollout from slot 0.
 
-    Returns the per-slot errors for slots 1..p.  As soon as slot j's error is
-    measured, the round's state for step base + j replaces the guess there,
-    and nothing keeps the guess.  The state being rolled from is held apart
-    from the window.  Drift payloads produced at stale-dimension guesses are
-    mapped to the rolling state's dimension before rollout, and a drift
-    shared from another slot's state takes this slot's step (its seed stays
-    the one it was computed with).
+    Returns the errors of the slots it measured, 1..p unless a failure ended
+    the round early.  Slot j is rolled out and its error measured as soon as
+    its drift arrives, and the round's state for that step replaces the
+    guess there; the state being rolled from is held apart from the window.
+    A drift payload produced at a stale-dimension guess is mapped to the
+    rolling state's dimension, and a drift shared from another slot's state
+    takes this slot's step (its seed stays the one it was computed with).
 
-    Slot j is rolled out and its error measured as soon as its drift arrives.
-    Given the ``threshold`` the caller will skip by, the first slot whose
-    error exceeds it fixes the skip s (as ``compute_skip``).  Until then,
-    once slot j + 1 is rolled out, slot j (accepted, and not the next anchor)
-    leaves the window's front, ``base_step`` moves up by one, and the slot
-    is appended to ``accepted`` when it is a list; so on return the window
-    starts at the new anchor, slot s, and is short by s slots.  Each state
-    past the skip is a guess for the next round, kept without moments
-    (``without_moments``), and each new state at slot s + k is submitted as
-    slot k of the next window, never past that window's size, so never at or
-    past the horizon.  On failure all submitted drifts are drained first; the
-    error of the smallest failing drift of this round wins over a rollout
-    error.  The window is then as slid and refined so far: slot 0 the newest
-    accepted state, each later slot whose error was measured the round's
-    state, the rest the previous guesses.
+    While every error so far is within ``threshold``, the window slides:
+    slot j, accepted and not the next anchor, leaves its front once slot
+    j + 1 is rolled out, and slot j + 1 is appended to ``accepted`` when it
+    is a list.  The window so ends at the new anchor, the slot
+    ``compute_skip`` picks, short by the skip.  Once it stops sliding, each
+    state the round places is submitted for the next round if its step is
+    below the horizon, and each state past the anchor is a guess, kept
+    without moments (``without_moments``).
+
+    A ``PoisonedDrift`` or ``ObjectiveError`` while producing slot j + 1 for
+    j >= 1 (reading or reconciling drift j, the rollout, or its distance)
+    ends the round at slot j, once the drifts not yet read have finished:
+    drift j was taken at a guess, which sequential execution need not visit.
+    At j = 0 the drift is the anchor's own, the step sequential execution
+    takes, and the error fails the round, as any other error does at any
+    slot: every submitted drift is drained, and the window is left as slid
+    and refined so far.
     """
-    p = window.size
+    p = len(window) - 1
     if p < 1:
         raise ValueError("picard_round needs a window of size >= 1")
-    states = window.states
-    base = window.base_step
-    stale_tags = [s.dim_tag for s in states[:p]]  # each drift's payload has its guess's dimension
-    futures = pool.gather_drifts(rule, states[:p])
-    rolling = states[0]
+    stale_tags = [s.dim_tag for s in window[:p]]  # each drift's payload has its guess's dimension
+    futures = pool.gather_drifts(rule, window[:p])
+    rolling = window[0]
     errors = []
-    skip = None
-    next_size = 0
+    sliding = True  # every error so far is within the threshold, and a slot is left
     try:
         for j in range(p):
-            d = pool.result(futures[j])
-            futures[j] = None  # a drift a later slot shares lives until that slot is read
-            if d.step != base + j:
-                d = d.relabelled(base + j)
-            if len(d.payload) != rolling.dim:
-                lifted = reconcile_payload(rule, d.payload, stale_tags[j], rolling.dim_tag, rolling.step)
-                d = replace(d, payload=lifted)
-            refined = rollout_one(rule, d, rolling)
-            del d
-            slot = base + j + 1 - window.base_step  # where slot j + 1 sits in the window
-            errors.append(fixed_point_distance(refined, states[slot], rule))
-            if skip is None:
-                # Errors 1..j are within the threshold: slot j is accepted and
-                # is not the next anchor, so it leaves the window's front.
+            try:
+                d = pool.result(futures[j])
+                futures[j] = None  # a drift a later slot shares lives until that slot is read
+                if d.step != rolling.step:
+                    d = d.relabelled(rolling.step)
+                if len(d.payload) != rolling.dim:
+                    lifted = reconcile_payload(rule, d.payload, stale_tags[j], rolling.dim_tag,
+                                               rolling.step)
+                    d = replace(d, payload=lifted)
+                refined = rollout_one(rule, d, rolling)
+                del d
+                errors.append(fixed_point_distance(refined, window[refined.step - window[0].step],
+                                                   rule))
+            except (ObjectiveError, PoisonedDrift):
+                if j == 0:
+                    raise
+                for future in futures[j + 1:]:
+                    future.exception()  # wait, so what ran does not depend on timing
+                break
+            if sliding:
+                del window[0]  # slot j, accepted and not the next anchor, leaves the front
+                window[0] = placed = refined
                 if accepted is not None:
-                    accepted.append(states[0])
-                del states[0]
-                window.base_step += 1
-                slot -= 1
-                states[slot] = refined
-                if errors[-1] > threshold or j + 1 == p:
-                    skip = j + 1
-                    # the next window's size, as advance_window clamps it
-                    next_size = min(p, rule.total_steps - base - skip)
+                    accepted.append(refined)
+                sliding = errors[-1] <= threshold and j + 1 < p
             else:
-                states[slot] = without_moments(refined)  # the next round reads its values alone
-            if skip is not None and j + 1 - skip < next_size:
-                pool.submit(rule, states[slot])
+                placed = without_moments(refined)  # the next round reads its values alone
+                window[refined.step - window[0].step] = placed
+            if not sliding and placed.step < rule.total_steps:
+                pool.submit(rule, placed)
             rolling = refined
-    except BaseException as err:
-        for future in futures:  # the futures not yet read: the smallest failing slot's error wins
-            if future is not None:
-                try:
-                    pool.result(future)
-                except BaseException as exc:
-                    err = exc
-                    break
+    except BaseException:
         pool.drain()
-        raise err
+        raise
     return tuple(errors)
 
 
-def advance_window(window: Window, skip: int, total_steps: int) -> Window:
+def advance_window(window: list[ParamState], skip: int, total_steps: int) -> list[ParamState]:
     """Refill the tail of a window that a round slid forward by ``skip``.
 
-    The round left the window at its new anchor, ``skip`` slots short; the
-    tail is refilled with clones of the window's last state, without moments
-    (step re-indexed), up to the size it had, clamped so the window never
-    extends past the horizon.  Returns the window, refilled in place.
+    The tail is refilled with clones of the window's last state, without
+    moments, up to the size it had before the slide, clamped so the window
+    never extends past the horizon.  Returns the window, refilled in place.
     """
     if skip < 1:
         raise ValueError(f"skip {skip} is below 1")
-    states = window.states
-    size = min(window.size + skip, total_steps - window.base_step)
-    guess = without_moments(states[-1])
-    while len(states) < size + 1:
-        states.append(with_step(guess, window.base_step + len(states)))
+    base = window[0].step
+    size = min(len(window) - 1 + skip, total_steps - base)
+    guess = without_moments(window[-1])
+    while len(window) <= size:
+        window.append(with_step(guess, base + len(window)))
     return window
 
 
@@ -252,12 +227,15 @@ class EngineSettings:
     injected_cost_ms: float = 0.0
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.window is None:
             object.__setattr__(self, "window", max(1, self.workers - 1))
         if self.gamma is None:
             object.__setattr__(self, "gamma", 1.0 if self.threshold == 0.0 else 0.9)
+        for name in ("workers", "window", "seed_offset"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.seed_offset < 0:
@@ -331,29 +309,33 @@ def _keep_freed_heap() -> None:
 
 def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = None,
         echo_extra: dict | None = None,
-        observer: Callable[[Sequence[ParamState], Window], None] | None = None) -> EngineResult:
+        observer: Callable[[Sequence[ParamState], list[ParamState]], None] | None = None,
+        ) -> EngineResult:
     """Drive the windowed iteration from step 0 to the horizon.
 
-    All window slots start as clones of the initial state, the guesses
-    without moments.  Per round: slide and refine the window in place, skip,
-    record telemetry, adapt the threshold (after the skip decision,
-    preserving the reference ordering), refill the window's tail.  When a
-    round or the final loss fails, the partial report and the window (for a
-    failed round, as slid and refined so far; see ``picard_round``) are
-    attached to the raised error for checkpointing.  A pool created here is
-    closed however the run ends; a pool passed in must agree with
-    ``settings`` on workers, seed offset and injected cost, and is reset
-    first, so it gives the bits of a fresh pool.  The report's drift count, busy and wait times
-    are this run's share of the pool's counters; the wait time is what its
-    rounds spent blocked in ``pool.result``, aborted rounds included.
+    The window is a list, slot j holding step ``window[0].step + j``; all
+    slots start as clones of the initial state, the guesses without moments.
+    Per round: slide and refine the window in place, skip, record telemetry,
+    adapt the threshold (after the skip decision, preserving the reference
+    ordering), refill the window's tail.  A failure past the anchor's step
+    only ends its round (see ``picard_round``).  When a round or the final
+    loss fails, the partial report and the window (for a failed round, as
+    slid and refined so far) are attached to the raised error for
+    checkpointing.  A pool created here is closed however the run ends; a
+    pool passed in must agree with ``settings`` on workers, seed offset and
+    injected cost, and is reset first, so it gives the bits of a fresh pool.
+    The report's drift count, busy and wait times are this run's share of
+    the pool's counters; the wait time is what its rounds spent blocked in
+    ``pool.result``, aborted rounds included.
     ``echo_extra`` adds keys to the report's ``config_echo``.
 
     ``observer(accepted, window)`` is called after each round with the states
-    it accepted (from step 0 in the first round), moments included, and the
-    new window: in order, the accepted states are the trajectory, which the
-    run does not keep.  Only with an observer does a round keep the states
-    it rolls past, for the observer.  The next round slides and refines that
-    window in place, so an observer that keeps it must copy its states.  The
+    it accepted past the old anchor (from step 0 in the first round), the new
+    anchor last, moments included, and the new window: in order, the
+    accepted states are the trajectory, which the run does not keep.  Only
+    with an observer does a round keep the states it rolls past, for the
+    observer.  The next round slides and refines that window in place, so an
+    observer that keeps it must copy it (``list(window)``).  The
     observer's time is not in the report's ``wall_time_ms``.  The first run
     in a process tunes glibc's allocator (see ``_keep_freed_heap``).
     """
@@ -379,27 +361,22 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     counters = pool.timing_report()
     t_start = time.perf_counter()
     try:
-        while window.base_step < T:
-            base = window.base_step
-            accepted = None if observer is None else []
+        while window[0].step < T:
+            base = window[0].step
+            accepted = None if observer is None else [] if records else [window[0]]
             errors = picard_round(window, rule, pool, threshold, accepted)
             skip = compute_skip(errors, threshold)
             median = statistics.median(errors)
             records.append(RoundRecord(len(records) + 1, base, skip, threshold,
                                        min(errors), median, max(errors)))
             threshold = update_threshold(threshold, settings.gamma, median)
-            window = advance_window(window, skip, T)
+            advance_window(window, skip, T)
             if observer is not None:
-                # The round kept the states it rolled past, the old anchor
-                # (reported last round, unless it is step 0) first.
-                if base > 0:
-                    del accepted[0]
-                accepted.append(window.states[0])
                 t_observer = time.perf_counter()
                 observer(accepted, window)
                 t_start += time.perf_counter() - t_observer  # not the run's time
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
-        terminal = window.states[0]
+        terminal = window[0]
         final_loss = checked_loss(rule.problem, terminal, settings.seed_offset)
     except PicardoptError as err:
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
@@ -414,11 +391,11 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     return EngineResult(terminal, report, records)
 
 
-def _first_window(rule: UpdateRule, size: int) -> Window:
+def _first_window(rule: UpdateRule, size: int) -> list[ParamState]:
     """The initial state and ``size`` clones of it as guesses, without moments."""
     theta0 = initial_state(rule)
     guess = without_moments(theta0)
-    return Window(0, [theta0] + [with_step(guess, j) for j in range(1, size + 1)])
+    return [theta0] + [with_step(guess, j) for j in range(1, size + 1)]
 
 
 def _report(records, T: int, echo: dict, pool: WorkerPool, counters: dict, wall_ms: float,

@@ -60,7 +60,7 @@ class DecayOde(Problem):
 
 class Snapshots:
     """An ``engine.run`` observer that keeps the trajectory so far and, after
-    each round, the snapshot ``trajectory + window.states[1:]``."""
+    each round, the snapshot ``trajectory + window[1:]``."""
 
     def __init__(self):
         self.trajectory = []
@@ -68,7 +68,7 @@ class Snapshots:
 
     def __call__(self, accepted, window):
         self.trajectory.extend(accepted)
-        self.snapshots.append(self.trajectory + list(window.states[1:]))
+        self.snapshots.append(self.trajectory + window[1:])
 
 
 @dataclass

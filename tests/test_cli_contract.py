@@ -152,7 +152,7 @@ def test_only_mode_both_passes_an_observer(tmp_path, monkeypatch, mode, observed
 def test_mode_both_holds_no_state_past_its_window(tmp_path, monkeypatch):
     # A frozen, huge threshold accepts every window whole, so round r's new
     # slots 1..p-1 are accepted and the next window (based at slot p) holds
-    # none of them.  The round keeps them for the observer, after its old
+    # none of them.  The round keeps them for the observer, before its new
     # anchor: the comparison must have let them go.
     real_round, accepted, alive_at_start = engine.picard_round, [], []
 
@@ -160,8 +160,9 @@ def test_mode_both_holds_no_state_past_its_window(tmp_path, monkeypatch):
         alive_at_start.append(sum(ref() is not None for ref in accepted))
         errors = real_round(window, rule, pool, threshold, kept)
         skip = engine.compute_skip(errors, threshold)
-        assert len(kept) == skip and kept[-1].step == window.base_step - 1
-        accepted[:] = [weakref.ref(s) for s in kept[1:]]
+        steps = list(range(window[0].step - skip + 1, window[0].step + 1))
+        assert [s.step for s in kept[-skip:]] == steps and kept[-1] is window[0]
+        accepted[:] = [weakref.ref(s) for s in kept[-skip:-1]]
         return errors
 
     monkeypatch.setattr(engine, "picard_round", watched)
@@ -333,6 +334,18 @@ def test_degenerate_objective_in_oracle_exits_3(tmp_path):
                      "--steps", "6", "--threshold", "0", "--mode", "both",
                      "--out", str(tmp_path)])
     assert code == 3
+
+
+def test_a_failing_drift_at_a_guess_does_not_fail_an_exact_run(tmp_path):
+    # The drift at a guess the sequential run never visits raises an
+    # ObjectiveError (the splat weights' sum turns negative); it only ends
+    # its round, and the run matches the oracle bitwise.
+    code = cli.main(["run", "--problem", "splat2d", "--rule", "sgd", "--step-size", "0.01",
+                     "--steps", "60", "--window", "7", "--workers", "2", "--threshold", "0",
+                     "--data-seed", "5", "--mode", "both", "--out", str(tmp_path)])
+    assert code == 0
+    assert json.loads((tmp_path / "compare.json").read_text())["passed"] is True
+    assert not (tmp_path / "abort_window.bin").exists()
 
 
 @pytest.mark.parametrize("mode", ["oracle", "both"])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import operator
 import platform
 import threading
 import time
@@ -8,13 +9,13 @@ import weakref
 import numpy as np
 import pytest
 from conftest import DecayOde, Snapshots, sequential_trajectory
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import picardopt as po
 import picardopt.engine as engine_mod
 from picardopt import cli
-from picardopt.engine import (DOT_BLOCK, EngineSettings, Window, advance_window,
+from picardopt.engine import (DOT_BLOCK, EngineSettings, advance_window,
                               compute_skip, fixed_point_distance, picard_round,
                               run, update_threshold)
 from picardopt.errors import DimensionError
@@ -101,6 +102,10 @@ def test_threshold_validation():
                    dict(threshold=0.0, gamma=float("nan"))):
         with pytest.raises(ValueError):
             EngineSettings(**kwargs)
+    # a count must be an integer, not only a number in range
+    for name in ("window", "workers", "seed_offset"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            EngineSettings(**{name: 2.5})
 
 
 # --- fixed_point_distance -------------------------------------------------------
@@ -176,15 +181,15 @@ def test_distance_step_mismatch():
 def test_round_size_one_equals_sequential():
     rule = quad_rule(T=10)
     theta0 = initial_state(rule)
-    w = Window(0, [theta0, with_step(theta0, 1)])
+    w = [theta0, with_step(theta0, 1)]
     accepted = []
     with WorkerPool(2) as pool:
         errors = picard_round(w, rule, pool, 0.0, accepted)
     expect = sequential_step(rule, theta0, 0)
     # the window slid onto its new anchor, and the old one left its front
-    assert w.base_step == 1 and len(w.states) == 1
-    assert states_equal_bits(w.states[0], expect)
-    assert len(accepted) == 1 and accepted[0] is theta0
+    assert w[0].step == 1 and len(w) == 1
+    assert states_equal_bits(w[0], expect)
+    assert len(accepted) == 1 and accepted[0] is w[0]
     assert len(errors) == 1
 
 
@@ -194,12 +199,12 @@ def test_round_constant_guess_unrolls_euler():
     # leaves the window, which then holds slots 1..4.
     rule = make_rule("euler_ode", DecayOde(), 1.0, total_steps=4)
     theta0 = initial_state(rule)
-    w = Window(0, [theta0] + [with_step(theta0, j) for j in (1, 2, 3, 4)])
+    w = [theta0] + [with_step(theta0, j) for j in (1, 2, 3, 4)]
     accepted = []
     with WorkerPool(4) as pool:
         picard_round(w, rule, pool, 0.0, accepted)
-    assert accepted == [theta0] and w.base_step == 1
-    slots = accepted + w.states
+    assert accepted == [w[0]] and w[0].step == 1
+    slots = [theta0] + w
     assert len(slots) == 5
     for tau in range(5):
         assert slots[tau].step == tau
@@ -210,11 +215,11 @@ def test_round_exact_anchor_propagates_one_step():
     rule = quad_rule(T=10)
     anchor = sequential_step(rule, initial_state(rule), 0)  # exact theta*_1
     junk = ParamState(2, np.full(4, 9.0), 4)
-    w = Window(1, [anchor, junk])
+    w = [anchor, junk]
     with WorkerPool(1) as pool:
         picard_round(w, rule, pool, 0.0)
-    assert w.base_step == 2 and len(w.states) == 1
-    assert states_equal_bits(w.states[0], sequential_step(rule, anchor, 1))
+    assert w[0].step == 2 and len(w) == 1
+    assert states_equal_bits(w[0], sequential_step(rule, anchor, 1))
 
 
 # --- advance_window ----------------------------------------------------------------
@@ -225,39 +230,39 @@ def slid_window(base, skip, size):
     ``skip`` leaves it: slots skip..size, slot j holding values all equal to
     j, the anchor with Adam moments."""
     anchor = ParamState(base + skip, np.full(4, float(skip)), 4, MomentState.zeros(4))
-    return Window(base + skip, [anchor] + [ParamState(base + j, np.full(4, float(j)), 4)
-                                           for j in range(skip + 1, size + 1)])
+    return [anchor] + [ParamState(base + j, np.full(4, float(j)), 4)
+                       for j in range(skip + 1, size + 1)]
 
 
 def test_advance_full_skip_refills_from_last():
     w = slid_window(0, 3, 3)
-    anchor = w.states[0]
+    anchor = w[0]
     out = advance_window(w, skip=3, total_steps=100)
-    assert out.base_step == 3 and out.size == 3
-    assert out.states[0] is anchor and anchor.moments is not None
+    assert out is w and out[0].step == 3 and len(out) == 4
+    assert out[0] is anchor and anchor.moments is not None
     for j in range(1, 4):
-        assert np.all(out.states[j].values == 3.0)
-        assert out.states[j].step == 3 + j
+        assert np.all(out[j].values == 3.0)
+        assert out[j].step == 3 + j
         # a refilled slot is a guess: the anchor's values, without its moments
-        assert out.states[j].values is anchor.values and out.states[j].moments is None
+        assert out[j].values is anchor.values and out[j].moments is None
 
 
 def test_advance_skip_one_shifts_and_appends():
     w = slid_window(0, 1, 3)
     out = advance_window(w, skip=1, total_steps=100)
-    assert out.base_step == 1
-    assert [s.values[0] for s in out.states] == [1.0, 2.0, 3.0, 3.0]
+    assert out[0].step == 1
+    assert [s.values[0] for s in out] == [1.0, 2.0, 3.0, 3.0]
 
 
 def test_advance_clamps_near_horizon():
     w = slid_window(2, 2, 3)  # covered 2..5, now 4..5
     out = advance_window(w, skip=2, total_steps=5)
-    assert out.base_step == 4
-    assert out.size == 1  # clamped to T - base
-    assert [s.step for s in out.states] == [4, 5]
+    assert out[0].step == 4
+    assert len(out) == 2  # clamped to T - base
+    assert [s.step for s in out] == [4, 5]
     # a full skip refills the tail only up to the horizon
     out = advance_window(slid_window(0, 3, 3), skip=3, total_steps=5)
-    assert out.base_step == 3 and [s.step for s in out.states] == [3, 4, 5]
+    assert [s.step for s in out] == [3, 4, 5]
 
 
 def test_advance_rejects_bad_skip():
@@ -302,7 +307,7 @@ def test_observer_sees_each_round_and_its_time_is_not_the_runs():
 
     def slow(accepted, window):
         accepted_counts.append(len(accepted))
-        assert window.base_step == accepted[-1].step
+        assert window[0] is accepted[-1]
         time.sleep(0.05)
 
     res = run(quad_rule(T=10), EngineSettings(window=1, workers=1, threshold=0.0),
@@ -421,22 +426,24 @@ def test_engine_settings_are_frozen():
 
 
 class Trap(DecayOde):
-    """Gradient x, except a huge finite drift at seed ``huge`` (its rollout
-    overflows) and an ObjectiveError at seed ``fail``.  With ``moved_only``
-    the error is raised only once the state there has left its initial value,
-    so from the second visit of that step on."""
+    """Gradient x, except a huge finite drift at the seeds in ``huge`` (its
+    rollout overflows) and an ObjectiveError at the seeds in ``fail``.  With
+    ``moved_only`` the error is raised only once the state there has left
+    its initial value, so from the second visit of that step on.  The error
+    is ``error``'s."""
 
     seed_free = False
+    error = po.ObjectiveError
 
-    def __init__(self, huge=None, fail=None, moved_only=False):
+    def __init__(self, huge=(), fail=(), moved_only=False):
         super().__init__(dim=2)
         self.huge, self.fail, self.moved_only = huge, fail, moved_only
 
     def grad(self, values, seed):
-        if seed == self.huge:
+        if seed in self.huge:
             return np.full(self.dim, 1e308)
-        if seed == self.fail and not (self.moved_only and np.all(values == 1.0)):
-            raise po.ObjectiveError(f"drift failed at seed {seed}")
+        if seed in self.fail and not (self.moved_only and np.all(values == 1.0)):
+            raise self.error(f"drift failed at seed {seed}")
         return values.copy()
 
 
@@ -493,30 +500,75 @@ def test_pipelined_submits_nothing_at_or_past_horizon():
         assert len(log) - res.report.drift_evals == sum(1 for _, g in log if not g)
 
 
-def test_round_drift_failure_wins_over_rollout_failure():
-    # Round 1, window of 5 at steps 0..4: slot 2's rollout overflows and
-    # slot 4's drift raises; the drift error is reported, as with a barrier.
-    rule = make_rule("sgd", Trap(huge=2, fail=4), 10.0, total_steps=10)
+def same_objects(states, others):
+    return len(states) == len(others) and all(map(operator.is_, states, others))
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1e9])
+def test_round_ends_at_its_first_failing_slot(threshold):
+    # Round 1, window of 5 at steps 0..4: the drift at the guess for step 2
+    # is huge, so slot 3's rollout overflows, and the drift at step 4 raises.
+    # Both fail at a guess's step, not the anchor's: the round ends at slot 2
+    # without raising, having measured slots 1 and 2.  At 20 ms a drift, the
+    # drift at step 4 is still running then.
+    rule = make_rule("sgd", Trap(huge=(2,), fail=(4,)), 10.0, total_steps=10)
     theta0 = initial_state(rule)
-    w = Window(0, [theta0] + [with_step(theta0, j) for j in range(1, 6)])
+    w = [theta0] + [with_step(theta0, j) for j in range(1, 6)]
+    guesses = list(w)
+    accepted = []
+    with WorkerPool(2, injected_cost_ms=20.0) as pool:
+        errors = picard_round(w, rule, pool, threshold, accepted)
+        served = sum(pool.timing_report()["drifts_served"])
+    assert len(errors) == 2
+    slot1 = sequential_step(rule, theta0, 0)
+    slot2 = rollout_one(rule, po.drift(rule, guesses[1], 1), slot1)
+    if threshold == 0.0:
+        # slot 1 missed its guess, so it is the new anchor; slot 2 is the
+        # next round's guess for step 2, and the later slots keep theirs
+        assert compute_skip(errors, threshold) == 1 and accepted == [w[0]]
+        assert states_equal_bits(w[0], slot1) and states_equal_bits(w[1], slot2)
+        assert same_objects(w[2:], guesses[3:])
+        assert served >= 5
+    else:
+        # both slots were accepted; every drift the round started has finished
+        assert compute_skip(errors, threshold) == 2
+        assert len(accepted) == 2 and accepted[1] is w[0]
+        assert states_equal_bits(accepted[0], slot1) and states_equal_bits(w[0], slot2)
+        assert same_objects(w[1:], guesses[3:])
+        assert served == 5
+
+
+@pytest.mark.parametrize("trap,error", [(Trap(huge=(0,)), po.PoisonedDrift),
+                                        (Trap(fail=(0,)), po.ObjectiveError)])
+def test_round_fails_at_its_anchors_step(trap, error):
+    # Slot 1 is the step sequential execution takes from the anchor: its
+    # failure fails the round, after every drift is drained, and leaves the
+    # window as it was.
+    rule = make_rule("sgd", trap, 10.0, total_steps=10)
+    theta0 = initial_state(rule)
+    with pytest.raises(error):
+        sequential_step(rule, theta0, 0)
+    w = [theta0] + [with_step(theta0, j) for j in range(1, 6)]
+    guesses = list(w)
     with WorkerPool(2) as pool:
-        with pytest.raises(po.ObjectiveError, match="seed 4"):
+        with pytest.raises(error):
             picard_round(w, rule, pool, 0.0)
-    # without the drift failure the rollout error surfaces; the failed round
-    # refined ``w``, so start again from the initial guesses
-    rule = make_rule("sgd", Trap(huge=2), 10.0, total_steps=10)
-    w = Window(0, [theta0] + [with_step(theta0, j) for j in range(1, 6)])
-    with WorkerPool(2) as pool:
-        with pytest.raises(po.PoisonedDrift) as exc:
-            picard_round(w, rule, pool, 0.0)
-    assert exc.value.step == 3 and exc.value.seed == -1
+        assert sum(pool.timing_report()["drifts_served"]) == 5
+    assert same_objects(w, guesses)
 
 
 class LateTrap(Trap):
-    """Fails at step 3 once the state there has moved: in round 2 at threshold 0."""
+    """Fails at step 3 once the state there has moved: from round 2 on at
+    threshold 0."""
 
     def __init__(self, data_seed=0):  # the CLI always sets a data seed
-        super().__init__(fail=3, moved_only=True)
+        super().__init__(fail=(3,), moved_only=True)
+
+
+class LateFault(LateTrap):
+    """LateTrap raising an error that fails a round at any slot."""
+
+    error = DimensionError
 
 
 def test_failed_round_checkpoints_its_window_as_refined(tmp_path, monkeypatch):
@@ -524,38 +576,59 @@ def test_failed_round_checkpoints_its_window_as_refined(tmp_path, monkeypatch):
     # the drifts at w[0] and w[1] and fails on w[2]'s.  Round 2's slot 1
     # (step 2) missed w[1], so it is the new anchor: w[0] left the window's
     # front, slot 2 was refined and slots 3 and 4 still hold w's guesses.
-    rule = make_rule("sgd", LateTrap(), 0.1, total_steps=10)
+    rule = make_rule("sgd", LateFault(), 0.1, total_steps=10)
     settings = EngineSettings(window=4, workers=2, threshold=0.0, gamma=1.0)
     windows = []
-    with pytest.raises(po.ObjectiveError, match="seed 3") as exc:
-        run(rule, settings, observer=lambda accepted, window: windows.append(list(window.states)))
+    with pytest.raises(DimensionError, match="seed 3") as exc:
+        run(rule, settings, observer=lambda accepted, window: windows.append(list(window)))
     (w,) = windows
     partial = exc.value.partial_window
     assert exc.value.partial_report.rounds == 1
     assert [s.step for s in w] == [1, 2, 3, 4, 5]
-    assert partial.base_step == 2 and [s.step for s in partial.states] == [2, 3, 4, 5]
+    assert [s.step for s in partial] == [2, 3, 4, 5]
     assert states_equal_bits(w[0], sequential_step(rule, initial_state(rule), 0))
-    anchor = partial.states[0]
+    anchor = partial[0]
     assert states_equal_bits(anchor, sequential_step(rule, w[0], 1))
     assert not states_equal_bits(anchor, w[1])
     slot2 = rollout_one(rule, po.drift(rule, w[1], 2), anchor)
-    assert states_equal_bits(partial.states[1], slot2)
-    assert not states_equal_bits(partial.states[1], w[2])
-    assert partial.states[2] is w[3] and partial.states[3] is w[4]
-    # the CLI writes that window to abort_window.bin and exits 3
+    assert states_equal_bits(partial[1], slot2)
+    assert not states_equal_bits(partial[1], w[2])
+    assert partial[2] is w[3] and partial[3] is w[4]
+    # the CLI writes that window to abort_window.bin and exits 1
+    monkeypatch.setitem(po.problems.PROBLEM_KINDS, "late_fault", LateFault)
+    args = ["--rule", "sgd", "--step-size", "0.1", "--steps", "10", "--window", "4",
+            "--workers", "2", "--threshold", "0"]
+    code = cli.main(["run", "--problem", "late_fault", *args, "--out", str(tmp_path / "fault")])
+    assert code == 1
+    saved = list(po.iter_states(tmp_path / "fault" / "abort_window.bin"))
+    assert len(saved) == 4 and all(map(states_equal_bits, saved, partial))
+    # An ObjectiveError at a guess's step only ends its round: rounds 2 and 3
+    # end at step 3, and round 4, anchored there, fails before refining
+    # anything, so the window checkpointed is the one round 3 left.
+    rule = make_rule("sgd", LateTrap(), 0.1, total_steps=10)
+    windows = []
+    with pytest.raises(po.ObjectiveError, match="seed 3") as exc:
+        run(rule, settings, observer=lambda accepted, window: windows.append(list(window)))
+    partial = exc.value.partial_window
+    assert exc.value.partial_report.rounds == len(windows) == 3
+    assert [s.step for s in partial] == [3, 4, 5, 6, 7] and same_objects(partial, windows[-1])
+    sequential = initial_state(rule)
+    for tau in range(3):
+        sequential = sequential_step(rule, sequential, tau)
+    assert states_equal_bits(partial[0], sequential)
     monkeypatch.setitem(po.problems.PROBLEM_KINDS, "late_trap", LateTrap)
-    code = cli.main(["run", "--problem", "late_trap", "--rule", "sgd", "--step-size", "0.1",
-                     "--steps", "10", "--window", "4", "--workers", "2", "--threshold", "0",
-                     "--out", str(tmp_path)])
+    code = cli.main(["run", "--problem", "late_trap", *args, "--out", str(tmp_path / "trap")])
     assert code == 3
-    saved = list(po.iter_states(tmp_path / "abort_window.bin"))
-    assert len(saved) == 4 and all(map(states_equal_bits, saved, partial.states))
+    saved = list(po.iter_states(tmp_path / "trap" / "abort_window.bin"))
+    assert len(saved) == 5 and all(map(states_equal_bits, saved, partial))
 
 
 def test_aborted_run_drains_prefetched_work():
-    # Threshold 0 prefetches every round; the drift at step 3 fails on its
-    # second visit, in round 2, while round 3's drifts are in flight.
-    rule = make_rule("sgd", Trap(fail=3, moved_only=True), 0.1, total_steps=20)
+    # Threshold 0 prefetches every round.  The drift at step 3 fails on every
+    # visit after its first: in rounds 2 and 3 at a guess's step, which ends
+    # the round, and in round 4 at the anchor's, while that round's later
+    # drifts are in flight.
+    rule = make_rule("sgd", Trap(fail=(3,), moved_only=True), 0.1, total_steps=20)
     settings = EngineSettings(window=5, workers=2, threshold=0.0, gamma=1.0,
                               injected_cost_ms=10.0)
     pool, log = recording_pool(2, injected_cost_ms=10.0)
@@ -571,11 +644,41 @@ def test_aborted_run_drains_prefetched_work():
         assert sum(pool.timing_report()["drifts_served"]) == served
         assert sum(pool.timing_report()["busy_ms"]) == busy
     assert exc.value.partial_report.partial
-    assert exc.value.partial_report.rounds == 1
+    assert exc.value.partial_report.rounds == 3
     before = threading.active_count()
     with pytest.raises(po.ObjectiveError):
         run(rule, settings)
     assert threading.active_count() == before
+
+
+def sequential_failure(rule):
+    """(type, step, message) of the first error a plain sequential_step loop
+    raises, or None."""
+    state = initial_state(rule)
+    for tau in range(rule.total_steps):
+        try:
+            state = sequential_step(rule, state, tau)
+        except po.PicardoptError as err:
+            return type(err), tau, str(err)
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(fail=st.sets(st.integers(0, 14), max_size=3), huge=st.sets(st.integers(0, 14), max_size=2),
+       steps=st.integers(1, 12), window=st.integers(1, 6), workers=st.integers(1, 3))
+def test_exact_run_fails_where_the_sequential_run_fails(fail, huge, steps, window, workers):
+    # ObjectiveErrors on moved states and overflowing rollouts at the chosen
+    # seeds: the engine fails if and only if the sequential loop fails, with
+    # the same error at the same step, its window anchored there.
+    rule = make_rule("sgd", Trap(huge=huge, fail=fail, moved_only=True), 10.0,
+                     total_steps=steps)
+    expected = sequential_failure(rule)
+    try:
+        run(rule, EngineSettings(window=window, workers=workers, threshold=0.0))
+    except po.PicardoptError as err:
+        assert (type(err), err.partial_window[0].step, str(err)) == expected
+    else:
+        assert expected is None
 
 
 def test_adaptive_guidance_reproducible_for_fixed_workers():
@@ -626,8 +729,10 @@ class FailsAtSeed9(po.problems.QuadraticProblem):
 
 
 def test_aborted_run_counts_every_drift_served():
-    # Drifts served in the failing round and prefetched for the next one
-    # count, and so do those that raise.
+    # Drifts served in the failing round and prefetched for it count, and so
+    # do those that raise.  At threshold 0 each round skips one step and runs
+    # five drifts; rounds 6 to 9 end at the failing drift at step 9, and
+    # round 10, anchored there, fails.
     problem = FailsAtSeed9(dim=4)
     problem.calls = []
     rule = make_rule("sgd", problem, 0.1, total_steps=30)
@@ -635,8 +740,8 @@ def test_aborted_run_counts_every_drift_served():
         with pytest.raises(po.ObjectiveError) as exc:
             run(rule, EngineSettings(window=5, workers=2, threshold=0.0), pool)
         served = sum(pool.timing_report()["drifts_served"])
-    assert problem.calls.count(9) == 2
-    assert exc.value.partial_report.drift_evals == served == len(problem.calls) == 34
+    assert problem.calls.count(9) == 5 and exc.value.partial_report.rounds == 9
+    assert exc.value.partial_report.drift_evals == served == len(problem.calls) == 50
 
 
 # --- shared drifts --------------------------------------------------------------
@@ -771,10 +876,10 @@ def test_accepted_states_are_freed_before_the_next_round(monkeypatch):
     def watched(window, rule, pool, threshold, kept=None):
         alive_at_start.append(sum(ref() is not None for ref in accepted))
         rolled.clear()
-        anchor = weakref.ref(window.states[0])
+        anchor = weakref.ref(window[0])
         errors = picard_round(window, rule, pool, threshold, kept)
         skip = compute_skip(errors, threshold)
-        assert len(rolled) == skip and rolled[-1]() is window.states[0]
+        assert len(rolled) == skip and rolled[-1]() is window[0]
         accepted[:] = [anchor] + rolled[:-1]
         alive_at_end.append(sum(ref() is not None for ref in accepted))
         return errors
@@ -798,16 +903,16 @@ def test_a_round_holds_only_what_a_later_step_reads(monkeypatch, threshold, gamm
     # go before the next drift is served.
     rule = quad_rule(dim=1000, T=40, kind="adam", eta=0.02, noise=noise)
     settings = EngineSettings(window=5, workers=1, threshold=threshold, gamma=gamma)
-    windows: list[Window] = []
+    windows: list[list[ParamState]] = []
     seen: list[tuple[int, weakref.ref]] = []
     behind, alive, moments = [], [], []
 
     def only_the_anchor_has_moments(window):
-        return (window.states[0].moments is not None
-                and all(s.moments is None for s in window.states[1:]))
+        return (window[0].moments is not None
+                and all(s.moments is None for s in window[1:]))
 
     def watched_rollout(rule, d, state):
-        front = windows[0].states[0]
+        front = windows[0][0]
         refs = [ref for step, ref in seen if step < state.step]
         behind.append(len(refs))
         alive.append(sum(ref() is not None and ref() is not front for ref in refs))
@@ -845,8 +950,8 @@ def test_observer_gets_the_oracles_states_with_moments(problem, settings, eta, w
 
     def observer(accepted, window):
         got.extend(accepted)
-        assert window.states[0] is accepted[-1]
-        guesses.extend(s.moments is None for s in window.states[1:])
+        assert window[0] is accepted[-1]
+        guesses.extend(s.moments is None for s in window[1:])
 
     res = run(rule, EngineSettings(window=7, workers=workers, threshold=0.0), observer=observer)
     assert res.report.rounds < 60

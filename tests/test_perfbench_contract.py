@@ -10,7 +10,13 @@ import inspect
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
+
+import picardopt as po
+from picardopt import engine
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,3 +56,23 @@ def test_every_name_the_benchmark_expects_is_traced():
         names.add(name)
     for expected in (workloads.ALWAYS_CALLED, *(w.called for w in workloads.WORKLOADS.values())):
         assert set(expected) <= names, sorted(set(expected) - names)
+
+
+@pytest.mark.parametrize("rule,settings", [
+    (po.make_rule("adam", po.make_problem("quadratic", dim=50), 0.05, total_steps=60),
+     engine.EngineSettings(window=5, workers=2)),
+    # at threshold 0 most of its rounds end early, at a drift failing at a guess
+    (po.make_rule("sgd", po.make_problem("splat2d", data_seed=5), 0.01, total_steps=60),
+     engine.EngineSettings(window=7, workers=2, threshold=0.0)),
+])
+def test_each_round_calls_the_spans_the_benchmark_pairs_once(rule, settings):
+    # tracer.solve_layers pairs each round's picard_round span with its
+    # advance_window span for engine.round_ms_p50/p99, so each must run once
+    # per round, and so must compute_skip.
+    tracer = perfbench_module("tracer").Tracer()
+    with tracer:
+        result = engine.run(rule, settings)
+    calls = Counter(span[3] for span in tracer.spans)
+    assert calls["engine.run"] == 1 and result.report.rounds > 1
+    for name in ("engine.picard_round", "engine.advance_window", "engine.compute_skip"):
+        assert calls[name] == result.report.rounds, name
