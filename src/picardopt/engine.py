@@ -3,7 +3,10 @@
 A window is a list of candidate states, slot j holding step
 ``window[0].step + j``: slot 0 is the converged anchor, final and never
 recomputed, with moments for Adam; the later slots are guesses, which may
-carry none.  Each round evaluates all drifts in parallel at the previous
+carry none.  Every slot has its step's dimension: a guess is made by carrying
+the state before it through the schedule's action at that state's step, if
+one fires (``schedule.reconcile_vector``), so no round lifts a state or a
+drift payload.  Each round evaluates all drifts in parallel at the previous
 iterate, rolls the successors out strictly left to right from the anchor,
 measures per-slot normalized squared errors against the previous iterate,
 slides the window to the first slot whose error exceeds the threshold,
@@ -47,15 +50,15 @@ import os
 import statistics
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import ObjectiveError, PicardoptError, PoisonedDrift
+from .errors import DimensionError, ObjectiveError, PicardoptError, PoisonedDrift
 from .oracle import checked_loss
 from .pool import WorkerPool
-from .rules import ADAPTIVE_GUIDANCE, UpdateRule, initial_state, reconcile_payload, rollout_one
+from .rules import ADAPTIVE_GUIDANCE, UpdateRule, initial_state, rollout_one
 from .schedule import reconcile_vector
 from .state import ParamState, finite_checked, with_step, without_moments
 from .telemetry import RoundRecord, RunReport, finalize_report
@@ -64,37 +67,28 @@ DOT_BLOCK = 8192
 
 
 @finite_checked
-def fixed_point_distance(new: ParamState, old: ParamState, rule: UpdateRule) -> float:
-    """Normalized squared distance (1/D) * ||new - lift(old)||^2 over values.
+def fixed_point_distance(new: ParamState, old: ParamState) -> float:
+    """Normalized squared distance (1/D) * ||new - old||^2 over values, D the
+    dimension both states have at their step.
 
-    Moments are excluded.  When dimensions differ, the stale state is mapped
-    through the schedule actions it missed (splits apply the real offset
-    clone), and D is the larger of the two dimensions.
+    Moments are excluded.  A distance that overflows between two finite
+    states is ``inf``: not converged, above any threshold.
     """
     if new.step != old.step:
         raise ValueError(f"distance across steps {new.step} != {old.step}")
-    lifted = old.values
-    if old.dim != new.dim or old.dim_tag != new.dim_tag:
-        lifted = reconcile_vector(
-            old.values, rule.schedule, new.step, old.dim_tag, new.dim_tag,
-            rule.problem.point_width, with_offset=True,
-        )
+    n = new.dim
+    if old.dim != n:
+        raise DimensionError(f"distance across dimensions {n} != {old.dim} at step {new.step}")
     # np.dot over fixed blocks of the difference, summed in block order: BLAS
     # runs a dot this short on one thread, so the bits do not depend on its
     # thread count.  Each block is subtracted into one reused buffer.
-    n = new.dim
-    if len(lifted) != n:
-        raise ValueError(f"distance across dimensions {n} != {len(lifted)}")
     buf = np.empty(min(n, DOT_BLOCK))
     total = 0.0
     for i in range(0, n, DOT_BLOCK):
-        block = np.subtract(new.values[i : i + DOT_BLOCK], lifted[i : i + DOT_BLOCK],
+        block = np.subtract(new.values[i : i + DOT_BLOCK], old.values[i : i + DOT_BLOCK],
                             out=buf[: min(DOT_BLOCK, n - i)])
         total += float(np.dot(block, block))
-    dist = total / max(new.dim, old.dim)
-    if not np.isfinite(dist):
-        raise PoisonedDrift(new.step, -1, "fixed-point distance is not finite")
-    return dist
+    return total / n
 
 
 def compute_skip(errors: Sequence[float], threshold: float) -> int:
@@ -110,7 +104,10 @@ def compute_skip(errors: Sequence[float], threshold: float) -> int:
 
 def update_threshold(e: float, gamma: float, median: float) -> float:
     """The next round's threshold: an EMA, with decay ``gamma``, of each
-    round's median error."""
+    round's median error.  A median that overflowed (``inf``) leaves it
+    unchanged."""
+    if not math.isfinite(median):
+        return e
     return gamma * e + (1.0 - gamma) * median
 
 
@@ -123,9 +120,9 @@ def picard_round(window: list[ParamState], rule: UpdateRule, pool: WorkerPool, t
     the round early.  Slot j is rolled out and its error measured as soon as
     its drift arrives, and the round's state for that step replaces the
     guess there; the state being rolled from is held apart from the window.
-    A drift payload produced at a stale-dimension guess is mapped to the
-    rolling state's dimension, and a drift shared from another slot's state
-    takes this slot's step (its seed stays the one it was computed with).
+    Every slot has its step's dimension, so every drift's payload has its
+    rolling state's; a drift shared from another slot's state takes this
+    slot's step (its seed stays the one it was computed with).
 
     While every error so far is within ``threshold``, the window slides:
     slot j, accepted and not the next anchor, leaves its front once slot
@@ -137,7 +134,7 @@ def picard_round(window: list[ParamState], rule: UpdateRule, pool: WorkerPool, t
     without moments (``without_moments``).
 
     A ``PoisonedDrift`` or ``ObjectiveError`` while producing slot j + 1 for
-    j >= 1 (reading or reconciling drift j, the rollout, or its distance)
+    j >= 1 (reading drift j, or its rollout)
     ends the round at slot j, once the drifts not yet read have finished:
     drift j was taken at a guess, which sequential execution need not visit.
     At j = 0 the drift is the anchor's own, the step sequential execution
@@ -148,7 +145,6 @@ def picard_round(window: list[ParamState], rule: UpdateRule, pool: WorkerPool, t
     p = len(window) - 1
     if p < 1:
         raise ValueError("picard_round needs a window of size >= 1")
-    stale_tags = [s.dim_tag for s in window[:p]]  # each drift's payload has its guess's dimension
     futures = pool.gather_drifts(rule, window[:p])
     rolling = window[0]
     errors = []
@@ -160,14 +156,9 @@ def picard_round(window: list[ParamState], rule: UpdateRule, pool: WorkerPool, t
                 futures[j] = None  # a drift a later slot shares lives until that slot is read
                 if d.step != rolling.step:
                     d = d.relabelled(rolling.step)
-                if len(d.payload) != rolling.dim:
-                    lifted = reconcile_payload(rule, d.payload, stale_tags[j], rolling.dim_tag,
-                                               rolling.step)
-                    d = replace(d, payload=lifted)
                 refined = rollout_one(rule, d, rolling)
                 del d
-                errors.append(fixed_point_distance(refined, window[refined.step - window[0].step],
-                                                   rule))
+                errors.append(fixed_point_distance(refined, window[refined.step - window[0].step]))
             except (ObjectiveError, PoisonedDrift):
                 if j == 0:
                     raise
@@ -192,21 +183,34 @@ def picard_round(window: list[ParamState], rule: UpdateRule, pool: WorkerPool, t
     return tuple(errors)
 
 
-def advance_window(window: list[ParamState], skip: int, total_steps: int) -> list[ParamState]:
+def advance_window(window: list[ParamState], skip: int, rule: UpdateRule) -> list[ParamState]:
     """Refill the tail of a window that a round slid forward by ``skip``.
 
-    The tail is refilled with clones of the window's last state, without
-    moments, up to the size it had before the slide, clamped so the window
-    never extends past the horizon.  Returns the window, refilled in place.
+    The tail is refilled up to the size it had before the slide, clamped so
+    the window never extends past the horizon, each new slot a guess carried
+    on from the slot before it (``_carried``).  Returns the window, refilled
+    in place.
     """
     if skip < 1:
         raise ValueError(f"skip {skip} is below 1")
-    base = window[0].step
-    size = min(len(window) - 1 + skip, total_steps - base)
-    guess = without_moments(window[-1])
+    size = min(len(window) - 1 + skip, rule.total_steps - window[0].step)
     while len(window) <= size:
-        window.append(with_step(guess, base + len(window)))
+        window.append(_carried(rule, window[-1]))
     return window
+
+
+def _carried(rule: UpdateRule, state: ParamState) -> ParamState:
+    """The guess for the step after ``state``'s: its values, without moments,
+    carried through the schedule's action at its step.  When no action fires
+    there, the guess shares ``state``'s values array, and so its drift."""
+    guess = without_moments(state)
+    if rule.schedule:
+        width = rule.problem.point_width
+        values = reconcile_vector(guess.values, rule.schedule, state.step, state.step + 1, width)
+        if values is not guess.values:
+            return ParamState(state.step + 1, values, len(values) // width, None,
+                              guess.aux_version)
+    return with_step(guess, state.step + 1)
 
 
 @dataclass(frozen=True)
@@ -313,8 +317,8 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
         ) -> EngineResult:
     """Drive the windowed iteration from step 0 to the horizon.
 
-    The window is a list, slot j holding step ``window[0].step + j``; all
-    slots start as clones of the initial state, the guesses without moments.
+    The window is a list, slot j holding step ``window[0].step + j``; it
+    starts as the initial state and guesses carried on from it.
     Per round: slide and refine the window in place, skip, record telemetry,
     adapt the threshold (after the skip decision, preserving the reference
     ordering), refill the window's tail.  A failure past the anchor's step
@@ -370,7 +374,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
             records.append(RoundRecord(len(records) + 1, base, skip, threshold,
                                        min(errors), median, max(errors)))
             threshold = update_threshold(threshold, settings.gamma, median)
-            advance_window(window, skip, T)
+            advance_window(window, skip, rule)
             if observer is not None:
                 t_observer = time.perf_counter()
                 observer(accepted, window)
@@ -392,10 +396,12 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
 
 
 def _first_window(rule: UpdateRule, size: int) -> list[ParamState]:
-    """The initial state and ``size`` clones of it as guesses, without moments."""
-    theta0 = initial_state(rule)
-    guess = without_moments(theta0)
-    return [theta0] + [with_step(guess, j) for j in range(1, size + 1)]
+    """The initial state and ``size`` guesses after it, each carried on from
+    the slot before it (``_carried``)."""
+    window = [initial_state(rule)]
+    for _ in range(size):
+        window.append(_carried(rule, window[-1]))
+    return window
 
 
 def _report(records, T: int, echo: dict, pool: WorkerPool, counters: dict, wall_ms: float,

@@ -25,7 +25,7 @@ import numpy as np
 from . import kernels
 from .errors import ArgumentError, DimensionError
 from .problems import Problem
-from .schedule import ScheduleAction, apply_action, reconcile_vector, validate_schedule
+from .schedule import ScheduleAction, apply_action, validate_schedule
 from .state import Drift, MomentState, ParamState, finite_checked
 
 EULER_ODE = "euler_ode"
@@ -167,7 +167,7 @@ def rollout_one(rule: UpdateRule, d: Drift, state: ParamState) -> ParamState:
         vn = state.values - eta * d.payload
         action = rule.action_at(state.step)  # only split_prune_sgd has a schedule
         if action is not None:
-            vn = apply_action(vn, action, rule.problem.point_width, with_offset=True)
+            vn = apply_action(vn, action, rule.problem.point_width)
             dim_tag = dim_tag + action.delta
     elif rule.kind == ADAM:
         if moments is None:
@@ -189,15 +189,3 @@ def sequential_step(rule: UpdateRule, state: ParamState, seed: int, aux=None) ->
     """One direct sequential update: rollout_one(rule, drift(...), state)."""
     return rollout_one(rule, drift(rule, state, seed, aux), state)
 
-
-def reconcile_payload(rule: UpdateRule, payload: np.ndarray, have_points: int,
-                      want_points: int, step: int) -> np.ndarray:
-    """Map a stale drift payload onto the correct dimension at ``step``.
-
-    Missed splits duplicate the parent rows (no positional offset: the payload
-    is a tangent vector); missed prunes drop the deleted rows.
-    """
-    return reconcile_vector(
-        payload, rule.schedule, step, have_points, want_points,
-        rule.problem.point_width, with_offset=False,
-    )

@@ -3,10 +3,13 @@
 A schedule is a sorted tuple of actions, each firing during the transition
 from its ``step`` to ``step + 1``.  ``split`` appends one child per listed
 parent index at the end of the point list; ``prune`` deletes the listed
-indices.  Split children of *parameter* vectors are offset from the parent by
-a fixed deterministic perturbation (magnitude SPLIT_OFFSET, direction hashed
-from the parent index); lifted *drift* payloads duplicate the parent rows
-without the positional offset, since they are tangent vectors.
+indices.  Split children are offset from the parent by a fixed deterministic
+perturbation (magnitude SPLIT_OFFSET, direction hashed from the parent index).
+
+``reconcile_vector`` carries a vector from one step to a later one through
+the actions that fire between them, as the rollouts do.  The engine builds
+each guess that way, so every state, and every drift taken at one, has its
+step's dimension: no drift payload is lifted.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ def split_offset(parent_index: int, width: int) -> np.ndarray:
     return SPLIT_OFFSET * d / np.linalg.norm(d)
 
 
-def apply_action(vec: np.ndarray, action: ScheduleAction, width: int, with_offset: bool) -> np.ndarray:
+def apply_action(vec: np.ndarray, action: ScheduleAction, width: int) -> np.ndarray:
     """Apply one action to a flat point vector; returns a new flat vector."""
     if len(vec) % width:
         raise DimensionError(f"vector length {len(vec)} not a multiple of width {width}")
@@ -90,42 +93,18 @@ def apply_action(vec: np.ndarray, action: ScheduleAction, width: int, with_offse
         raise ScheduleError(f"action at step {action.step} references point beyond {n - 1}")
     if action.kind == SPLIT:
         children = pts[list(action.indices)].copy()
-        if with_offset:
-            for row, parent in enumerate(action.indices):
-                children[row] += split_offset(parent, width)
+        for row, parent in enumerate(action.indices):
+            children[row] += split_offset(parent, width)
         return np.concatenate([pts, children]).reshape(-1)
     return np.delete(pts, list(action.indices), axis=0).reshape(-1)
 
 
-def missed_actions(schedule, step: int, have_points: int, want_points: int):
-    """Actions a stale state at ``step`` skipped, reconstructed by walking the
-    schedule backwards from the correct count until it matches the stale one.
-
-    Returns the missed actions in firing order; raises DimensionError when no
-    suffix of the schedule explains the gap.
-    """
-    prior = [a for a in schedule if a.step < step]
-    c = want_points
-    missed = []
-    for a in reversed(prior):
-        if c == have_points:
-            break
-        c -= a.delta
-        missed.append(a)
-    if c != have_points:
-        raise DimensionError(
-            f"irreconcilable dimensions at step {step}: have {have_points} points, "
-            f"want {want_points}, schedule cannot explain the gap"
-        )
-    return list(reversed(missed))
-
-
-def reconcile_vector(vec: np.ndarray, schedule, step: int, have_points: int,
-                     want_points: int, width: int, with_offset: bool) -> np.ndarray:
-    """Lift/project a stale flat vector to the correct dimension at ``step``."""
-    if have_points == want_points:
-        return vec
+def reconcile_vector(vec: np.ndarray, schedule, from_step: int, to_step: int,
+                     width: int) -> np.ndarray:
+    """Carry a flat point vector at ``from_step`` to ``to_step`` through the
+    actions that fire between them, in order; ``vec`` itself when none does."""
     out = vec
-    for a in missed_actions(schedule, step, have_points, want_points):
-        out = apply_action(out, a, width, with_offset)
+    for a in schedule:
+        if from_step <= a.step < to_step:
+            out = apply_action(out, a, width)
     return out

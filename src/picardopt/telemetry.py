@@ -8,6 +8,7 @@ events yields identical JSON except for wall-clock fields, all of which end in
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 from .errors import InternalConsistencyError
@@ -54,12 +55,16 @@ class RunReport:
     drift_wait_ms: float | None = None
 
     def to_json_dict(self) -> dict:
+        """The report as JSON values.  JSON has no infinity, so an error that
+        overflowed (``inf``) is ``None``, written as ``null``."""
         d = asdict(self)
         d["skip_histogram"] = {str(k): v for k, v in sorted(self.skip_histogram.items())}
+        d["error_trace"] = [[e if math.isfinite(e) else None for e in errors]
+                            for errors in self.error_trace]
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def finalize_report(records, total_steps: int, config_echo: dict, final_loss: float | None,

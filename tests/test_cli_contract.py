@@ -368,6 +368,27 @@ def test_overflowing_oracle_loss_exits_3_without_warning(tmp_path, capsys, mode)
         assert list(out.iterdir()) == []
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_an_overflowing_distance_fails_the_run_where_the_oracle_does(tmp_path, capsys):
+    # Before the drift at step 6 fails, the distances of the guesses from the
+    # growing states overflow: they are inf, written to report.json as null,
+    # and the run fails where, and as, the sequential run does.
+    errors = {}
+    for mode in ("engine", "oracle"):
+        code = cli.main(["run", "--problem", "rosenbrock", "--rule", "sgd", "--step-size", "0.01",
+                         "--steps", "50", "--threshold", "0", "--window", "7", "--workers", "2",
+                         "--mode", mode, "--out", str(tmp_path / mode)])
+        assert code == 3
+        errors[mode] = capsys.readouterr().err
+    assert errors["engine"] == errors["oracle"] and "step 6 (seed 6)" in errors["oracle"]
+    report = json.loads((tmp_path / "engine" / "report.json").read_text(),
+                        parse_constant=reject_constant)
+    assert report["partial"] is True and None in report["error_trace"][-1]
+
+
 def test_unreadable_manifest_exits_2(tmp_path, capsys):
     assert cli.main(["verify", "--manifest", str(tmp_path / "missing.ini")]) == 2
     assert "manifest" in capsys.readouterr().err

@@ -77,6 +77,14 @@ def test_threshold_gamma_zero_full_adaptation():
     assert update_threshold(5e-5, 0.0, round_median((2.0, 4.0))) == 3.0
 
 
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+def test_threshold_ignores_a_round_whose_median_overflowed(gamma):
+    # At gamma 1, 1.0 * e + 0.0 * inf would be NaN, a threshold every slot passes.
+    inf = float("inf")
+    for errors in ((1e-9, inf, inf), (inf, inf), (inf,)):
+        assert update_threshold(5e-5, gamma, round_median(errors)) == 5e-5
+
+
 @given(st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=10),
        st.lists(st.floats(min_value=0, max_value=10), min_size=1, max_size=8))
 def test_threshold_stays_nonnegative(gamma, e0, errors):
@@ -112,31 +120,27 @@ def test_threshold_validation():
 
 
 def test_distance_identical_states():
-    rule = quad_rule()
     s = ParamState(3, np.ones(4), 4)
-    assert fixed_point_distance(s, s, rule) == 0.0
+    assert fixed_point_distance(s, s) == 0.0
 
 
 def test_distance_direct_formula():
-    rule = quad_rule()
     a = ParamState(0, np.array([0.1, 0.0, 0.0, 0.0]), 4)
     b = ParamState(0, np.zeros(4), 4)
-    assert fixed_point_distance(a, b, rule) == pytest.approx(0.0025)
+    assert fixed_point_distance(a, b) == pytest.approx(0.0025)
 
 
 def test_distance_excludes_moments():
-    rule = quad_rule(kind="adam", eta=0.02)
     v = np.ones(4)
     a = ParamState(0, v, 4, po.MomentState(np.ones(4), np.ones(4), 5))
     b = ParamState(0, v, 4, po.MomentState.zeros(4))
-    assert fixed_point_distance(a, b, rule) == 0.0
+    assert fixed_point_distance(a, b) == 0.0
 
 
 def test_distance_bits_equal_the_full_difference_blockwise():
     # Several blocks and a ragged tail: the bits of a block-by-block sum of
     # np.dot over the whole difference vector, taken in block order.
     d = 3 * DOT_BLOCK + 5
-    rule = quad_rule()
     for seed in range(3):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal(d) * 10.0 ** rng.uniform(-5, 5, d)
@@ -145,34 +149,30 @@ def test_distance_bits_equal_the_full_difference_blockwise():
         total = 0.0
         for i in range(0, d, DOT_BLOCK):
             total += float(np.dot(delta[i : i + DOT_BLOCK], delta[i : i + DOT_BLOCK]))
-        got = fixed_point_distance(ParamState(4, a, d), ParamState(4, b, d), rule)
+        got = fixed_point_distance(ParamState(4, a, d), ParamState(4, b, d))
         assert got.hex() == (total / d).hex()
 
 
-def test_distance_lifts_old_through_split():
-    prob = po.make_problem("splat2d", data_seed=4, points=2)
-    sched = (ScheduleAction(4, "split", (0,)),)
-    rule = make_rule("split_prune_sgd", prob, 3e-4, total_steps=20, schedule=sched)
-    old_v = prob.initial_values()
-    old = ParamState(7, old_v, 2)  # stale clone that missed the split
-    new_v = apply_action(old_v, sched[0], 4, with_offset=True) + 0.01
-    new = ParamState(7, new_v, 3)
-    got = fixed_point_distance(new, old, rule)
-    lifted = apply_action(old_v, sched[0], 4, with_offset=True)
-    expect = float(np.sum((new_v - lifted) ** 2)) / 12  # brute-force elementwise sum
-    assert got == pytest.approx(expect, rel=1e-15)
+def test_distance_that_overflows_between_finite_states_is_inf():
+    a = ParamState(2, np.array([1e200, -1e200]), 2)
+    b = ParamState(2, np.array([-1e200, 1e200]), 2)
+    assert fixed_point_distance(a, b) == float("inf")
+    assert compute_skip((fixed_point_distance(a, b),), 1e300) == 1
 
 
 def test_distance_irreconcilable_dims():
-    rule = quad_rule()
     with pytest.raises(DimensionError):
-        fixed_point_distance(ParamState(0, np.zeros(4), 4), ParamState(0, np.zeros(3), 3), rule)
+        fixed_point_distance(ParamState(0, np.zeros(4), 4), ParamState(0, np.zeros(3), 3))
+    # A guess has its step's dimension: one that missed a split is not lifted.
+    old_v = po.make_problem("splat2d", data_seed=4, points=2).initial_values()
+    new_v = apply_action(old_v, ScheduleAction(4, "split", (0,)), 4) + 0.01
+    with pytest.raises(DimensionError):
+        fixed_point_distance(ParamState(7, new_v, 3), ParamState(7, old_v, 2))
 
 
 def test_distance_step_mismatch():
-    rule = quad_rule()
     with pytest.raises(ValueError):
-        fixed_point_distance(ParamState(0, np.zeros(4), 4), ParamState(1, np.zeros(4), 4), rule)
+        fixed_point_distance(ParamState(0, np.zeros(4), 4), ParamState(1, np.zeros(4), 4))
 
 
 # --- picard_round ----------------------------------------------------------------
@@ -237,7 +237,7 @@ def slid_window(base, skip, size):
 def test_advance_full_skip_refills_from_last():
     w = slid_window(0, 3, 3)
     anchor = w[0]
-    out = advance_window(w, skip=3, total_steps=100)
+    out = advance_window(w, skip=3, rule=quad_rule(T=100))
     assert out is w and out[0].step == 3 and len(out) == 4
     assert out[0] is anchor and anchor.moments is not None
     for j in range(1, 4):
@@ -249,26 +249,26 @@ def test_advance_full_skip_refills_from_last():
 
 def test_advance_skip_one_shifts_and_appends():
     w = slid_window(0, 1, 3)
-    out = advance_window(w, skip=1, total_steps=100)
+    out = advance_window(w, skip=1, rule=quad_rule(T=100))
     assert out[0].step == 1
     assert [s.values[0] for s in out] == [1.0, 2.0, 3.0, 3.0]
 
 
 def test_advance_clamps_near_horizon():
     w = slid_window(2, 2, 3)  # covered 2..5, now 4..5
-    out = advance_window(w, skip=2, total_steps=5)
+    out = advance_window(w, skip=2, rule=quad_rule(T=5))
     assert out[0].step == 4
     assert len(out) == 2  # clamped to T - base
     assert [s.step for s in out] == [4, 5]
     # a full skip refills the tail only up to the horizon
-    out = advance_window(slid_window(0, 3, 3), skip=3, total_steps=5)
+    out = advance_window(slid_window(0, 3, 3), skip=3, rule=quad_rule(T=5))
     assert [s.step for s in out] == [3, 4, 5]
 
 
 def test_advance_rejects_bad_skip():
     w = slid_window(0, 1, 3)
     with pytest.raises(ValueError):
-        advance_window(w, skip=0, total_steps=100)
+        advance_window(w, skip=0, rule=quad_rule(T=100))
 
 
 # --- run ---------------------------------------------------------------------------
@@ -427,24 +427,28 @@ def test_engine_settings_are_frozen():
 
 class Trap(DecayOde):
     """Gradient x, except a huge finite drift at the seeds in ``huge`` (its
-    rollout overflows) and an ObjectiveError at the seeds in ``fail``.  With
+    rollout overflows), a finite spike ``x - 1e200`` at the seeds in
+    ``spike``, and an ObjectiveError at the seeds in ``fail``.  With
     ``moved_only`` the error is raised only once the state there has left
     its initial value, so from the second visit of that step on.  The error
-    is ``error``'s."""
+    is ``error``'s.  The loss, sum tanh(x)^2, stays finite on finite states."""
 
     seed_free = False
     error = po.ObjectiveError
 
-    def __init__(self, huge=(), fail=(), moved_only=False):
+    def __init__(self, huge=(), fail=(), moved_only=False, spike=()):
         super().__init__(dim=2)
-        self.huge, self.fail, self.moved_only = huge, fail, moved_only
+        self.huge, self.fail, self.moved_only, self.spike = huge, fail, moved_only, spike
 
     def grad(self, values, seed):
         if seed in self.huge:
             return np.full(self.dim, 1e308)
         if seed in self.fail and not (self.moved_only and np.all(values == 1.0)):
             raise self.error(f"drift failed at seed {seed}")
-        return values.copy()
+        return values - 1e200 if seed in self.spike else values.copy()
+
+    def _base_loss(self, v):
+        return float(np.sum(np.tanh(v) ** 2))
 
 
 def recording_pool(n, **kwargs):
@@ -665,12 +669,15 @@ def sequential_failure(rule):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(fail=st.sets(st.integers(0, 14), max_size=3), huge=st.sets(st.integers(0, 14), max_size=2),
+       spike=st.sets(st.integers(0, 14), max_size=2),
        steps=st.integers(1, 12), window=st.integers(1, 6), workers=st.integers(1, 3))
-def test_exact_run_fails_where_the_sequential_run_fails(fail, huge, steps, window, workers):
-    # ObjectiveErrors on moved states and overflowing rollouts at the chosen
-    # seeds: the engine fails if and only if the sequential loop fails, with
-    # the same error at the same step, its window anchored there.
-    rule = make_rule("sgd", Trap(huge=huge, fail=fail, moved_only=True), 10.0,
+def test_exact_run_fails_where_the_sequential_run_fails(fail, huge, spike, steps, window,
+                                                         workers):
+    # ObjectiveErrors on moved states, overflowing rollouts and finite spikes
+    # (whose distance from a guess overflows) at the chosen seeds: the engine
+    # fails if and only if the sequential loop fails, with the same error at
+    # the same step, its window anchored there.
+    rule = make_rule("sgd", Trap(huge=huge, fail=fail, moved_only=True, spike=spike), 10.0,
                      total_steps=steps)
     expected = sequential_failure(rule)
     try:
@@ -679,6 +686,35 @@ def test_exact_run_fails_where_the_sequential_run_fails(fail, huge, steps, windo
         assert (type(err), err.partial_window[0].step, str(err)) == expected
     else:
         assert expected is None
+
+
+class Spike(DecayOde):
+    """Gradient 0.5 x, except x - 1e200 at seed 3, and the bounded loss sum
+    tanh(x)^2: every state is finite, but the guesses' distance from the
+    states after the spike overflows."""
+
+    seed_free = False
+
+    def grad(self, values, seed):
+        return values - 1e200 if seed == 3 else 0.5 * values
+
+    def _base_loss(self, v):
+        return float(np.sum(np.tanh(v) ** 2))
+
+
+@pytest.mark.parametrize("threshold,gamma", [(0.0, 1.0), (1e-6, 0.9)])
+def test_a_distance_that_overflows_does_not_fail_the_run(threshold, gamma):
+    rule = make_rule("sgd", Spike(dim=2), 1.0, total_steps=10)
+    oracle, _ = po.solve_sequential(rule)
+    res = run(rule, EngineSettings(window=3, workers=2, threshold=threshold, gamma=gamma))
+    assert states_equal_bits(res.terminal, oracle.terminal)
+    assert res.report.final_loss == oracle.losses[-1]
+    # a round whose median error overflowed leaves the threshold as it was
+    overflowed = [(r, nxt) for r, nxt in zip(res.records, res.records[1:])
+                  if r.err_med == float("inf")]
+    assert overflowed
+    assert all(nxt.threshold == r.threshold for r, nxt in overflowed)
+    json.loads(res.report.to_json(), parse_constant=lambda name: pytest.fail(name))
 
 
 def test_adaptive_guidance_reproducible_for_fixed_workers():
@@ -774,6 +810,57 @@ def test_clones_share_drifts_with_the_same_bits():
     assert own_served == own.report.drift_evals
 
 
+SPLIT_PRUNE = [ScheduleAction(3, "split", (0,)), ScheduleAction(9, "prune", (1,)),
+               ScheduleAction(10, "split", (1,)), ScheduleAction(17, "split", (0, 2)),
+               ScheduleAction(25, "prune", (3, 0))]
+
+
+def points_at(rule, step):
+    """The schedule's point count at ``step``: the initial count plus the
+    change of every action that fired before it."""
+    return rule.problem.initial_dim_tag() + sum(a.delta for a in rule.schedule if a.step < step)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("threshold,gamma", [(0.0, 1.0), (1e-6, 0.9)])
+def test_every_window_slot_has_its_steps_point_count(threshold, gamma, workers):
+    rule = make_rule("split_prune_sgd", po.make_problem("splat2d", points=2, data_seed=5), 0.01,
+                     total_steps=30, schedule=SPLIT_PRUNE)
+    wrong = []
+
+    def observer(accepted, window):
+        wrong.extend((s.step, s.dim_tag, s.dim) for s in window
+                     if s.dim_tag != points_at(rule, s.step) or s.dim != 4 * s.dim_tag)
+
+    res = run(rule, EngineSettings(window=7, workers=workers, threshold=threshold, gamma=gamma),
+              observer=observer)
+    assert res.report.rounds > 1 and wrong == []
+
+
+def test_clones_share_one_array_between_actions():
+    # Slots carried across no action are one values array, so a step-invariant
+    # drift is run once for them; a slot carried past an action has a new one.
+    rule = make_rule("split_prune_sgd", po.make_problem("splat2d", points=2, data_seed=4), 0.01,
+                     total_steps=20, schedule=[ScheduleAction(5, "split", (0,)),
+                                               ScheduleAction(7, "prune", (1,))])
+    assert rule.step_invariant
+    anchor = ParamState(3, rule.problem.initial_values(), 2, aux_version=4)
+    w = advance_window([anchor], skip=6, rule=rule)
+    assert [s.step for s in w] == list(range(3, 10))
+    assert [s.dim_tag for s in w] == [2, 2, 2, 3, 3, 2, 2]
+    assert {s.aux_version for s in w} == {4}
+    arrays = [s.values for s in w]
+    assert arrays[0] is arrays[1] is arrays[2]
+    assert arrays[3] is arrays[4] and arrays[5] is arrays[6]
+    assert len({id(a) for a in arrays}) == 3
+    np.testing.assert_array_equal(arrays[3], apply_action(anchor.values, rule.schedule[0], 4))
+    np.testing.assert_array_equal(arrays[5], apply_action(arrays[3], rule.schedule[1], 4))
+    with WorkerPool(2) as pool:
+        for future in pool.gather_drifts(rule, w):
+            pool.result(future)
+        assert sum(pool.timing_report()["drifts_served"]) == 3
+
+
 @pytest.mark.parametrize("rule", [
     make_rule("euler_ode", po.make_problem("linear_ode"), 1.0, total_steps=60),
     quad_rule(T=60, kind="adaptive_guidance"),
@@ -819,11 +906,10 @@ def test_shared_slots_raise_their_sources_error(tmp_path, monkeypatch, capsys):
 
 
 def test_distance_small_dim_equals_plain_dot():
-    rule = quad_rule()
     rng = np.random.default_rng(5)
     for d in (1, 4, 1000, 8192):
         a, b = rng.standard_normal(d), rng.standard_normal(d)
-        got = fixed_point_distance(ParamState(0, a, d), ParamState(0, b, d), rule)
+        got = fixed_point_distance(ParamState(0, a, d), ParamState(0, b, d))
         assert got == float(np.dot(a - b, a - b)) / d
 
 
@@ -832,11 +918,10 @@ import numpy as np
 import picardopt as po
 from picardopt.engine import fixed_point_distance
 n = 100_000
-rule = po.make_rule("sgd", po.make_problem("quadratic", dim=n), 0.1, total_steps=5)
 zero = po.ParamState(1, np.zeros(n), n)
 for seed in range(10):
     x = np.random.default_rng(seed).standard_normal(n)
-    print(fixed_point_distance(po.ParamState(1, x, n), zero, rule).hex())
+    print(fixed_point_distance(po.ParamState(1, x, n), zero).hex())
 """
 
 
@@ -989,10 +1074,10 @@ def test_replaced_guesses_are_freed_slot_by_slot(monkeypatch):
     previous: list[weakref.ref] = []
     alive = []
 
-    def watched(new, old, rule):
+    def watched(new, old):
         alive.extend(ref() is not None for ref in previous)
         previous[:] = [weakref.ref(old)]
-        return fixed_point_distance(new, old, rule)
+        return fixed_point_distance(new, old)
 
     monkeypatch.setattr(engine_mod, "fixed_point_distance", watched)
     res = run(rule, settings)

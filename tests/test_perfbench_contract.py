@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import picardopt as po
-from picardopt import engine
+from picardopt import config, engine
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,3 +76,37 @@ def test_each_round_calls_the_spans_the_benchmark_pairs_once(rule, settings):
     assert calls["engine.run"] == 1 and result.report.rounds > 1
     for name in ("engine.picard_round", "engine.advance_window", "engine.compute_skip"):
         assert calls[name] == result.report.rounds, name
+
+
+def traced_calls(fn):
+    """Span name -> calls recorded while ``fn()`` runs under perfbench's Tracer."""
+    tracer = perfbench_module("tracer").Tracer()
+    with tracer:
+        fn()
+    return Counter(span[3] for span in tracer.spans)
+
+
+def test_a_scheduled_run_records_the_schedule_layer():
+    # exact_splat's self-test requires both calls; they are made where the
+    # window's guesses are carried through the schedule and by the rollouts.
+    schedule = [po.ScheduleAction(5, "split", (0,)), po.ScheduleAction(12, "prune", (1,))]
+    rule = po.make_rule("split_prune_sgd", po.make_problem("splat2d", points=2, data_seed=5),
+                        0.01, total_steps=30, schedule=schedule)
+    calls = traced_calls(lambda: engine.run(rule, engine.EngineSettings(window=7, workers=2,
+                                                                        threshold=0.0)))
+    assert calls["schedule.reconcile_vector"] > 0 and calls["schedule.apply_action"] > 0
+
+
+@pytest.mark.parametrize("workload", ["wide_adam", "costly_lsq"])
+def test_a_run_without_a_schedule_records_no_schedule_call(workload):
+    # Those workloads' self-tests allow no schedule.* call, config build included.
+    w = perfbench_module("workloads").WORKLOADS[workload]
+
+    def build_and_run():
+        cfg = config.load_config(None, {**w.config_overrides(1), "dim": 16, "steps": 20,
+                                        "injected_cost_ms": 0.0})
+        engine.run(config.build_rule(cfg, config.build_problem(cfg)), config.engine_settings(cfg))
+
+    calls = traced_calls(build_and_run)
+    assert calls["config.build_rule"] == 1 and calls["engine.run"] == 1
+    assert [name for name in calls if name.startswith("schedule.")] == []

@@ -113,8 +113,8 @@ def test_splat_render_matches_bruteforce_grid():
 def test_splat_split_offset_changes_loss_boundedly():
     p = make_problem("splat2d", data_seed=4, points=2)
     v = p.initial_values()
-    dup = apply_action(v, ScheduleAction(0, "split", (0,)), 4, with_offset=False)
-    off = apply_action(v, ScheduleAction(0, "split", (0,)), 4, with_offset=True)
+    dup = np.concatenate([v, v[:4]])
+    off = apply_action(v, ScheduleAction(0, "split", (0,)), 4)
     delta = abs(p.loss(off, 0) - p.loss(dup, 0))
     lipschitz = float(np.max(np.abs(p.grad(dup, 0)))) * 4  # crude local bound
     assert delta <= max(lipschitz, 1.0) * 1e-2
@@ -122,7 +122,7 @@ def test_splat_split_offset_changes_loss_boundedly():
 
 def test_splat_gradient_tracks_dim_tag():
     p = make_problem("splat2d", data_seed=4, points=2)
-    grown = apply_action(p.initial_values(), ScheduleAction(0, "split", (1,)), 4, True)
+    grown = apply_action(p.initial_values(), ScheduleAction(0, "split", (1,)), 4)
     g = p.grad(grown, 0)
     assert len(g) == len(grown) == 12
 

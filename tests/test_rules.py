@@ -4,8 +4,7 @@ from conftest import DecayOde, naive_adam, naive_euler, naive_sgd
 
 import picardopt as po
 from picardopt.errors import DimensionError, PoisonedDrift
-from picardopt.rules import (drift, initial_state, make_rule, reconcile_payload,
-                             rollout_one, sequential_step)
+from picardopt.rules import drift, initial_state, make_rule, rollout_one, sequential_step
 from picardopt.schedule import ScheduleAction, split_offset
 from picardopt.state import Drift, MomentState, ParamState
 
@@ -215,13 +214,6 @@ def test_drift_step_mismatch_raises():
     rule = make_rule("sgd", quad(), 0.1, total_steps=10)
     with pytest.raises(ValueError):
         rollout_one(rule, Drift(1, np.zeros(2), 1), ParamState(0, np.zeros(2), 2))
-
-
-def test_reconcile_payload_duplicates_without_offset():
-    _, rule = splat_rule(schedule=[ScheduleAction(3, "split", (1,))])
-    payload = np.arange(8.0)
-    out = reconcile_payload(rule, payload, have_points=2, want_points=3, step=5)
-    np.testing.assert_array_equal(out[8:], payload[4:8])
 
 
 def test_rule_validation():

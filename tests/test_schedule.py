@@ -2,34 +2,34 @@ import numpy as np
 import pytest
 
 from picardopt.errors import DimensionError, ScheduleError
-from picardopt.schedule import (SPLIT_OFFSET, ScheduleAction, apply_action,
-                                missed_actions, reconcile_vector, split_offset,
-                                validate_schedule)
+from picardopt.schedule import (SPLIT_OFFSET, ScheduleAction, apply_action, reconcile_vector,
+                                split_offset, validate_schedule)
 
 
 def test_split_appends_children_with_offset():
     vec = np.array([1.0, 2.0, 3.0, 4.0])  # 2 points, width 2
-    out = apply_action(vec, ScheduleAction(5, "split", (0,)), width=2, with_offset=True)
+    out = apply_action(vec, ScheduleAction(5, "split", (0,)), width=2)
     assert len(out) == 6
     np.testing.assert_array_equal(out[:4], vec)
     np.testing.assert_allclose(out[4:], vec[:2] + split_offset(0, 2))
 
 
-def test_split_without_offset_duplicates():
+def test_split_offsets_each_child_from_its_parent():
     vec = np.array([1.0, 2.0, 3.0, 4.0])
-    out = apply_action(vec, ScheduleAction(5, "split", (1,)), width=2, with_offset=False)
-    np.testing.assert_array_equal(out[4:], vec[2:4])
+    out = apply_action(vec, ScheduleAction(5, "split", (1, 0)), width=2)
+    np.testing.assert_array_equal(out[4:6], vec[2:4] + split_offset(1, 2))
+    np.testing.assert_array_equal(out[6:], vec[0:2] + split_offset(0, 2))
 
 
 def test_prune_deletes_points_in_order():
     vec = np.arange(6, dtype=float)  # 3 points, width 2
-    out = apply_action(vec, ScheduleAction(5, "prune", (1,)), width=2, with_offset=False)
+    out = apply_action(vec, ScheduleAction(5, "prune", (1,)), width=2)
     np.testing.assert_array_equal(out, [0.0, 1.0, 4.0, 5.0])
 
 
 def test_out_of_range_index_raises():
     with pytest.raises(ScheduleError):
-        apply_action(np.zeros(4), ScheduleAction(0, "split", (5,)), 2, True)
+        apply_action(np.zeros(4), ScheduleAction(0, "split", (5,)), 2)
 
 
 def test_split_offset_is_deterministic_unit_scaled():
@@ -49,35 +49,42 @@ def test_validate_schedule_ordering():
         validate_schedule(acts, 7)  # action at 7 not < 7
 
 
-def test_missed_actions_recovers_suffix():
+def test_reconcile_vector_applies_the_actions_between_its_steps():
+    # An action at step s fires from s to s + 1: carrying from s includes it,
+    # carrying to s does not.
     sched = (ScheduleAction(3, "split", (0,)), ScheduleAction(6, "split", (1,)))
-    # stale clone from step <= 3 has 2 points; at step 8 it should have 4
-    missed = missed_actions(sched, 8, have_points=2, want_points=4)
-    assert [a.step for a in missed] == [3, 6]
-    missed = missed_actions(sched, 8, have_points=3, want_points=4)
-    assert [a.step for a in missed] == [6]
-    assert missed_actions(sched, 8, 4, 4) == []
+    vec = np.arange(4, dtype=float)  # 2 points, width 2
+    assert reconcile_vector(vec, sched, 0, 3, width=2) is vec
+    np.testing.assert_array_equal(reconcile_vector(vec, sched, 3, 4, width=2),
+                                  apply_action(vec, sched[0], 2))
+    np.testing.assert_array_equal(reconcile_vector(vec, sched, 4, 8, width=2),
+                                  apply_action(vec, sched[1], 2))
+    np.testing.assert_array_equal(reconcile_vector(vec, sched, 0, 8, width=2),
+                                  apply_action(apply_action(vec, sched[0], 2), sched[1], 2))
 
 
-def test_missed_actions_irreconcilable():
-    sched = (ScheduleAction(3, "split", (0,)),)
+def test_reconcile_vector_rejects_a_vector_the_schedule_cannot_act_on():
+    sched = (ScheduleAction(3, "split", (2,)),)
+    with pytest.raises(ScheduleError):
+        reconcile_vector(np.zeros(4), sched, 0, 8, width=2)  # 2 points, no point 2
     with pytest.raises(DimensionError):
-        missed_actions(sched, 8, have_points=7, want_points=3)
+        reconcile_vector(np.zeros(5), sched, 0, 8, width=2)
 
 
 def test_proj_then_unproj_restores_length():
     vec = np.arange(6, dtype=float)  # 3 points, width 2
-    pruned = apply_action(vec, ScheduleAction(2, "prune", (1,)), 2, False)
-    lifted = apply_action(pruned, ScheduleAction(5, "split", (0,)), 2, False)
+    pruned = apply_action(vec, ScheduleAction(2, "prune", (1,)), 2)
+    lifted = apply_action(pruned, ScheduleAction(5, "split", (0,)), 2)
     assert len(lifted) == len(vec)
 
 
-def test_reconcile_vector_applies_missed_suffix():
+def test_reconcile_vector_carries_through_cancelling_actions():
+    # A prune and a split of one point each: the count is 3 before and after,
+    # yet a vector carried from step 2 to 7 goes through both.
     sched = (ScheduleAction(2, "prune", (1,)), ScheduleAction(5, "split", (0,)))
-    vec = np.arange(6, dtype=float)  # stale clone from step <= 2: 3 points
-    out = reconcile_vector(vec, sched, 7, have_points=3, want_points=3, width=2, with_offset=False)
-    # earliest dim match wins: 3 == 3 means nothing was missed
-    np.testing.assert_array_equal(out, vec)
-    stale = np.arange(4, dtype=float)  # clone that only saw the prune: 2 points
-    out = reconcile_vector(stale, sched, 7, have_points=2, want_points=3, width=2, with_offset=False)
-    np.testing.assert_array_equal(out, [0.0, 1.0, 2.0, 3.0, 0.0, 1.0])
+    vec = np.arange(6, dtype=float)  # 3 points, width 2
+    out = reconcile_vector(vec, sched, 2, 7, width=2)
+    np.testing.assert_array_equal(out, np.concatenate([[0.0, 1.0, 4.0, 5.0],
+                                                       [0.0, 1.0] + split_offset(0, 2)]))
+    pruned = np.array([0.0, 1.0, 4.0, 5.0])  # a vector at step 3 saw the prune only
+    np.testing.assert_array_equal(reconcile_vector(pruned, sched, 3, 7, width=2), out)
