@@ -21,7 +21,7 @@ from picardopt.engine import (DOT_BLOCK, EngineSettings, advance_window,
 from picardopt.errors import DimensionError
 from picardopt.pool import WorkerPool
 from picardopt.rules import initial_state, make_rule, rollout_one, sequential_step
-from picardopt.schedule import ScheduleAction, apply_action
+from picardopt.schedule import ScheduleAction, apply_action, reconcile_vector
 from picardopt.state import MomentState, ParamState, states_equal_bits, with_step
 
 
@@ -160,14 +160,26 @@ def test_distance_that_overflows_between_finite_states_is_inf():
     assert compute_skip((fixed_point_distance(a, b),), 1e300) == 1
 
 
+def test_distance_lifts_old_through_split():
+    # The old state is lifted through the split when its guess is made, by
+    # reconcile_vector; the distance is then taken on equal dimensions.
+    old_v = po.make_problem("splat2d", data_seed=4, points=2).initial_values()
+    sched = (ScheduleAction(4, "split", (0,)),)
+    new_v = apply_action(old_v, sched[0], 4) + 0.01
+    new = ParamState(7, new_v, 3)
+    lifted = reconcile_vector(old_v, sched, 3, 7, 4)
+    got = fixed_point_distance(new, ParamState(7, lifted, 3))
+    expect = float(np.sum((new_v - apply_action(old_v, sched[0], 4)) ** 2)) / 12
+    assert got == pytest.approx(expect, rel=1e-15)
+    # fixed_point_distance itself lifts nothing: a clone that missed the
+    # split does not have its step's dimension.
+    with pytest.raises(DimensionError):
+        fixed_point_distance(new, ParamState(7, old_v, 2))
+
+
 def test_distance_irreconcilable_dims():
     with pytest.raises(DimensionError):
         fixed_point_distance(ParamState(0, np.zeros(4), 4), ParamState(0, np.zeros(3), 3))
-    # A guess has its step's dimension: one that missed a split is not lifted.
-    old_v = po.make_problem("splat2d", data_seed=4, points=2).initial_values()
-    new_v = apply_action(old_v, ScheduleAction(4, "split", (0,)), 4) + 0.01
-    with pytest.raises(DimensionError):
-        fixed_point_distance(ParamState(7, new_v, 3), ParamState(7, old_v, 2))
 
 
 def test_distance_step_mismatch():
