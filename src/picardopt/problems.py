@@ -11,6 +11,10 @@ Stochasticity models the per-step randomness of heavy guidance losses:
 other problems add a seeded linear tilt ``noise * <z(seed), values>`` to the
 loss (so grad stays the exact gradient of loss under the same seed).
 
+A gradient may share its input's memory: the quadratic and the linear ODE's
+energy return the values array itself at noise 0.  No caller may write to a
+gradient; the rules, the engine and the oracle pass read-only state arrays.
+
 A problem's settings are its constructor's arguments, and each class owns
 their defaults (its size and noise); ``settings()`` reports the values a
 problem was built with.
@@ -55,6 +59,8 @@ class Problem:
         return base
 
     def grad(self, values: np.ndarray, seed: int) -> np.ndarray:
+        """The gradient of ``loss(values, seed)``.  It may be ``values``
+        itself, so it must not be written."""
         values = self._check(values)
         g = self._base_grad(values)
         if self.noise:
@@ -117,7 +123,7 @@ class QuadraticProblem(Problem):
         return 0.5 * float(np.dot(v, v))
 
     def _base_grad(self, v):
-        return v.copy()
+        return v
 
     def initial_values(self):
         return np.random.default_rng(self.data_seed).standard_normal(self.dim)
@@ -334,7 +340,7 @@ class LinearOdeProblem(Problem):
         return 0.5 * float(np.dot(v, v))
 
     def _base_grad(self, v):
-        return v.copy()
+        return v
 
     def initial_values(self):
         return self._init.copy()

@@ -4,6 +4,7 @@ import operator
 import platform
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -1118,6 +1119,26 @@ def test_shared_drifts_are_freed_after_their_last_slot(monkeypatch):
     assert len(rolled) == sum(min(5, 40 - r.base_step) for r in res.records)
     assert shared[:5] == [0, 1, 2, 3, 4]  # the first window holds clones of the initial state
     assert not any(stale)
+
+
+def test_a_wide_adam_solve_peaks_under_sixteen_arrays():
+    # At its peak a solve holds the window's p + 1 = 8 values arrays, three
+    # moment pairs (the anchor, the state rolled from and its successor) and
+    # the Adam apply's scratch array: 15 arrays of 8·d bytes, plus a
+    # finiteness mask or two of d bytes, whichever lanes are busy.  A drift
+    # of the identity gradient holds none: its payload is its state's
+    # values.  The first solve warms up what a process builds once.
+    d = 50_000
+    rule = quad_rule(dim=d, T=60, kind="adam")
+    settings = EngineSettings(window=7, workers=2, threshold=1e-6)
+    run(rule, settings)
+    tracemalloc.start()
+    try:
+        run(rule, settings)
+        arrays = tracemalloc.get_traced_memory()[1] / (8 * d)
+    finally:
+        tracemalloc.stop()
+    assert arrays < 16, f"tracemalloc peak {arrays:.2f} arrays of 8·d bytes"
 
 
 # --- the freed heap -----------------------------------------------------------

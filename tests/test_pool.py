@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -105,12 +106,18 @@ def test_busy_time_accounts_injected_cost():
 
 
 def test_balanced_workload_busy_ratio():
+    # 16 drifts of at least 5 ms over 4 lanes: each lane serves 4, so it is
+    # busy for at least 20 ms, and only while the two gathers run.  (How
+    # evenly the host schedules the sleeps is not the pool's to promise.)
     rule = quad_rule()
     with WorkerPool(4, injected_cost_ms=5.0) as pool:
+        t0 = time.perf_counter()
         for _ in range(2):
             drifts_of(pool, rule, states_for(rule, 8))
-        busy = pool.timing_report()["busy_ms"]
-    assert max(busy) / min(busy) < 1.5
+        wall_ms = 1000.0 * (time.perf_counter() - t0)
+        report = pool.timing_report()
+    assert report["drifts_served"] == [4, 4, 4, 4]
+    assert all(4 * 5.0 <= busy <= wall_ms for busy in report["busy_ms"])
 
 
 def test_aux_models_isolated_and_counted():

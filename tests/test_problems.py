@@ -39,6 +39,17 @@ def test_quadratic_closed_forms():
     np.testing.assert_array_equal(p.grad(np.array([2.0, -1.0]), 0), [2.0, -1.0])
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "linear_ode"])
+def test_a_noisy_identity_gradient_is_a_new_array(kind):
+    p = make_problem(kind, dim=6, noise=0.1)
+    v = np.linspace(-1.0, 1.0, 6)
+    before = v.copy()
+    g = p.grad(v, 3)
+    assert not np.shares_memory(g, v)
+    np.testing.assert_array_equal(v, before)
+    np.testing.assert_array_equal(g, before + 0.1 * np.random.default_rng(3).standard_normal(6))
+
+
 def test_rosenbrock_minimum():
     p = make_problem("rosenbrock", dim=5)
     assert p.loss(np.ones(5), 0) == 0.0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import DecayOde, naive_adam, naive_euler, naive_sgd
@@ -23,6 +25,25 @@ def test_sgd_drift_is_gradient():
     rule = make_rule("sgd", quad(), 0.1, total_steps=10)
     d = drift(rule, ParamState(0, np.array([3.0, -4.0]), 2), seed=0)
     np.testing.assert_array_equal(d.payload, [3.0, -4.0])
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "linear_ode"])
+def test_an_identity_gradients_drift_is_its_states_values(kind):
+    # At noise 0 the gradient is the values themselves: the drift's payload
+    # is the state's read-only array, and the drift allocates only the
+    # finiteness check's mask, d bytes, where a copy would be 8·d.
+    n = 100_000
+    rule = make_rule("sgd", po.make_problem(kind, dim=n), 0.1, total_steps=10)
+    state = initial_state(rule)
+    tracemalloc.start()
+    try:
+        d = drift(rule, state, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.payload is state.values
+    assert not d.payload.flags.writeable
+    assert peak < 8 * n, f"tracemalloc peak {peak} B"
 
 
 def test_drift_deterministic_for_same_seed():
