@@ -6,8 +6,9 @@ Each rule factors one sequential step ``state -> next state`` into
   loss gradient), a pure function of (state values, seed) except for the
   adaptive-guidance mode's worker-local predictor, and
 * ``rollout_one``: the cheap sequential reconstruction of the successor state
-  from a drift and the current state (Euler step, SGD step, bias-corrected
-  Adam apply, or SGD followed by a scheduled split/prune).
+  from a drift and the current state (Euler step, SGD step or
+  bias-corrected Adam apply), carried through the rule's split/prune
+  schedule, if it has one, at that step.
 
 ``sequential_step`` composes the two; it is the ground truth the oracle
 iterates and the identity the fixed-point engine converges to: rolling out the
@@ -25,16 +26,15 @@ import numpy as np
 from . import kernels
 from .errors import ArgumentError, DimensionError
 from .problems import Problem
-from .schedule import ScheduleAction, apply_action, validate_schedule
+from .schedule import ScheduleAction, reconcile_moments, reconcile_vector, validate_schedule
 from .state import Drift, MomentState, ParamState, finite_checked
 
 EULER_ODE = "euler_ode"
 SGD = "sgd"
 ADAM = "adam"
-SPLIT_PRUNE_SGD = "split_prune_sgd"
 ADAPTIVE_GUIDANCE = "adaptive_guidance"
 
-RULE_KINDS = (EULER_ODE, SGD, ADAM, SPLIT_PRUNE_SGD, ADAPTIVE_GUIDANCE)
+RULE_KINDS = (EULER_ODE, SGD, ADAM, ADAPTIVE_GUIDANCE)
 
 
 @dataclass(frozen=True)
@@ -71,18 +71,16 @@ class UpdateRule:
         seed, so states that share a values array share their drift.  Never
         for ``euler_ode`` (its drift reads ``step / T``) or
         ``adaptive_guidance`` (its drift updates one lane's predictor)."""
-        return self.kind in (SGD, ADAM, SPLIT_PRUNE_SGD) and self.problem.seed_free
-
-    def action_at(self, step: int) -> ScheduleAction | None:
-        for a in self.schedule:
-            if a.step == step:
-                return a
-        return None
+        return self.kind in (SGD, ADAM) and self.problem.seed_free
 
 
 def make_rule(kind: str, problem: Problem, step_size: float, total_steps: int,
               adam: AdamParams | None = None,
               schedule=()) -> UpdateRule:
+    """The rule, checked.  ``split_prune_sgd`` is a spelling of ``sgd``; a
+    split/prune ``schedule`` is taken by ``sgd`` and ``adam`` on a problem of
+    points (``point_width > 1``), the one kind whose size may change."""
+    kind = SGD if kind == "split_prune_sgd" else kind
     if kind not in RULE_KINDS:
         raise ArgumentError("kind", f"unknown rule kind {kind!r}; have {RULE_KINDS}")
     if total_steps < 1:
@@ -94,13 +92,15 @@ def make_rule(kind: str, problem: Problem, step_size: float, total_steps: int,
     elif adam is not None:
         raise ArgumentError("adam", f"adam parameters (beta1, beta2, eps) are only valid for "
                                     f"the adam rule, not {kind!r}")
-    if kind == SPLIT_PRUNE_SGD:
+    schedule = tuple(schedule)
+    if schedule:
+        if kind not in (SGD, ADAM):
+            raise ArgumentError("schedule", f"dimension schedules are only valid for sgd and "
+                                            f"adam, not {kind!r}")
+        if problem.point_width == 1:
+            raise ArgumentError("schedule", f"problem {problem.kind!r} has a fixed size; "
+                                            f"dimension schedules need a problem of points")
         schedule = validate_schedule(schedule, total_steps, problem.initial_dim_tag())
-    elif schedule:
-        raise ArgumentError("schedule", f"dimension schedules are only valid for split_prune_sgd, "
-                                        f"not {kind!r}")
-    else:
-        schedule = ()
     if kind == EULER_ODE and not hasattr(problem, "ode_drift"):
         raise ArgumentError("kind", f"problem {problem.kind!r} does not define an ODE drift")
     return UpdateRule(kind, float(step_size), problem, total_steps, adam, schedule)
@@ -163,12 +163,8 @@ def rollout_one(rule: UpdateRule, d: Drift, state: ParamState) -> ParamState:
 
     if rule.kind == EULER_ODE:
         vn = state.values + (1.0 / rule.total_steps) * d.payload
-    elif rule.kind in (SGD, ADAPTIVE_GUIDANCE, SPLIT_PRUNE_SGD):
+    elif rule.kind in (SGD, ADAPTIVE_GUIDANCE):
         vn = state.values - eta * d.payload
-        action = rule.action_at(state.step)  # only split_prune_sgd has a schedule
-        if action is not None:
-            vn = apply_action(vn, action, rule.problem.point_width)
-            dim_tag = dim_tag + action.delta
     elif rule.kind == ADAM:
         if moments is None:
             raise ValueError("adam rollout requires moment state")
@@ -180,6 +176,12 @@ def rollout_one(rule: UpdateRule, d: Drift, state: ParamState) -> ParamState:
         moments = MomentState._from_adam(m1, m2, t_next)
     else:  # pragma: no cover - guarded by make_rule
         raise ValueError(f"unknown rule kind {rule.kind!r}")
+    if rule.schedule:
+        width = rule.problem.point_width
+        vn = reconcile_vector(vn, rule.schedule, state.step, state.step + 1, width)
+        if moments is not None:
+            moments = reconcile_moments(moments, rule.schedule, state.step, state.step + 1, width)
+        dim_tag = len(vn) // width
 
     # ParamState construction raises PoisonedDrift on non-finite values.
     return ParamState(state.step + 1, vn, dim_tag, moments, d.aux_version)

@@ -7,9 +7,10 @@ indices.  Split children are offset from the parent by a fixed deterministic
 perturbation (magnitude SPLIT_OFFSET, direction hashed from the parent index).
 
 ``reconcile_vector`` carries a vector from one step to a later one through
-the actions that fire between them, as the rollouts do.  The engine builds
-each guess that way, so every state, and every drift taken at one, has its
-step's dimension: no drift payload is lifted.
+the actions that fire between them.  The rollouts carry each successor and
+the engine builds each guess that way, so every state, and every drift taken
+at one, has its step's dimension: no drift payload is lifted.
+``reconcile_moments`` carries Adam's moments through the same actions.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ScheduleError
+from .state import MomentState
 
 SPLIT_OFFSET = 1e-2
 
@@ -52,19 +54,16 @@ class ScheduleAction:
         return len(self.indices) if self.kind == SPLIT else -len(self.indices)
 
 
-def validate_schedule(actions, total_steps: int,
-                      points: int | None = None) -> tuple[ScheduleAction, ...]:
-    """Check step order and range; given the point count at step 0, also walk
-    the schedule and check every index names an existing point and no prune
-    leaves none."""
+def validate_schedule(actions, total_steps: int, points: int) -> tuple[ScheduleAction, ...]:
+    """Check step order and range, then walk the schedule from ``points``
+    points at step 0 and check every index names an existing point and no
+    prune leaves none."""
     acts = tuple(actions)
     steps = [a.step for a in acts]
     if any(s2 <= s1 for s1, s2 in zip(steps, steps[1:])):
         raise ScheduleError("schedule steps must be strictly increasing")
     if acts and (steps[0] < 0 or steps[-1] >= total_steps):
         raise ScheduleError(f"schedule steps must lie in [0, {total_steps})")
-    if points is None:
-        return acts
     n = points
     for a in acts:
         if max(a.indices) >= n:
@@ -108,3 +107,21 @@ def reconcile_vector(vec: np.ndarray, schedule, from_step: int, to_step: int,
         if from_step <= a.step < to_step:
             out = apply_action(out, a, width)
     return out
+
+
+def reconcile_moments(moments: MomentState, schedule, from_step: int, to_step: int,
+                      width: int) -> MomentState:
+    """Carry Adam's moments as ``reconcile_vector`` carries the values, the
+    way the 3D Gaussian Splatting reference code's densification treats its
+    optimiser state: a split appends zero rows for its new points, a prune
+    deletes the pruned points' rows, and the update count ``t`` is unchanged.
+    ``moments`` itself when no action fires."""
+    m1, m2 = moments.m1, moments.m2
+    for a in schedule:
+        if from_step <= a.step < to_step:
+            if a.kind == SPLIT:
+                zeros = np.zeros(len(a.indices) * width)
+                m1, m2 = np.concatenate([m1, zeros]), np.concatenate([m2, zeros])
+            else:
+                m1, m2 = apply_action(m1, a, width), apply_action(m2, a, width)
+    return moments if m1 is moments.m1 else MomentState(m1, m2, moments.t)

@@ -51,6 +51,12 @@ def _relabelled(obj, **fields):
     return out
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """``np.all(np.isfinite(a))`` without its mask of ``a.size`` bytes: the
+    minimum and the maximum propagate NaN, and an infinity is one of them."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 def _as_readonly_f64(arr) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=np.float64)
     if out.ndim != 1:
@@ -117,7 +123,7 @@ class ParamState:
         object.__setattr__(self, "values", _as_readonly_f64(self.values))
         if self.step < 0:
             raise ValueError("step must be >= 0")
-        if not np.all(np.isfinite(self.values)):
+        if not _all_finite(self.values):
             raise PoisonedDrift(self.step, -1, "state values contain NaN/Inf")
         if self.moments is not None and len(self.moments.m1) != len(self.values):
             raise DimensionError(
@@ -148,7 +154,7 @@ class Drift:
 
     def __post_init__(self):
         object.__setattr__(self, "payload", _as_readonly_f64(self.payload))
-        if not np.all(np.isfinite(self.payload)):
+        if not _all_finite(self.payload):
             raise PoisonedDrift(self.step, self.seed, "drift payload contains NaN/Inf")
 
     def relabelled(self, step: int) -> "Drift":

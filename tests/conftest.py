@@ -37,6 +37,17 @@ def naive_adam(values, m1, m2, grad, t_prev, beta1, beta2, eps, eta):
     return values - eta * m1h / (np.sqrt(m2h) + eps), m1n, m2n, t
 
 
+def naive_carry_moment(moment, action, width):
+    """One Adam moment buffer carried through a split or prune, point by
+    point: a split's new points start at zero, a pruned point's rows go."""
+    points = [moment[i:i + width] for i in range(0, len(moment), width)]
+    if action.kind == "split":
+        points += [np.zeros(width) for _ in action.indices]
+    else:
+        points = [p for i, p in enumerate(points) if i not in action.indices]
+    return np.concatenate(points)
+
+
 class DecayOde(Problem):
     """f(x, u) = -x with theta0 = 1...: the hand-checkable Picard testbed."""
 

@@ -317,6 +317,16 @@ def test_bad_schedule_exits_2(tmp_path, capsys, schedule, mode):
     assert "schedule" in err and "Traceback" not in err
 
 
+def test_a_schedule_on_a_fixed_size_problem_exits_2(tmp_path, capsys):
+    # Rejected when the rule is built, not when the first split fires.
+    code = cli.main(["run", "--problem", "quadratic", "--rule", "split_prune_sgd",
+                     "--schedule", "5:split:0", "--steps", "20", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "rule.schedule" in err and "fixed size" in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("steps", ["6", "2"])
 def test_degenerate_objective_exits_3_with_partial_report(tmp_path, capsys, steps):
     # The step size drives the splat weights' sum below zero: in a round at

@@ -57,7 +57,7 @@ def test_readme_ini_example_loads(tmp_path):
     path.write_text(example)
     cfg = load_config(str(path))
     rule = build_rule(cfg, build_problem(cfg))
-    assert (rule.problem.kind, rule.kind, rule.total_steps) == ("splat2d", "split_prune_sgd", 300)
+    assert (rule.problem.kind, rule.kind, rule.total_steps) == ("splat2d", "sgd", 300)
 
 
 def test_flag_overrides_file(config_file):

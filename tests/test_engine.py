@@ -850,6 +850,25 @@ def test_every_window_slot_has_its_steps_point_count(threshold, gamma, workers):
     assert res.report.rounds > 1 and wrong == []
 
 
+ADAM_SCHEDULE = [ScheduleAction(60, "split", (0,)), ScheduleAction(120, "split", (1,)),
+                 ScheduleAction(180, "split", (2,)), ScheduleAction(240, "prune", (1,))]
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+@pytest.mark.parametrize("workers,window", [(2, 7), (4, 3)])
+def test_adam_with_a_schedule_is_exact_at_threshold_zero(workers, window, noise):
+    # Splats trained with Adam while points split and prune: the moments are
+    # carried through each action, and the terminal state is the oracle's.
+    rule = make_rule("adam", po.make_problem("splat2d", points=2, noise=noise), 0.01,
+                     total_steps=300, schedule=ADAM_SCHEDULE)
+    oracle, _ = po.solve_sequential(rule)
+    res = run(rule, EngineSettings(window=window, workers=workers, threshold=0.0, gamma=1.0))
+    assert res.report.rounds < 300
+    assert res.terminal.dim_tag == oracle.terminal.dim_tag == 4
+    assert res.terminal.moments.t == 300
+    assert states_equal_bits(res.terminal, oracle.terminal)
+
+
 def test_clones_share_one_array_between_actions():
     # Slots carried across no action are one values array, so a step-invariant
     # drift is run once for them; a slot carried past an action has a new one.

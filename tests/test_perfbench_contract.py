@@ -97,6 +97,16 @@ def test_a_scheduled_run_records_the_schedule_layer():
     assert calls["schedule.reconcile_vector"] > 0 and calls["schedule.apply_action"] > 0
 
 
+def test_a_scheduled_adam_run_records_the_schedule_and_adam_layers():
+    schedule = [po.ScheduleAction(5, "split", (0,)), po.ScheduleAction(12, "prune", (1,))]
+    rule = po.make_rule("adam", po.make_problem("splat2d", points=2, data_seed=5),
+                        0.01, total_steps=30, schedule=schedule)
+    calls = traced_calls(lambda: engine.run(rule, engine.EngineSettings(window=7, workers=2,
+                                                                        threshold=0.0)))
+    for name in ("schedule.reconcile_vector", "schedule.apply_action", "kernels.adam_apply"):
+        assert calls[name] > 0, name
+
+
 @pytest.mark.parametrize("workload", ["wide_adam", "costly_lsq"])
 def test_a_run_without_a_schedule_records_no_schedule_call(workload):
     # Those workloads' self-tests allow no schedule.* call, config build included.

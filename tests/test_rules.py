@@ -2,10 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import DecayOde, naive_adam, naive_euler, naive_sgd
+from conftest import DecayOde, naive_adam, naive_carry_moment, naive_euler, naive_sgd
 
 import picardopt as po
-from picardopt.errors import DimensionError, PoisonedDrift
+from picardopt.errors import ArgumentError, DimensionError, PoisonedDrift
 from picardopt.rules import drift, initial_state, make_rule, rollout_one, sequential_step
 from picardopt.schedule import ScheduleAction, split_offset
 from picardopt.state import Drift, MomentState, ParamState
@@ -44,6 +44,21 @@ def test_an_identity_gradients_drift_is_its_states_values(kind):
     assert d.payload is state.values
     assert not d.payload.flags.writeable
     assert peak < 8 * n, f"tracemalloc peak {peak} B"
+
+
+def test_a_drifts_finiteness_check_allocates_no_mask():
+    # The payload is checked through its minimum and maximum, not through a
+    # mask of d bytes.
+    n = 100_000
+    rule = make_rule("sgd", quad(dim=n), 0.1, total_steps=10)
+    state = initial_state(rule)
+    tracemalloc.start()
+    try:
+        drift(rule, state, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n // 10, f"tracemalloc peak {peak} B"
 
 
 def test_drift_deterministic_for_same_seed():
@@ -235,6 +250,45 @@ def test_drift_step_mismatch_raises():
     rule = make_rule("sgd", quad(), 0.1, total_steps=10)
     with pytest.raises(ValueError):
         rollout_one(rule, Drift(1, np.zeros(2), 1), ParamState(0, np.zeros(2), 2))
+
+
+def test_split_prune_sgd_is_a_spelling_of_sgd():
+    prob, rule = splat_rule(schedule=[ScheduleAction(3, "split", (0,))])
+    assert rule.kind == "sgd" and "split_prune_sgd" not in po.RULE_KINDS
+    assert rule == make_rule("sgd", prob, 3e-4, total_steps=100, schedule=rule.schedule)
+
+
+def test_adam_rollout_carries_its_moments_through_the_schedule():
+    prob = po.make_problem("splat2d", data_seed=4, points=2)
+    split, prune = ScheduleAction(3, "split", (0,)), ScheduleAction(4, "prune", (0,))
+    rule = make_rule("adam", prob, 0.01, total_steps=10, schedule=[split, prune])
+    rng = np.random.default_rng(0)
+    m = MomentState(rng.standard_normal(8), rng.random(8), 3)
+    g = rng.standard_normal(8)
+    out = rollout_one(rule, Drift(3, g, 3), ParamState(3, prob.initial_values(), 2, m))
+    v, m1, m2, t = naive_adam(prob.initial_values(), m.m1, m.m2, g, m.t, 0.9, 0.999, 1e-8, 0.01)
+    assert (out.dim_tag, out.moments.t) == (3, t)
+    np.testing.assert_array_equal(out.values[:8], v)
+    np.testing.assert_array_equal(out.moments.m1, naive_carry_moment(m1, split, 4))
+    np.testing.assert_array_equal(out.moments.m2, naive_carry_moment(m2, split, 4))
+    after = rollout_one(rule, Drift(4, np.zeros(12), 4), out)
+    assert (after.dim_tag, after.dim, len(after.moments.m1)) == (2, 8, 8)
+
+
+@pytest.mark.parametrize("kind,problem", [("euler_ode", "linear_ode"),
+                                          ("adaptive_guidance", "splat2d")])
+def test_a_schedule_is_only_for_sgd_and_adam(kind, problem):
+    with pytest.raises(ArgumentError, match="only valid for sgd and adam") as exc:
+        make_rule(kind, po.make_problem(problem), 0.1, 10,
+                  schedule=[ScheduleAction(1, "split", (0,))])
+    assert exc.value.argument == "schedule"
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_a_schedule_needs_a_problem_of_points(kind):
+    with pytest.raises(ArgumentError, match="fixed size") as exc:
+        make_rule(kind, quad(), 0.1, 10, schedule=[ScheduleAction(1, "split", (0,))])
+    assert exc.value.argument == "schedule"
 
 
 def test_rule_validation():

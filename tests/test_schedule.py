@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from conftest import naive_carry_moment
 
 from picardopt.errors import DimensionError, ScheduleError
-from picardopt.schedule import (SPLIT_OFFSET, ScheduleAction, apply_action, reconcile_vector,
-                                split_offset, validate_schedule)
+from picardopt.schedule import (SPLIT_OFFSET, ScheduleAction, apply_action, reconcile_moments,
+                                reconcile_vector, split_offset, validate_schedule)
+from picardopt.state import MomentState
 
 
 def test_split_appends_children_with_offset():
@@ -42,11 +44,11 @@ def test_split_offset_is_deterministic_unit_scaled():
 
 def test_validate_schedule_ordering():
     acts = [ScheduleAction(3, "split", (0,)), ScheduleAction(7, "prune", (1,))]
-    assert validate_schedule(acts, 10) == tuple(acts)
+    assert validate_schedule(acts, 10, points=2) == tuple(acts)
     with pytest.raises(ScheduleError):
-        validate_schedule(list(reversed(acts)), 10)
+        validate_schedule(list(reversed(acts)), 10, points=2)
     with pytest.raises(ScheduleError):
-        validate_schedule(acts, 7)  # action at 7 not < 7
+        validate_schedule(acts, 7, points=2)  # action at 7 not < 7
 
 
 def test_reconcile_vector_applies_the_actions_between_its_steps():
@@ -88,3 +90,18 @@ def test_reconcile_vector_carries_through_cancelling_actions():
                                                        [0.0, 1.0] + split_offset(0, 2)]))
     pruned = np.array([0.0, 1.0, 4.0, 5.0])  # a vector at step 3 saw the prune only
     np.testing.assert_array_equal(reconcile_vector(pruned, sched, 3, 7, width=2), out)
+
+
+def test_reconcile_moments_zeroes_split_rows_and_drops_pruned_ones():
+    sched = (ScheduleAction(3, "split", (2, 0)), ScheduleAction(6, "prune", (1, 3)))
+    rng = np.random.default_rng(1)
+    moments = MomentState(rng.standard_normal(12), rng.random(12), 7)  # 3 points, width 4
+    assert reconcile_moments(moments, sched, 0, 3, width=4) is moments
+    split = reconcile_moments(moments, sched, 3, 4, width=4)
+    assert split.t == 7 and len(split.m1) == 20
+    assert not split.m1[12:].any() and not split.m2[12:].any()
+    both = reconcile_moments(moments, sched, 0, 8, width=4)
+    assert both.t == 7
+    for got, m in ((both.m1, moments.m1), (both.m2, moments.m2)):
+        expected = naive_carry_moment(naive_carry_moment(m, sched[0], 4), sched[1], 4)
+        np.testing.assert_array_equal(got, expected)

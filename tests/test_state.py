@@ -87,6 +87,22 @@ def test_nonfinite_values_rejected():
         ParamState(0, np.array([1.0, np.inf]), 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 2])
+def test_each_nonfinite_value_is_rejected_in_values_and_payloads(bad, at):
+    v = np.array([1.0, -2.0, 3.0])
+    v[at] = bad
+    with pytest.raises(PoisonedDrift):
+        ParamState(0, v, 3)
+    with pytest.raises(PoisonedDrift):
+        Drift(0, v, seed=0)
+
+
+def test_empty_values_and_payloads_are_finite():
+    assert ParamState(0, np.zeros(0), 1).dim == 0
+    assert len(Drift(0, np.zeros(0), seed=0).payload) == 0
+
+
 def test_moment_length_mismatch_rejected():
     with pytest.raises(DimensionError):
         ParamState(0, np.array([1.0, 2.0]), 2, MomentState(np.zeros(3), np.zeros(3), 0))
