@@ -40,7 +40,7 @@ EXIT_NUMERIC = 3
 EXIT_CODES = (
     (ConfigError, EXIT_CONFIG),
     ((PoisonedDrift, ObjectiveError), EXIT_NUMERIC),
-    (PicardoptError, EXIT_FAIL),
+    ((PicardoptError, OSError), EXIT_FAIL),
 )
 
 
@@ -166,8 +166,8 @@ def cmd_plotdata(reports_dir: str, out_path: str) -> int:
             if not isinstance(data, dict) or "schema_version" not in data:
                 raise ValueError("not a run report")
             name = f.relative_to(root).with_suffix("").as_posix()
-            for metric in PLOT_METRICS:
-                rows.append(f"{name},{metric},{data[metric]!r}")
+            # Every metric is read before any row is kept: a skipped report adds none.
+            rows += [f"{name},{metric},{data[metric]!r}" for metric in PLOT_METRICS]
         except (ValueError, KeyError, json.JSONDecodeError) as exc:
             print(f"warning: skipping {f}: {exc}", file=sys.stderr)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
@@ -185,11 +185,13 @@ def cmd_verify(manifest_path: str | None) -> int:
     if not parser.read(path):
         raise ConfigError("manifest", f"cannot read manifest {path}")
 
+    cases = [section for section in parser.sections() if section.startswith("case:")]
+    if not cases:
+        raise ConfigError("manifest", f"manifest {path} has no [case:...] section")
+
     fields = {option: name for option, (_, _, name) in OPTIONS.items()}
     all_ok = True
-    for section in parser.sections():
-        if not section.startswith("case:"):
-            continue
+    for section in cases:
         name = section.removeprefix("case:")
         items = dict(parser.items(section))
         raw = items.pop("expected_checksum", None)
@@ -244,7 +246,7 @@ def main(argv=None) -> int:
         if args.verb == "plotdata":
             return cmd_plotdata(args.reports, args.out)
         return cmd_verify(args.manifest)
-    except PicardoptError as err:
+    except (PicardoptError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(err, kind))
 

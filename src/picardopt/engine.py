@@ -208,8 +208,7 @@ def _carried(rule: UpdateRule, state: ParamState) -> ParamState:
         width = rule.problem.point_width
         values = reconcile_vector(guess.values, rule.schedule, state.step, state.step + 1, width)
         if values is not guess.values:
-            return ParamState(state.step + 1, values, len(values) // width, None,
-                              guess.aux_version)
+            return ParamState(state.step + 1, values, len(values) // width)
     return with_step(guess, state.step + 1)
 
 

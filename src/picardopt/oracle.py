@@ -16,7 +16,7 @@ import numpy as np
 from .errors import PicardoptError, PoisonedDrift
 from .problems import Problem
 from .rules import ADAPTIVE_GUIDANCE, AuxModel, UpdateRule, initial_state, sequential_step
-from .state import ParamState, finite_checked, states_equal_bits, with_step
+from .state import ParamState, finite_checked, states_equal_bits
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ def checked_loss(problem: Problem, state: ParamState, seed_offset: int = 0) -> f
     return loss
 
 
-def solve_sequential(rule: UpdateRule, theta0: ParamState | None = None,
-                     seed_offset: int = 0, injected_cost_ms: float = 0.0,
+def solve_sequential(rule: UpdateRule, seed_offset: int = 0, injected_cost_ms: float = 0.0,
                      observer: Callable[[ParamState], None] | None = None,
                      ) -> tuple[SequentialRun, float]:
     """Iterate the sequential update from step 0 to the horizon, keeping only
@@ -57,13 +56,10 @@ def solve_sequential(rule: UpdateRule, theta0: ParamState | None = None,
     clock.  A failed step raises at once; a failed loss is raised only once
     every step has succeeded, the first in step order.
     """
-    if theta0 is None:
-        theta0 = initial_state(rule)
-    elif theta0.step != 0:
-        theta0 = with_step(theta0, 0)
-    aux = AuxModel(theta0.dim) if rule.kind == ADAPTIVE_GUIDANCE else None
+    state = initial_state(rule)
+    aux = AuxModel(state.dim) if rule.kind == ADAPTIVE_GUIDANCE else None
     sleep_s = injected_cost_ms / 1000.0
-    state, losses, loss_error = theta0, [], None
+    losses, loss_error = [], None
     t_start = time.perf_counter()
     for tau in range(rule.total_steps + 1):
         if tau > 0:

@@ -139,7 +139,6 @@ class WorkerPool:
         the pool's lifetime, plus the time callers spent blocked in
         ``result``."""
         return {
-            "n_workers": self.n_workers,
             "busy_ms": [1000.0 * s for s in self._busy_s],
             "drifts_served": list(self._drift_counts),
             "wait_ms": 1000.0 * self._wait_s,

@@ -119,11 +119,9 @@ class AuxModel:
 
     def __init__(self, dim: int):
         self.ema_grad = np.zeros(dim)
-        self.updates_seen = 0
 
     def update(self, g: np.ndarray) -> None:
         self.ema_grad = self.DECAY * self.ema_grad + (1.0 - self.DECAY) * g
-        self.updates_seen += 1
 
 
 @finite_checked
@@ -133,19 +131,16 @@ def drift(rule: UpdateRule, state: ParamState, seed: int, aux=None) -> Drift:
         raise ValueError(f"state step {state.step} is at or past the horizon {rule.total_steps}")
     if rule.kind == EULER_ODE:
         payload = rule.problem.ode_drift(state.values, state.step / rule.total_steps)
-        aux_version = 0
     elif rule.kind == ADAPTIVE_GUIDANCE:
         if aux is None:
             raise ValueError("adaptive_guidance drift needs an auxiliary predictor")
         g = rule.problem.grad(state.values, seed)
         payload = g - aux.ema_grad
         aux.update(g)
-        aux_version = aux.updates_seen
     else:
         payload = rule.problem.grad(state.values, seed)
-        aux_version = 0
     # Drift construction raises PoisonedDrift on non-finite payloads.
-    return Drift(state.step, payload, seed, aux_version)
+    return Drift(state.step, payload, seed)
 
 
 @finite_checked
@@ -184,7 +179,7 @@ def rollout_one(rule: UpdateRule, d: Drift, state: ParamState) -> ParamState:
         dim_tag = len(vn) // width
 
     # ParamState construction raises PoisonedDrift on non-finite values.
-    return ParamState(state.step + 1, vn, dim_tag, moments, d.aux_version)
+    return ParamState(state.step + 1, vn, dim_tag, moments)
 
 
 def sequential_step(rule: UpdateRule, state: ParamState, seed: int, aux=None) -> ParamState:

@@ -22,7 +22,7 @@ from .errors import DimensionError, PoisonedDrift
 
 _MAGIC = b"PSTA"
 _VERSION = 1
-_HEAD = struct.Struct("<4sHBqqqq")  # magic, version, flags, step, dim_tag, aux_version, n
+_HEAD = struct.Struct("<4sHBqqqq")  # magic, version, flags, step, dim_tag, reserved (0), n
 _COUNT = struct.Struct("<Q")
 
 
@@ -106,18 +106,16 @@ class ParamState:
     """Parameter vector at sequential-time index ``step``.
 
     ``dim_tag`` counts points for dimension-changing rules (len(values) ==
-    dim_tag * point width); for flat problems it equals len(values).
-    ``aux_version`` tags which auxiliary-predictor snapshot influenced this
-    state; diagnostics only.  An Adam state carries its ``moments``, except
-    a guess, which may carry none (``without_moments``): a fixed-point round
-    reads only a guess's values and never rolls out from it.
+    dim_tag * point width); for flat problems it equals len(values).  An
+    Adam state carries its ``moments``, except a guess, which may carry none
+    (``without_moments``): a fixed-point round reads only a guess's values
+    and never rolls out from it.
     """
 
     step: int
     values: np.ndarray
     dim_tag: int
     moments: MomentState | None = None
-    aux_version: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_readonly_f64(self.values))
@@ -142,15 +140,12 @@ class Drift:
     """Output of one computational unit evaluated at a state.
 
     ``payload`` is rule-specific (ODE drift, raw gradient, ...); ``seed`` is
-    the per-step seed it was produced under.  ``aux_version`` carries
-    auxiliary-predictor provenance into the successor state (diagnostics
-    only).
+    the per-step seed it was produced under.
     """
 
     step: int
     payload: np.ndarray
     seed: int
-    aux_version: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "payload", _as_readonly_f64(self.payload))
@@ -212,7 +207,7 @@ def states_equal_bits(a: ParamState, b: ParamState) -> bool:
 #   flags    uint8    bit 0: moments present
 #   step     int64
 #   dim_tag  int64
-#   aux_ver  int64
+#   reserved int64    written 0, read and ignored
 #   n        int64    length of values
 #   values   n * float64
 #   [moments] t int64, m1 n * float64, m2 n * float64
@@ -233,7 +228,7 @@ def state_writer(path, count: int):
         nonlocal written
         m = state.moments
         f.write(_HEAD.pack(_MAGIC, _VERSION, m is not None, state.step, state.dim_tag,
-                           state.aux_version, state.dim))
+                           0, state.dim))
         f.write(state.values)
         if m is not None:
             f.write(struct.pack("<q", m.t))
@@ -277,7 +272,7 @@ def iter_states(path) -> Iterator[ParamState]:
         for _ in range(count):  # each state is yielded once the next is read
             if state is not None:
                 yield state
-            magic, version, flags, step, dim_tag, aux_version, n = _HEAD.unpack(read(_HEAD.size))
+            magic, version, flags, step, dim_tag, _, n = _HEAD.unpack(read(_HEAD.size))
             if magic != _MAGIC or version != _VERSION or n < 0:
                 raise ValueError(f"{path}: bad state header {magic!r} v{version}, {n} values")
             values, moments = np.frombuffer(read(8 * n), "<f8"), None
@@ -285,7 +280,7 @@ def iter_states(path) -> Iterator[ParamState]:
                 (t,) = struct.unpack("<q", read(8))
                 m1 = np.frombuffer(read(8 * n), "<f8")
                 moments = MomentState(m1, np.frombuffer(read(8 * n), "<f8"), t)
-            state = ParamState(step, values, dim_tag, moments, aux_version)
+            state = ParamState(step, values, dim_tag, moments)
         if f.tell() != size:
             raise ValueError(f"{path}: {size - f.tell()} bytes past the last of {count} states")
         if state is not None:

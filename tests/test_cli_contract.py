@@ -404,6 +404,25 @@ def test_unreadable_manifest_exits_2(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+def test_manifest_without_cases_exits_2(tmp_path, capsys):
+    # A config INI is readable but has no [case:...] section: nothing passed.
+    manifest = tmp_path / "config.ini"
+    manifest.write_text("[problem]\nkind = quadratic\n")
+    assert cli.main(["verify", "--manifest", str(manifest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "manifest" in captured.err
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_unwritable_out_exits_1_with_one_error_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = cli.main(["run", "--steps", "5", "--out", str(blocker / "x")])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("checksum", [None, "not-hex"])
 def test_bad_manifest_checksum_exits_2(tmp_path, capsys, checksum):
     manifest = tmp_path / "manifest.ini"

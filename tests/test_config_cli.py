@@ -248,6 +248,19 @@ def test_cli_plotdata_roundtrip_and_malformed(tmp_path, capsys):
     assert float(row["final_loss"]) == report["final_loss"]
 
 
+def test_cli_plotdata_skips_a_report_missing_a_metric_whole(tmp_path, capsys):
+    # A report whose rounds and total_steps come before the missing metric
+    # adds none of its rows.
+    src = tmp_path / "reports"
+    src.mkdir()
+    (src / "partial.json").write_text(json.dumps({"schema_version": 1, "rounds": 3,
+                                                  "total_steps": 10}))
+    out_csv = tmp_path / "plot.csv"
+    assert run_cli("plotdata", "--reports", str(src), "--out", str(out_csv)) == 0
+    assert "skipping" in capsys.readouterr().err
+    assert out_csv.read_text() == "report,metric,value\n"
+
+
 def test_cli_verify_manifest_passes(capsys):
     assert run_cli("verify") == 0
     out = capsys.readouterr().out

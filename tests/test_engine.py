@@ -876,11 +876,10 @@ def test_clones_share_one_array_between_actions():
                      total_steps=20, schedule=[ScheduleAction(5, "split", (0,)),
                                                ScheduleAction(7, "prune", (1,))])
     assert rule.step_invariant
-    anchor = ParamState(3, rule.problem.initial_values(), 2, aux_version=4)
+    anchor = ParamState(3, rule.problem.initial_values(), 2)
     w = advance_window([anchor], skip=6, rule=rule)
     assert [s.step for s in w] == list(range(3, 10))
     assert [s.dim_tag for s in w] == [2, 2, 2, 3, 3, 2, 2]
-    assert {s.aux_version for s in w} == {4}
     arrays = [s.values for s in w]
     assert arrays[0] is arrays[1] is arrays[2]
     assert arrays[3] is arrays[4] and arrays[5] is arrays[6]

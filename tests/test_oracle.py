@@ -30,10 +30,10 @@ def test_minimal_horizon_yields_two_states():
 def test_sgd_geometric_decay():
     prob = po.make_problem("quadratic", dim=1, data_seed=0)
     rule = make_rule("sgd", prob, 0.1, total_steps=6)
-    theta0 = ParamState(0, np.array([1.0]), 1)
-    traj = sequential_trajectory(rule, theta0=theta0)
+    x0 = prob.initial_values()[0]
+    traj = sequential_trajectory(rule)
     for tau, s in enumerate(traj.states):
-        assert s.values[0] == pytest.approx(0.9**tau)
+        assert s.values[0] == pytest.approx(0.9**tau * x0)
 
 
 def test_solve_sequential_reproducible():

@@ -122,14 +122,21 @@ def test_balanced_workload_busy_ratio():
 
 def test_aux_models_isolated_and_counted():
     rule = quad_rule(kind="adaptive_guidance")
+    dispatched = []
     with WorkerPool(2) as pool:
         assert pool.aux_models == [None, None]  # each lane makes its own at its first drift
         for r in range(2):
-            drifts_of(pool, rule, states_for(rule, 5, start=5 * r))
+            states = states_for(rule, 5, start=5 * r)
+            drifts_of(pool, rule, states)
+            dispatched += states
     # 10 drifts in dispatch order over 2 lanes: the fifth slot of the first
-    # gather goes to lane 0, the first slot of the second to lane 1
-    assert pool.aux_models[0].updates_seen == 5
-    assert pool.aux_models[1].updates_seen == 5
+    # gather goes to lane 0, the first slot of the second to lane 1.  Each
+    # lane's predictor is the EMA of the gradients its lane served, in order.
+    for lane in (0, 1):
+        ema = np.zeros(4)
+        for s in dispatched[lane::2]:
+            ema = 0.95 * ema + (1 - 0.95) * rule.problem.grad(s.values, s.step)
+        np.testing.assert_allclose(pool.aux_models[lane].ema_grad, ema, rtol=1e-12, atol=1e-15)
 
 
 def test_aux_model_decay():
@@ -137,7 +144,6 @@ def test_aux_model_decay():
     aux.update(np.array([1.0, 0.0]))
     aux.update(np.array([1.0, 0.0]))
     np.testing.assert_allclose(aux.ema_grad, [0.05 * 0.95 + 0.05, 0.0])
-    assert aux.updates_seen == 2
 
 
 def test_distinct_steps_required():

@@ -28,7 +28,7 @@ def test_clone_is_independent():
 
 def test_clone_and_relabel_share_checked_arrays(monkeypatch):
     s = make_state(step=2, moments=True)
-    d = Drift(2, np.array([0.5, -1.0]), seed=2, aux_version=4)
+    d = Drift(2, np.array([0.5, -1.0]), seed=2)
 
     def rescan(self):
         raise AssertionError("__post_init__ ran again")
@@ -37,10 +37,9 @@ def test_clone_and_relabel_share_checked_arrays(monkeypatch):
     monkeypatch.setattr(Drift, "__post_init__", rescan)
     clone = with_step(s, 5)
     assert clone.step == 5 and clone.values is s.values and clone.moments is s.moments
-    assert (clone.dim_tag, clone.aux_version) == (s.dim_tag, s.aux_version)
+    assert clone.dim_tag == s.dim_tag
     moved = d.relabelled(7)  # the seed stays the one the drift was computed with
     assert (moved.step, moved.seed) == (7, 2) and moved.payload is d.payload
-    assert moved.aux_version == 4
     assert (s.step, d.step, d.seed) == (2, 2, 2)
     with pytest.raises(AttributeError):
         clone.step = 3
@@ -135,11 +134,28 @@ def test_binary_roundtrip_plain(tmp_path):
 
 def test_binary_roundtrip_with_moments(tmp_path):
     v = np.array([0.25, 0.5])
-    s = ParamState(3, v, 2, MomentState(v * 2, np.abs(v), 9), aux_version=4)
+    s = ParamState(3, v, 2, MomentState(v * 2, np.abs(v), 9))
     write_states(tmp_path / "one.bin", [s])
     (back,) = iter_states(tmp_path / "one.bin")
     assert states_equal_bits(s, back)
-    assert back.aux_version == 4
+
+
+# A record's reserved int64 follows the count (8 bytes) and the record's
+# magic, version, flags, step and dim_tag (23 bytes).
+RESERVED = slice(31, 39)
+
+
+def test_reserved_slot_is_written_zero_and_ignored_on_read(tmp_path):
+    s = make_state(step=4, values=(0.5, -3.0), moments=True)
+    path = tmp_path / "one.bin"
+    write_states(path, [s])
+    buf = bytearray(path.read_bytes())
+    assert buf[RESERVED] == bytes(8)
+    # An older adaptive_guidance checkpoint stored a predictor counter here.
+    buf[RESERVED] = struct.pack("<q", 17)
+    path.write_bytes(bytes(buf))
+    (back,) = iter_states(path)
+    assert states_equal_bits(s, back)
 
 
 def test_checkpoint_file_roundtrip(tmp_path):
@@ -176,7 +192,7 @@ def test_iter_states_rejects_a_truncated_file(tmp_path, cut):
 
 def test_iter_states_rejects_a_negative_value_count(tmp_path):
     # The state's n sits after the count (8 bytes) and the record's magic,
-    # version, flags, step, dim_tag and aux_version (31 bytes).  Read as a
+    # version, flags, step, dim_tag and reserved slot (31 bytes).  Read as a
     # count of all that is left, -1 would load the 2 values silently.
     path = tmp_path / "one.bin"
     write_states(path, [make_state()])
