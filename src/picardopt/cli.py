@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .config import (OPTIONS, SWEEP_AXES, RunConfig, build_problem, build_rule,
                      engine_settings, load_config, sweep_points)
-from .engine import run as engine_run
+from .engine import EngineResult, run as engine_run
 from .errors import ConfigError, ObjectiveError, PicardoptError, PoisonedDrift
 from .oracle import StepComparison, solve_sequential
 from .state import iter_states, state_checksum, state_writer, states_equal_bits, write_states
@@ -51,6 +51,14 @@ def _add_config_flags(p: argparse.ArgumentParser, sweep: bool) -> None:
         if section != "sweep" or sweep:
             p.add_argument("--" + option.replace("_", "-"), dest=name, default=None,
                            metavar=key.upper(), help=f"overrides [{section}] {key}")
+
+
+def _write_run(out: Path, result: EngineResult, window_file: str) -> None:
+    """An engine run's files: its rounds, its report and its window's states,
+    the terminal state of a finished run or the checkpoint of a failed one."""
+    write_rounds_csv(out / "rounds.csv", result.records)
+    write_report_json(out / "report.json", result.report)
+    write_states(out / window_file, result.window)
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -81,18 +89,13 @@ def cmd_run(cfg: RunConfig) -> int:
     try:
         result = engine_run(rule, settings, echo_extra={"mode": cfg.mode}, observer=observer)
     except PicardoptError as err:
-        report = getattr(err, "partial_report", None)
-        if report is not None:
-            write_report_json(out / "report.json", report)
-        window = getattr(err, "partial_window", None)
-        if window is not None:
-            write_states(out / "abort_window.bin", window)
+        partial = getattr(err, "partial", None)
+        if partial is not None:
+            _write_run(out, partial, "abort_window.bin")
         raise
 
     result.report.oracle_wall_time_ms = oracle_wall
-    write_rounds_csv(out / "rounds.csv", result.records)
-    write_report_json(out / "report.json", result.report)
-    write_states(out / "final_state.bin", [result.terminal])
+    _write_run(out, result, "final_state.bin")
 
     if comparison is not None:
         payload = comparison.to_json_dict()
@@ -139,7 +142,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             oracle_wall = oracle_wall_cache[cost]
             result = engine_run(rule, settings, echo_extra={"mode": sub.mode})
             result.report.oracle_wall_time_ms = oracle_wall
-            write_report_json(run_dir / "report.json", result.report)
+            _write_run(run_dir, result, "final_state.bin")
             wall_speedup = oracle_wall / result.report.wall_time_ms
             rows.append(
                 f"{axis},{value:g},{result.report.rounds},"
@@ -165,6 +168,8 @@ def cmd_plotdata(reports_dir: str, out_path: str) -> int:
             data = json.loads(f.read_text())
             if not isinstance(data, dict) or "schema_version" not in data:
                 raise ValueError("not a run report")
+            if data.get("partial"):
+                raise ValueError("the partial report of a failed run")
             name = f.relative_to(root).with_suffix("").as_posix()
             # Every metric is read before any row is kept: a skipped report adds none.
             rows += [f"{name},{metric},{data[metric]!r}" for metric in PLOT_METRICS]

@@ -42,11 +42,8 @@ states and the window after it, and keeps what its caller needs.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 import numbers
-import os
 import statistics
 import time
 from collections.abc import Callable, Sequence
@@ -56,7 +53,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, ObjectiveError, PicardoptError, PoisonedDrift
-from .oracle import checked_loss
+from .oracle import checked_loss, keep_freed_heap
 from .pool import WorkerPool
 from .rules import ADAPTIVE_GUIDANCE, UpdateRule, initial_state, rollout_one
 from .schedule import reconcile_vector
@@ -261,9 +258,17 @@ class EngineSettings:
 
 @dataclass
 class EngineResult:
-    terminal: ParamState
+    """A run's report, round records and the window it ended with: a finished
+    run's terminal state alone, or as the failure left it (see ``run``)."""
+
     report: RunReport
     records: list[RoundRecord]
+    window: list[ParamState]
+
+    @property
+    def terminal(self) -> ParamState:
+        """The state at the horizon, once the run has finished."""
+        return self.window[0]
 
 
 def _config_echo(rule: UpdateRule, settings: EngineSettings) -> dict:
@@ -281,35 +286,6 @@ def _config_echo(rule: UpdateRule, settings: EngineSettings) -> dict:
     }
 
 
-@functools.cache
-def _keep_freed_heap() -> None:
-    """Let freed state arrays stay in the heap for the next round, once per
-    process, on glibc.
-
-    glibc serves a block of 128 KiB or more from mmap until the first one is
-    freed; it then raises its mmap threshold to that block's size and its
-    trim threshold to twice it, so a round that frees a window of large states
-    hands the top of the heap back to the OS and the next round's rollouts
-    grow it again on fresh zero pages.  Setting both thresholds to the
-    ceilings the dynamic ones can reach keeps those pages.  (Setting one
-    alone freezes the other where it stands, possibly at 128 KiB.)  The
-    change is process-wide.  It is skipped without glibc's ``mallopt`` and
-    when the environment already sets glibc malloc tunables
-    (``GLIBC_TUNABLES=glibc.malloc.*`` or a ``MALLOC_*_`` variable).
-    """
-    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "") or any(
-            name.startswith("MALLOC_") and name.endswith("_") for name in os.environ):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD (malloc.h), at the ceilings the
-    # dynamic thresholds reach on 64-bit builds.
-    if mallopt(-3, 32 << 20):
-        mallopt(-1, 64 << 20)
-
-
 def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = None,
         echo_extra: dict | None = None,
         observer: Callable[[Sequence[ParamState], list[ParamState]], None] | None = None,
@@ -322,14 +298,15 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     adapt the threshold (after the skip decision, preserving the reference
     ordering), refill the window's tail.  A failure past the anchor's step
     only ends its round (see ``picard_round``).  When a round or the final
-    loss fails, the partial report and the window (for a failed round, as
-    slid and refined so far) are attached to the raised error for
-    checkpointing.  A pool created here is closed however the run ends; a
-    pool passed in must agree with ``settings`` on workers, seed offset and
-    injected cost, and is reset first, so it gives the bits of a fresh pool.
-    The report's drift count, busy and wait times are this run's share of
-    the pool's counters; the wait time is what its rounds spent blocked in
-    ``pool.result``, aborted rounds included.
+    loss fails, the raised error's ``partial`` is the run's partial result
+    (the partial report, the finished rounds' records and the window, for a
+    failed round as slid and refined so far), for checkpointing.  A pool
+    created here is closed however the run ends; a pool passed in must agree
+    with ``settings`` on workers, seed offset and injected cost, and is reset
+    first, so it gives the bits and counters of a fresh pool.  The report's
+    drift count, busy and wait times are the pool's counters; the wait time
+    is what the rounds spent blocked in ``pool.result``, aborted rounds
+    included.
     ``echo_extra`` adds keys to the report's ``config_echo``.
 
     ``observer(accepted, window)`` is called after each round with the states
@@ -339,10 +316,10 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     with an observer does a round keep the states it rolls past, for the
     observer.  The next round slides and refines that window in place, so an
     observer that keeps it must copy it (``list(window)``).  The
-    observer's time is not in the report's ``wall_time_ms``.  The first run
-    in a process tunes glibc's allocator (see ``_keep_freed_heap``).
+    observer's time is not in the report's ``wall_time_ms``.  As a sequential
+    solve does, it first tunes glibc's allocator (``oracle.keep_freed_heap``).
     """
-    _keep_freed_heap()
+    keep_freed_heap()
     if pool is not None and (pool.n_workers, pool.seed_offset, pool.injected_cost_ms) != (
             settings.workers, settings.seed_offset, settings.injected_cost_ms):
         raise ValueError(
@@ -359,9 +336,9 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     own_pool = pool is None
     if own_pool:
         pool = WorkerPool(settings.workers, settings.seed_offset, settings.injected_cost_ms)
-    pool.reset()
+    else:
+        pool.reset()
 
-    counters = pool.timing_report()
     t_start = time.perf_counter()
     try:
         while window[0].step < T:
@@ -379,19 +356,17 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
                 observer(accepted, window)
                 t_start += time.perf_counter() - t_observer  # not the run's time
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
-        terminal = window[0]
-        final_loss = checked_loss(rule.problem, terminal, settings.seed_offset)
+        final_loss = checked_loss(rule.problem, window[0], settings.seed_offset)
     except PicardoptError as err:
         wall_ms = 1000.0 * (time.perf_counter() - t_start)
-        err.partial_report = _report(records, T, echo, pool, counters, wall_ms)  # type: ignore[attr-defined]
-        err.partial_window = window  # type: ignore[attr-defined]
+        report = _report(records, T, echo, pool, wall_ms)
+        err.partial = EngineResult(report, records, window)  # type: ignore[attr-defined]
         raise
     finally:
         if own_pool:
             pool.close()
 
-    report = _report(records, T, echo, pool, counters, wall_ms, final_loss)
-    return EngineResult(terminal, report, records)
+    return EngineResult(_report(records, T, echo, pool, wall_ms, final_loss), records, window)
 
 
 def _first_window(rule: UpdateRule, size: int) -> list[ParamState]:
@@ -403,17 +378,13 @@ def _first_window(rule: UpdateRule, size: int) -> list[ParamState]:
     return window
 
 
-def _report(records, T: int, echo: dict, pool: WorkerPool, counters: dict, wall_ms: float,
+def _report(records, T: int, echo: dict, pool: WorkerPool, wall_ms: float,
             final_loss: float | None = None) -> RunReport:
     """The run's report, partial when ``final_loss`` is None.  Its drift
     count, busy times and ``drift_wait_ms`` (time blocked in ``pool.result``)
-    are what the pool's counters grew by since ``counters``, the pool's
-    ``timing_report()`` at the start of the run."""
-    now = pool.timing_report()
-    return finalize_report(
-        records, T, echo, final_loss=final_loss, wall_time_ms=wall_ms,
-        worker_busy_ms=[b - a for a, b in zip(counters["busy_ms"], now["busy_ms"])],
-        partial=final_loss is None,
-        drift_evals=sum(now["drifts_served"]) - sum(counters["drifts_served"]),
-        drift_wait_ms=now["wait_ms"] - counters["wait_ms"],
-    )
+    are the pool's counters, which start at 0 with the run."""
+    counts = pool.timing_report()
+    return finalize_report(records, T, echo, final_loss, wall_ms,
+                           worker_busy_ms=counts["busy_ms"],
+                           drift_evals=sum(counts["drifts_served"]),
+                           drift_wait_ms=counts["wait_ms"])

@@ -7,6 +7,9 @@ arithmetic; independently coded update formulas live in the unit tests.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -43,6 +46,35 @@ def checked_loss(problem: Problem, state: ParamState, seed_offset: int = 0) -> f
     return loss
 
 
+@functools.cache
+def keep_freed_heap() -> None:
+    """Let freed state arrays stay in the heap, once per process, on glibc;
+    both solvers call it before their clocks start, to time the same heap.
+
+    glibc serves a block of 128 KiB or more from mmap until the first one is
+    freed; it then raises its mmap threshold to that block's size and its
+    trim threshold to twice it, so a round that frees a window of large states
+    hands the top of the heap back to the OS and the next round's rollouts
+    grow it again on fresh zero pages.  Setting both thresholds to the
+    ceilings the dynamic ones can reach keeps those pages.  (Setting one
+    alone freezes the other where it stands, possibly at 128 KiB.)  The
+    change is process-wide.  It is skipped without glibc's ``mallopt`` and
+    when the environment already sets glibc malloc tunables
+    (``GLIBC_TUNABLES=glibc.malloc.*`` or a ``MALLOC_*_`` variable).
+    """
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "") or any(
+            name.startswith("MALLOC_") and name.endswith("_") for name in os.environ):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD (malloc.h), at the ceilings the
+    # dynamic thresholds reach on 64-bit builds.
+    if mallopt(-3, 32 << 20):
+        mallopt(-1, 64 << 20)
+
+
 def solve_sequential(rule: UpdateRule, seed_offset: int = 0, injected_cost_ms: float = 0.0,
                      observer: Callable[[ParamState], None] | None = None,
                      ) -> tuple[SequentialRun, float]:
@@ -54,8 +86,10 @@ def solve_sequential(rule: UpdateRule, seed_offset: int = 0, injected_cost_ms: f
     mirroring the worker pool's, for fair wall-clock baselines; each state's
     loss, under seed step + seed_offset, and the observer run outside the
     clock.  A failed step raises at once; a failed loss is raised only once
-    every step has succeeded, the first in step order.
+    every step has succeeded, the first in step order.  The first solve in a
+    process tunes glibc's allocator (``keep_freed_heap``).
     """
+    keep_freed_heap()
     state = initial_state(rule)
     aux = AuxModel(state.dim) if rule.kind == ADAPTIVE_GUIDANCE else None
     sleep_s = injected_cost_ms / 1000.0

@@ -38,24 +38,23 @@ class WorkerPool:
         self.n_workers = n_workers
         self.seed_offset = seed_offset
         self.injected_cost_ms = injected_cost_ms
-        # Each lane writes only its own entries, so no lock is needed.
-        self.aux_models: list[rules.AuxModel | None] = [None] * n_workers
-        self._busy_s = [0.0] * n_workers
-        self._drift_counts = [0] * n_workers
-        self._wait_s = 0.0
-        self._dispatched = 0
         # id(input) -> (input, future) for drifts not yet gathered (``submit``);
         # holding the input keeps its id from being reused.
         self._in_flight: dict[int, tuple[object, Future]] = {}
         self._lanes = [ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"picardopt-lane{w}")
                        for w in range(n_workers)]
+        self.reset()
 
     def reset(self) -> None:
         """Start over as a fresh pool: wait for and forget submitted work, drop
-        the lane predictors and restart at dispatch index 0.  The busy, served
-        and wait counters stay cumulative."""
+        the lane predictors, and restart the dispatch index and the busy,
+        served and wait counters at 0."""
         self.drain()
-        self.aux_models = [None] * self.n_workers
+        # Each lane writes only its own entries, so no lock is needed.
+        self.aux_models: list[rules.AuxModel | None] = [None] * self.n_workers
+        self._busy_s = [0.0] * self.n_workers
+        self._drift_counts = [0] * self.n_workers
+        self._wait_s = 0.0
         self._dispatched = 0
 
     def close(self):
@@ -135,9 +134,8 @@ class WorkerPool:
         self._in_flight.clear()
 
     def timing_report(self) -> dict:
-        """Accumulated per-lane busy time and counts of drifts evaluated for
-        the pool's lifetime, plus the time callers spent blocked in
-        ``result``."""
+        """Per-lane busy time and counts of drifts evaluated since the last
+        ``reset``, plus the time callers spent blocked in ``result``."""
         return {
             "busy_ms": [1000.0 * s for s in self._busy_s],
             "drifts_served": list(self._drift_counts),

@@ -8,7 +8,6 @@ events yields identical JSON except for wall-clock fields, all of which end in
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 
 from .errors import InternalConsistencyError
@@ -43,8 +42,6 @@ class RunReport:
     speedup_rounds: float
     wall_time_ms: float
     skip_histogram: dict[int, int]
-    error_trace: list[tuple[float, float, float]]
-    threshold_trace: list[float]
     final_loss: float | None
     config_echo: dict
     partial: bool = False
@@ -55,12 +52,8 @@ class RunReport:
     drift_wait_ms: float | None = None
 
     def to_json_dict(self) -> dict:
-        """The report as JSON values.  JSON has no infinity, so an error that
-        overflowed (``inf``) is ``None``, written as ``null``."""
         d = asdict(self)
         d["skip_histogram"] = {str(k): v for k, v in sorted(self.skip_histogram.items())}
-        d["error_trace"] = [[e if math.isfinite(e) else None for e in errors]
-                            for errors in self.error_trace]
         return d
 
     def to_json(self) -> str:
@@ -69,10 +62,12 @@ class RunReport:
 
 def finalize_report(records, total_steps: int, config_echo: dict, final_loss: float | None,
                     wall_time_ms: float, worker_busy_ms: list[float] | None = None,
-                    partial: bool = False, drift_evals: int = 0,
-                    drift_wait_ms: float | None = None) -> RunReport:
-    """Aggregate round records; validates the skip-sum invariant on full runs.
+                    drift_evals: int = 0, drift_wait_ms: float | None = None) -> RunReport:
+    """Aggregate round records into the run's report, partial when
+    ``final_loss`` is None; a finished run's skips must sum to the horizon.
 
+    ``speedup_rounds`` is the steps the rounds covered per round, in a
+    partial report too; the per-round trace lives in ``rounds.csv`` alone.
     ``drift_evals`` is the number of drifts the pool served during the run,
     aborted rounds included; a slot that takes a drift already in flight
     (``WorkerPool.submit``) adds none.  ``work_amplification`` is that over
@@ -81,25 +76,21 @@ def finalize_report(records, total_steps: int, config_echo: dict, final_loss: fl
     hist: dict[int, int] = {}
     for r in records:
         hist[r.skip] = hist.get(r.skip, 0) + 1
-    if not partial:
-        covered = sum(k * v for k, v in hist.items())
-        if covered != total_steps:
-            raise InternalConsistencyError(
-                f"skip histogram covers {covered} steps, run declared {total_steps}"
-            )
+    covered = sum(k * v for k, v in hist.items())
+    if final_loss is not None and covered != total_steps:
+        raise InternalConsistencyError(
+            f"skip histogram covers {covered} steps, run declared {total_steps}")
     rounds = len(records)
     return RunReport(
         schema_version=SCHEMA_VERSION,
         rounds=rounds,
         total_steps=total_steps,
-        speedup_rounds=(total_steps / rounds) if rounds else 0.0,
+        speedup_rounds=(covered / rounds) if rounds else 0.0,
         wall_time_ms=wall_time_ms,
         skip_histogram=hist,
-        error_trace=[(r.err_min, r.err_med, r.err_max) for r in records],
-        threshold_trace=[r.threshold for r in records],
         final_loss=final_loss,
         config_echo=config_echo,
-        partial=partial,
+        partial=final_loss is None,
         worker_busy_ms=worker_busy_ms,
         drift_evals=drift_evals,
         work_amplification=drift_evals / total_steps,

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 from dataclasses import dataclass
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from picardopt.oracle import solve_sequential
+from picardopt.oracle import keep_freed_heap, solve_sequential
 from picardopt.problems import Problem
 from picardopt.state import ParamState, states_equal_bits
 from picardopt.telemetry import strip_wall_fields
@@ -132,3 +133,28 @@ def reports_equal_excluding_wall(json_a: str, json_b: str) -> bool:
 @pytest.fixture
 def decay_ode():
     return DecayOde()
+
+
+class FakeLibc:
+    """Stands in for ``ctypes.CDLL(None)``; records each ``mallopt`` call."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+@pytest.fixture
+def mallopt_calls(monkeypatch):
+    """The ``mallopt`` calls ``keep_freed_heap`` makes, into a fake libc, with
+    no malloc tunables set; the helper's once-per-process cache is cleared
+    before and after, so no other test sees the fake's result."""
+    calls = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: FakeLibc(calls))
+    for name in [n for n in os.environ if n.startswith("MALLOC_") or n == "GLIBC_TUNABLES"]:
+        monkeypatch.delenv(name)
+    keep_freed_heap.cache_clear()
+    yield calls
+    keep_freed_heap.cache_clear()

@@ -384,8 +384,8 @@ def reject_constant(name):
 
 def test_an_overflowing_distance_fails_the_run_where_the_oracle_does(tmp_path, capsys):
     # Before the drift at step 6 fails, the distances of the guesses from the
-    # growing states overflow: they are inf, written to report.json as null,
-    # and the run fails where, and as, the sequential run does.
+    # growing states overflow: they are inf, written so to rounds.csv, and
+    # the run fails where, and as, the sequential run does.
     errors = {}
     for mode in ("engine", "oracle"):
         code = cli.main(["run", "--problem", "rosenbrock", "--rule", "sgd", "--step-size", "0.01",
@@ -394,9 +394,34 @@ def test_an_overflowing_distance_fails_the_run_where_the_oracle_does(tmp_path, c
         assert code == 3
         errors[mode] = capsys.readouterr().err
     assert errors["engine"] == errors["oracle"] and "step 6 (seed 6)" in errors["oracle"]
+    last = (tmp_path / "engine" / "rounds.csv").read_text().splitlines()[-1]
+    assert last.split(",")[-3:] == ["inf", "inf", "inf"]
     report = json.loads((tmp_path / "engine" / "report.json").read_text(),
                         parse_constant=reject_constant)
-    assert report["partial"] is True and None in report["error_trace"][-1]
+    assert report["partial"] is True
+
+
+ROSENBROCK_OVERFLOW = ["--problem", "rosenbrock", "--rule", "sgd", "--step-size", "0.01",
+                       "--steps", "50", "--threshold", "0", "--window", "7", "--workers", "2"]
+
+
+def test_a_finished_and_a_failed_run_write_the_same_files_but_their_states(tmp_path, capsys):
+    # Each per-round fact has one home, rounds.csv, also for a failed run;
+    # report.json holds the report's fields and nothing else.
+    assert cli.main(["run", "--steps", "20", "--workers", "2", "--out", str(tmp_path / "ok")]) == 0
+    assert cli.main(["run", *ROSENBROCK_OVERFLOW, "--out", str(tmp_path / "failed")]) == 3
+    assert "step 6 (seed 6)" in capsys.readouterr().err
+    common = {"rounds.csv", "report.json"}
+    assert {f.name for f in (tmp_path / "ok").iterdir()} == common | {"final_state.bin"}
+    assert {f.name for f in (tmp_path / "failed").iterdir()} == common | {"abort_window.bin"}
+    rows = (tmp_path / "failed" / "rounds.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6 and rows[-1].split(",")[4:] == ["inf", "inf", "inf"]
+    fields = {field.name for field in dataclasses.fields(po.telemetry.RunReport)}
+    for name in ("ok", "failed"):
+        report = json.loads((tmp_path / name / "report.json").read_text(),
+                            parse_constant=reject_constant)
+        assert set(report) == fields
+    assert (report["rounds"], report["speedup_rounds"], report["partial"]) == (6, 1.0, True)
 
 
 def test_unreadable_manifest_exits_2(tmp_path, capsys):

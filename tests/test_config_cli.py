@@ -211,7 +211,9 @@ def test_cli_sweep_writes_combined_csv(tmp_path):
     assert lines[0] == "axis,value,rounds,speedup_rounds,wall_speedup,final_loss,status"
     assert len(lines) == 3
     assert all(line.endswith("ok") for line in lines[1:])
-    assert (tmp_path / "runs" / "window_1" / "report.json").exists()
+    # each run's per-round trace is kept, in its rounds.csv
+    assert {f.name for f in (tmp_path / "runs" / "window_1").iterdir()} == {
+        "rounds.csv", "report.json", "final_state.bin"}
 
 
 def test_cli_sweep_records_failures_and_continues(tmp_path):
@@ -258,6 +260,19 @@ def test_cli_plotdata_skips_a_report_missing_a_metric_whole(tmp_path, capsys):
     out_csv = tmp_path / "plot.csv"
     assert run_cli("plotdata", "--reports", str(src), "--out", str(out_csv)) == 0
     assert "skipping" in capsys.readouterr().err
+    assert out_csv.read_text() == "report,metric,value\n"
+
+
+def test_cli_plotdata_skips_a_failed_runs_partial_report(tmp_path, capsys):
+    # A failed run's report has no final loss and covers part of the horizon.
+    src = tmp_path / "reports"
+    assert run_cli("run", "--problem", "rosenbrock", "--rule", "sgd", "--step-size", "0.01",
+                   "--steps", "50", "--threshold", "0", "--window", "7", "--workers", "2",
+                   "--out", str(src / "failed")) == 3
+    capsys.readouterr()
+    out_csv = tmp_path / "plot.csv"
+    assert run_cli("plotdata", "--reports", str(src), "--out", str(out_csv)) == 0
+    assert capsys.readouterr().err.startswith("warning: skipping")
     assert out_csv.read_text() == "report,metric,value\n"
 
 

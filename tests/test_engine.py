@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import json
 import operator
@@ -20,6 +21,7 @@ from picardopt.engine import (DOT_BLOCK, EngineSettings, advance_window,
                               compute_skip, fixed_point_distance, picard_round,
                               run, update_threshold)
 from picardopt.errors import DimensionError
+from picardopt.oracle import keep_freed_heap
 from picardopt.pool import WorkerPool
 from picardopt.rules import initial_state, make_rule, rollout_one, sequential_step
 from picardopt.schedule import ScheduleAction, apply_action, reconcile_vector
@@ -369,8 +371,9 @@ def test_run_poisoned_attaches_partial_report():
     rule = make_rule("sgd", prob, 1e6, total_steps=50)  # diverges fast
     with pytest.raises(po.PoisonedDrift) as exc:
         run(rule, EngineSettings(window=3, workers=2, threshold=0.0, gamma=1.0))
-    assert exc.value.partial_report.partial
-    assert exc.value.partial_window is not None
+    partial = exc.value.partial
+    assert partial.report.partial and partial.report.rounds == len(partial.records)
+    assert partial.window is not None
 
 
 def test_run_closes_own_pool_on_non_package_error():
@@ -599,8 +602,8 @@ def test_failed_round_checkpoints_its_window_as_refined(tmp_path, monkeypatch):
     with pytest.raises(DimensionError, match="seed 3") as exc:
         run(rule, settings, observer=lambda accepted, window: windows.append(list(window)))
     (w,) = windows
-    partial = exc.value.partial_window
-    assert exc.value.partial_report.rounds == 1
+    partial = exc.value.partial.window
+    assert exc.value.partial.report.rounds == 1
     assert [s.step for s in w] == [1, 2, 3, 4, 5]
     assert [s.step for s in partial] == [2, 3, 4, 5]
     assert states_equal_bits(w[0], sequential_step(rule, initial_state(rule), 0))
@@ -626,8 +629,8 @@ def test_failed_round_checkpoints_its_window_as_refined(tmp_path, monkeypatch):
     windows = []
     with pytest.raises(po.ObjectiveError, match="seed 3") as exc:
         run(rule, settings, observer=lambda accepted, window: windows.append(list(window)))
-    partial = exc.value.partial_window
-    assert exc.value.partial_report.rounds == len(windows) == 3
+    partial = exc.value.partial.window
+    assert exc.value.partial.report.rounds == len(windows) == 3
     assert [s.step for s in partial] == [3, 4, 5, 6, 7] and same_objects(partial, windows[-1])
     sequential = initial_state(rule)
     for tau in range(3):
@@ -660,8 +663,8 @@ def test_aborted_run_drains_prefetched_work():
         # nothing was still running when the error surfaced
         assert sum(pool.timing_report()["drifts_served"]) == served
         assert sum(pool.timing_report()["busy_ms"]) == busy
-    assert exc.value.partial_report.partial
-    assert exc.value.partial_report.rounds == 3
+    assert exc.value.partial.report.partial
+    assert exc.value.partial.report.rounds == 3
     before = threading.active_count()
     with pytest.raises(po.ObjectiveError):
         run(rule, settings)
@@ -696,7 +699,7 @@ def test_exact_run_fails_where_the_sequential_run_fails(fail, huge, spike, steps
     try:
         run(rule, EngineSettings(window=window, workers=workers, threshold=0.0))
     except po.PicardoptError as err:
-        assert (type(err), err.partial_window[0].step, str(err)) == expected
+        assert (type(err), err.partial.window[0].step, str(err)) == expected
     else:
         assert expected is None
 
@@ -750,17 +753,17 @@ def test_a_reused_pool_gives_a_fresh_pools_bits():
 
 
 def test_a_reused_pools_report_counts_its_own_run():
-    # The report's counters are the pool's growth across this run only.
+    # The run resets the pool, so the report's counters are the pool's.
     rule = quad_rule(T=30, noise=0.1)
     settings = EngineSettings(window=5, workers=2, injected_cost_ms=2.0)
+    fresh = run(rule, settings).report
     with WorkerPool(2, injected_cost_ms=2.0) as pool:
         for _ in range(2):
-            before = pool.timing_report()
             report = run(rule, settings, pool).report
-            after = pool.timing_report()
-            assert report.worker_busy_ms == [b - a for a, b in zip(before["busy_ms"],
-                                                                   after["busy_ms"])]
-            assert report.drift_evals == sum(after["drifts_served"]) - sum(before["drifts_served"])
+            counters = pool.timing_report()
+            assert report.worker_busy_ms == counters["busy_ms"]
+            assert report.drift_wait_ms == counters["wait_ms"]
+            assert report.drift_evals == sum(counters["drifts_served"]) == fresh.drift_evals
 
 
 class FailsAtSeed9(po.problems.QuadraticProblem):
@@ -789,8 +792,8 @@ def test_aborted_run_counts_every_drift_served():
         with pytest.raises(po.ObjectiveError) as exc:
             run(rule, EngineSettings(window=5, workers=2, threshold=0.0), pool)
         served = sum(pool.timing_report()["drifts_served"])
-    assert problem.calls.count(9) == 5 and exc.value.partial_report.rounds == 9
-    assert exc.value.partial_report.drift_evals == served == len(problem.calls) == 50
+    assert problem.calls.count(9) == 5 and exc.value.partial.report.rounds == 9
+    assert exc.value.partial.report.drift_evals == served == len(problem.calls) == 50
 
 
 # --- shared drifts --------------------------------------------------------------
@@ -1162,41 +1165,16 @@ def test_a_wide_adam_solve_peaks_under_sixteen_arrays():
 # --- the freed heap -----------------------------------------------------------
 
 
-class FakeLibc:
-    """Stands in for ``ctypes.CDLL(None)``; records each ``mallopt`` call."""
-
-    def __init__(self, calls):
-        self.calls = calls
-
-    def mallopt(self, param, value):
-        self.calls.append((param, value))
-        return 1
-
-
-@pytest.fixture
-def mallopt_calls(monkeypatch):
-    """The ``mallopt`` calls ``_keep_freed_heap`` makes, into a fake libc, with
-    no malloc tunables set; the helper's once-per-process cache is cleared
-    before and after, so no other test sees the fake's result."""
-    calls = []
-    monkeypatch.setattr(engine_mod.ctypes, "CDLL", lambda name: FakeLibc(calls))
-    for name in [n for n in engine_mod.os.environ if n.startswith("MALLOC_") or n == "GLIBC_TUNABLES"]:
-        monkeypatch.delenv(name)
-    engine_mod._keep_freed_heap.cache_clear()
-    yield calls
-    engine_mod._keep_freed_heap.cache_clear()
-
-
 def test_keep_freed_heap_sets_both_thresholds_once_per_process(mallopt_calls):
     for _ in range(2):
         run(quad_rule(kind="adam", T=5), EngineSettings(window=2, workers=1))
-    engine_mod._keep_freed_heap()
+    keep_freed_heap()
     # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h.
     assert mallopt_calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
 
 def test_keep_freed_heap_without_mallopt_does_nothing(mallopt_calls, monkeypatch):
-    monkeypatch.setattr(engine_mod.ctypes, "CDLL", lambda name: object())
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
     run(quad_rule(kind="adam", T=5), EngineSettings(window=2, workers=1))
     assert mallopt_calls == []
 
@@ -1209,13 +1187,13 @@ def test_keep_freed_heap_without_mallopt_does_nothing(mallopt_calls, monkeypatch
 ])
 def test_keep_freed_heap_leaves_set_tunables_alone(mallopt_calls, monkeypatch, name, value):
     monkeypatch.setenv(name, value)
-    engine_mod._keep_freed_heap()
+    keep_freed_heap()
     assert mallopt_calls == []
 
 
 def test_keep_freed_heap_ignores_other_tunables(mallopt_calls, monkeypatch):
     monkeypatch.setenv("GLIBC_TUNABLES", "glibc.rtld.optional_static_tls=512")
-    engine_mod._keep_freed_heap()
+    keep_freed_heap()
     assert len(mallopt_calls) == 2
 
 

@@ -195,3 +195,12 @@ def test_streaming_solve_keeps_one_state():
         tracemalloc.stop()
     assert len(result.losses) == 51
     assert peak_mb < 16.0, f"tracemalloc peak {peak_mb:.1f} MB"
+
+
+def test_solve_sequential_alone_tunes_the_allocator(mallopt_calls):
+    # The sequential baseline is timed on the heap the engine's rounds get:
+    # the allocator is tuned before the first step, with no engine run.
+    tuned_at_step_0 = []
+    rule = make_rule("adam", po.make_problem("quadratic"), 0.05, total_steps=3)
+    solve_sequential(rule, observer=lambda state: tuned_at_step_0.append(list(mallopt_calls)))
+    assert mallopt_calls == tuned_at_step_0[0] == [(-3, 32 << 20), (-1, 64 << 20)]

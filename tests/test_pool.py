@@ -105,6 +105,17 @@ def test_busy_time_accounts_injected_cost():
     assert report["busy_ms"][0] >= 6 * 5.0 * 0.9
 
 
+def test_reset_starts_the_counters_at_zero():
+    rule = quad_rule()
+    with WorkerPool(2, injected_cost_ms=1.0) as pool:
+        fresh = pool.timing_report()
+        drifts_of(pool, rule, states_for(rule, 4))
+        assert sum(pool.timing_report()["drifts_served"]) == 4
+        pool.reset()
+        assert pool.timing_report() == fresh == {
+            "busy_ms": [0.0, 0.0], "drifts_served": [0, 0], "wait_ms": 0.0}
+
+
 def test_balanced_workload_busy_ratio():
     # 16 drifts of at least 5 ms over 4 lanes: each lane serves 4, so it is
     # busy for at least 20 ms, and only while the two gathers run.  (How

@@ -35,9 +35,16 @@ def test_skip_sum_invariant_enforced():
 
 
 def test_partial_run_skips_invariant():
-    rep = finalize_report([rec(1, 0, 3)], 100, {}, final_loss=None,
-                          wall_time_ms=1.0, partial=True)
+    rep = finalize_report([rec(1, 0, 3)], 100, {}, final_loss=None, wall_time_ms=1.0)
     assert rep.partial and rep.final_loss is None
+
+
+def test_a_partial_reports_speedup_counts_the_steps_its_rounds_covered():
+    # Six rounds of skip 1 out of a horizon of 50 advanced one step a round.
+    rep = finalize_report([rec(i + 1, i, 1) for i in range(6)], 50, {}, final_loss=None,
+                          wall_time_ms=1.0)
+    assert rep.speedup_rounds == 1.0 and rep.work_amplification == 0.0
+    assert finalize_report([], 50, {}, None, wall_time_ms=1.0).speedup_rounds == 0.0
 
 
 def test_csv_schema_and_precision():
