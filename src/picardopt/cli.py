@@ -56,9 +56,26 @@ def _add_config_flags(p: argparse.ArgumentParser, sweep: bool) -> None:
 def _write_run(out: Path, result: EngineResult, window_file: str) -> None:
     """An engine run's files: its rounds, its report and its window's states,
     the terminal state of a finished run or the checkpoint of a failed one."""
+    out.mkdir(parents=True, exist_ok=True)
     write_rounds_csv(out / "rounds.csv", result.records)
     write_report_json(out / "report.json", result.report)
     write_states(out / window_file, result.window)
+
+
+def _run_engine(out: Path, rule, settings, mode: str, oracle_wall: float | None,
+                observer=None) -> EngineResult:
+    """Run the engine and write its files to ``out``, a failed run's partial
+    result included; a finished report carries the oracle's wall time."""
+    try:
+        result = engine_run(rule, settings, echo_extra={"mode": mode}, observer=observer)
+    except PicardoptError as err:
+        partial = getattr(err, "partial", None)
+        if partial is not None:
+            _write_run(out, partial, "abort_window.bin")
+        raise
+    result.report.oracle_wall_time_ms = oracle_wall
+    _write_run(out, result, "final_state.bin")
+    return result
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -86,16 +103,7 @@ def cmd_run(cfg: RunConfig) -> int:
     # oracle's, read back from its file; neither side is kept.
     comparison = StepComparison(iter_states(trajectory_path)) if cfg.mode == "both" else None
     observer = None if comparison is None else lambda accepted, _: comparison.extend(accepted)
-    try:
-        result = engine_run(rule, settings, echo_extra={"mode": cfg.mode}, observer=observer)
-    except PicardoptError as err:
-        partial = getattr(err, "partial", None)
-        if partial is not None:
-            _write_run(out, partial, "abort_window.bin")
-        raise
-
-    result.report.oracle_wall_time_ms = oracle_wall
-    _write_run(out, result, "final_state.bin")
+    result = _run_engine(out, rule, settings, cfg.mode, oracle_wall, observer)
 
     if comparison is not None:
         payload = comparison.to_json_dict()
@@ -131,8 +139,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
     for value, sub in sweep_points(cfg):
         # validate_config has built every value's settings, so only the run can fail.
         settings = engine_settings(sub)
-        run_dir = out / "runs" / f"{axis}_{value:g}"
-        run_dir.mkdir(parents=True, exist_ok=True)
         try:
             cost = settings.injected_cost_ms
             if cost not in oracle_wall_cache:
@@ -140,9 +146,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     rule, seed_offset=settings.seed_offset, injected_cost_ms=cost
                 )
             oracle_wall = oracle_wall_cache[cost]
-            result = engine_run(rule, settings, echo_extra={"mode": sub.mode})
-            result.report.oracle_wall_time_ms = oracle_wall
-            _write_run(run_dir, result, "final_state.bin")
+            result = _run_engine(out / "runs" / f"{axis}_{value:g}", rule, settings,
+                                 sub.mode, oracle_wall)
             wall_speedup = oracle_wall / result.report.wall_time_ms
             rows.append(
                 f"{axis},{value:g},{result.report.rounds},"

@@ -194,12 +194,9 @@ class TinyMlpProblem(Problem):
 
     kind = "tiny_mlp"
     subsampled = True
-    HIDDEN = 8
     N_SAMPLES = 64
 
-    def __init__(self, dim: int = 25, data_seed: int = 0, noise: float = 0.0):
-        if dim != 25:
-            raise ValueError("tiny_mlp has a fixed parameter dimension of 25")
+    def __init__(self, data_seed: int = 0, noise: float = 0.0):
         super().__init__(25, data_seed, noise)
         rng = np.random.default_rng(data_seed)
         self.inputs = rng.uniform(-2.0, 2.0, size=(self.N_SAMPLES, 1))
@@ -252,32 +249,26 @@ class Splat2dProblem(Problem):
 
     Each point carries (x, y, log-scale, weight), so the value vector has
     4 * dim_tag entries and gradients track dimension changes; ``points`` is
-    the initial point count (2 by default), and ``dim`` if given must be 4 *
-    points.  The target is itself a splat render of ``n_targets`` points drawn
-    from ``data_seed``, so a point set matching the target exactly reaches
-    loss 0.
+    the initial point count.  The target is itself a splat render of
+    ``N_TARGETS`` points drawn from ``data_seed``, so a point set matching the
+    target exactly reaches loss 0.
     """
 
     kind = "splat2d"
     point_width = 4
     GRID = 16
+    N_TARGETS = 3
 
-    def __init__(self, dim: int | None = None, data_seed: int = 0, noise: float = 0.0,
-                 points: int | None = None, n_targets: int = 3):
-        if points is None:
-            points = 2 if dim is None else dim // 4
-        if dim is None:
-            dim = 4 * points
-        if dim != 4 * points:
-            raise ValueError(f"splat2d dim {dim} is not 4 * points ({points})")
-        super().__init__(dim, data_seed, noise)
+    def __init__(self, data_seed: int = 0, noise: float = 0.0, points: int = 2):
+        if points < 1:
+            raise ValueError(f"splat2d points must be >= 1, not {points}")
+        super().__init__(4 * points, data_seed, noise)
         self.points = points
-        self.n_targets = n_targets
         centers = (np.arange(self.GRID) + 0.5) / self.GRID
         self.grid_x = centers
         self.grid_y = centers
         rng = np.random.default_rng(data_seed)
-        k = n_targets
+        k = self.N_TARGETS
         tp = np.empty((k, 4))
         tp[:, 0] = rng.uniform(0.25, 0.75, k)
         tp[:, 1] = rng.uniform(0.25, 0.75, k)
@@ -285,10 +276,9 @@ class Splat2dProblem(Problem):
         tp[:, 3] = rng.uniform(0.6, 1.2, k)
         self.target_points = tp
         self.target = kernels.splat_field(tp, self.grid_x, self.grid_y)
-        p0 = dim // 4
-        init = np.empty((p0, 4))
-        init[:, 0] = rng.uniform(0.2, 0.8, p0)
-        init[:, 1] = rng.uniform(0.2, 0.8, p0)
+        init = np.empty((points, 4))
+        init[:, 0] = rng.uniform(0.2, 0.8, points)
+        init[:, 1] = rng.uniform(0.2, 0.8, points)
         init[:, 2] = np.log(0.2)
         init[:, 3] = 0.8
         self._init = init.reshape(-1)
@@ -305,8 +295,8 @@ class Splat2dProblem(Problem):
         return values
 
     def _base_loss(self, v):
-        loss, _ = kernels.splat_loss_grad(v.reshape(-1, 4), self.grid_x, self.grid_y, self.target)
-        return loss
+        resid = kernels.splat_field(v.reshape(-1, 4), self.grid_x, self.grid_y) - self.target
+        return float(np.sum(resid * resid))
 
     def _base_grad(self, v):
         _, grad = kernels.splat_loss_grad(v.reshape(-1, 4), self.grid_x, self.grid_y, self.target)

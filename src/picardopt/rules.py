@@ -69,8 +69,8 @@ class UpdateRule:
     def step_invariant(self) -> bool:
         """The drift depends on the state's values alone, not on its step or
         seed, so states that share a values array share their drift.  Never
-        for ``euler_ode`` (its drift reads ``step / T``) or
-        ``adaptive_guidance`` (its drift updates one lane's predictor)."""
+        for ``euler_ode`` (its drift reads the time ``step_size * step / T``)
+        or ``adaptive_guidance`` (its drift updates one lane's predictor)."""
         return self.kind in (SGD, ADAM) and self.problem.seed_free
 
 
@@ -130,7 +130,8 @@ def drift(rule: UpdateRule, state: ParamState, seed: int, aux=None) -> Drift:
     if state.step >= rule.total_steps:
         raise ValueError(f"state step {state.step} is at or past the horizon {rule.total_steps}")
     if rule.kind == EULER_ODE:
-        payload = rule.problem.ode_drift(state.values, state.step / rule.total_steps)
+        payload = rule.problem.ode_drift(state.values,
+                                         rule.step_size * state.step / rule.total_steps)
     elif rule.kind == ADAPTIVE_GUIDANCE:
         if aux is None:
             raise ValueError("adaptive_guidance drift needs an auxiliary predictor")
@@ -157,7 +158,7 @@ def rollout_one(rule: UpdateRule, d: Drift, state: ParamState) -> ParamState:
     dim_tag = state.dim_tag
 
     if rule.kind == EULER_ODE:
-        vn = state.values + (1.0 / rule.total_steps) * d.payload
+        vn = state.values + (eta / rule.total_steps) * d.payload
     elif rule.kind in (SGD, ADAPTIVE_GUIDANCE):
         vn = state.values - eta * d.payload
     elif rule.kind == ADAM:

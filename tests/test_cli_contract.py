@@ -190,15 +190,14 @@ def test_splat_points_set_the_size_and_the_echo(tmp_path):
                      "--steps", "5", "--workers", "2", "--out", str(tmp_path)])
     assert code == 0
     echo = json.loads((tmp_path / "report.json").read_text())["config_echo"]
-    assert echo["problem"] == {"kind": "splat2d", "dim": 12, "data_seed": 0, "noise": 0.0,
-                               "points": 3, "n_targets": 3}
+    assert echo["problem"] == {"kind": "splat2d", "data_seed": 0, "noise": 0.0, "points": 3}
     assert next(iter_states(tmp_path / "final_state.bin")).dim == 12
 
 
 @pytest.mark.parametrize("args,field", [
     (["--problem", "quadratic", "--points", "3"], "problem.points"),
     (["--problem", "stochastic_lsq", "--points", "2"], "problem.points"),
-    (["--problem", "splat2d", "--points", "3", "--dim", "8"], "points"),
+    (["--problem", "splat2d", "--points", "3", "--dim", "8"], "problem.dim"),
     (["--rule", "sgd", "--beta1", "0.5"], "beta1"),
     (["--rule", "split_prune_sgd", "--problem", "splat2d", "--eps", "1e-6"], "eps"),
     (["--rule", "adam", "--beta2", "1.5"], "betas"),
@@ -219,6 +218,7 @@ def test_splat_points_set_the_size_and_the_echo(tmp_path):
     (["--rule", "nope"], "rule.kind"),
     (["--step-size", "0"], "rule.step_size"),
     (["--rule", "adam", "--beta1", "1.5"], "rule.beta1"),
+    (["--problem", "tiny_mlp", "--dim", "25"], "problem.dim"),
 ])
 def test_setting_not_taken_exits_2_naming_it(tmp_path, capsys, args, field):
     code = cli.main(["run", "--steps", "5", *args, "--out", str(tmp_path)])
@@ -300,6 +300,29 @@ def test_sweep_from_config_file(tmp_path):
     lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
     assert [line.split(",")[:3] for line in lines[1:]] == [["window", "1", "40"],
                                                            ["window", "3", "15"]]
+
+
+def test_a_failed_sweep_value_writes_what_a_failed_run_writes(tmp_path, capsys):
+    # The engine fails at window 7 only: that value keeps its partial run, as
+    # `run` does.  When the shared oracle fails, no value runs the engine, so
+    # no run directory is made.
+    sweep = ["sweep", "--problem", "rosenbrock", "--rule", "sgd", "--workers", "2",
+             "--axis", "window", "--values", "1,7"]
+    engine_fails, oracle_fails = tmp_path / "engine", tmp_path / "oracle"
+    assert cli.main([*sweep, "--step-size", "0.002", "--steps", "60", "--threshold", "100",
+                     "--gamma", "1", "--out", str(engine_fails)]) == 0
+    assert cli.main([*sweep, "--step-size", "0.01", "--steps", "50", "--threshold", "0",
+                     "--out", str(oracle_fails)]) == 0
+    assert capsys.readouterr().err.count("failed: non-finite numerics") == 3
+    runs = engine_fails / "runs"
+    common = {"rounds.csv", "report.json"}
+    assert {f.name for f in (runs / "window_1").iterdir()} == common | {"final_state.bin"}
+    assert {f.name for f in (runs / "window_7").iterdir()} == common | {"abort_window.bin"}
+    status = [row.split(",")[-1] for row in (engine_fails / "sweep.csv").read_text().split()]
+    assert status == ["status", "ok", "error"]
+    assert not (oracle_fails / "runs").exists()
+    status = [row.split(",")[-1] for row in (oracle_fails / "sweep.csv").read_text().split()]
+    assert status == ["status", "error", "error"]
 
 
 # --- exit codes -----------------------------------------------------------

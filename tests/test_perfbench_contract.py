@@ -120,3 +120,16 @@ def test_a_run_without_a_schedule_records_no_schedule_call(workload):
     calls = traced_calls(build_and_run)
     assert calls["config.build_rule"] == 1 and calls["engine.run"] == 1
     assert [name for name in calls if name.startswith("schedule.")] == []
+
+
+@pytest.mark.parametrize("name", ["exact_splat", "wide_adam", "costly_lsq"])
+def test_every_workload_configuration_builds(name):
+    # Tier-1 solves no workload at its full size; building each one's
+    # configuration still checks its overrides against the config layer.
+    workloads = perfbench_module("workloads")
+    w = workloads.WORKLOADS[name]
+    rule, settings = workloads.build(w, 1)
+    assert (rule.problem.kind, rule.total_steps) == (w.overrides["problem_kind"],
+                                                     w.overrides["steps"])
+    assert (settings.window, settings.workers) == (w.overrides["window"], w.overrides["workers"])
+    assert len(rule.schedule) == len(w.overrides.get("schedule", "").split())

@@ -98,9 +98,23 @@ def test_dimension_mismatch_raises():
 
 
 def test_splat_exact_target_has_zero_loss():
-    p = make_problem("splat2d", data_seed=9, points=1, n_targets=1)
+    p = make_problem("splat2d", data_seed=9, points=Splat2dProblem.N_TARGETS)
     v = p.target_points.reshape(-1)
     assert p.loss(v, 0) == pytest.approx(0.0, abs=1e-24)
+
+
+def test_splat_loss_is_the_loss_of_splat_loss_grad():
+    # The loss renders the field alone; the kernel that also takes the
+    # gradient must give the same bits, split children included.
+    p = make_problem("splat2d", data_seed=4, points=3)
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        v = random_point(p, rng)
+        if trial % 2:
+            v = apply_action(v, ScheduleAction(0, "split", (trial % 3,)), 4)
+        pts = v.reshape(-1, 4)
+        loss, _ = kernels.splat_loss_grad(pts, p.grid_x, p.grid_y, p.target)
+        assert p.loss(v, 0) == loss
 
 
 def test_splat_render_matches_bruteforce_grid():
@@ -152,20 +166,21 @@ def test_splat_nonpositive_weight_sum_raises():
     ("tiny_mlp", 25, 0.0), ("splat2d", 8, 0.0), ("linear_ode", 8, 0.0),
 ])
 def test_each_problem_owns_its_defaults(kind, dim, noise):
-    settings = make_problem(kind).settings()
-    assert (settings["dim"], settings["data_seed"], settings["noise"]) == (dim, 0, noise)
+    p = make_problem(kind)
+    settings = p.settings()
+    assert (p.dim, settings["data_seed"], settings["noise"]) == (dim, 0, noise)
 
 
 def test_splat_points_set_the_dim():
     p = make_problem("splat2d", points=3)
     assert p.dim == len(p.initial_values()) == 12 and p.initial_dim_tag() == 3
-    assert p.settings() == {"dim": 12, "data_seed": 0, "noise": 0.0, "points": 3, "n_targets": 3}
-    assert make_problem("splat2d", dim=12).points == 3
-    assert make_problem("splat2d", dim=12, points=3).dim == 12
-    with pytest.raises(ValueError, match="not 4 \\* points"):
-        make_problem("splat2d", dim=8, points=3)
-    with pytest.raises(ValueError, match="not 4 \\* points"):
-        make_problem("splat2d", dim=10)
+    assert p.settings() == {"data_seed": 0, "noise": 0.0, "points": 3}
+    assert make_problem("tiny_mlp").settings() == {"data_seed": 0, "noise": 0.0}
+    with pytest.raises(ValueError, match="points"):
+        make_problem("splat2d", points=0)
+    for kind in ("splat2d", "tiny_mlp"):
+        with pytest.raises(TypeError):
+            make_problem(kind, dim=12)
 
 
 @pytest.mark.parametrize("kind", ["stochastic_lsq", "tiny_mlp"])
@@ -188,6 +203,16 @@ def test_euler_approaches_analytic():
     traj, _ = po.solve_sequential(rule)
     err = np.max(np.abs(traj.terminal.values - p.analytic_solution(1.0)))
     assert err < 5.0 / T
+
+
+def test_euler_step_size_is_the_horizon():
+    p = make_problem("linear_ode", data_seed=1)
+    ends = {}
+    for horizon in (0.5, 1.0):
+        rule = po.make_rule("euler_ode", p, step_size=horizon, total_steps=256)
+        ends[horizon] = po.solve_sequential(rule)[0].terminal.values
+    assert np.max(np.abs(ends[0.5] - p.analytic_solution(0.5))) < 1e-3
+    assert not np.array_equal(ends[0.5], ends[1.0])
 
 
 SANITY = [
