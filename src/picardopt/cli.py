@@ -79,11 +79,12 @@ def _run_engine(out: Path, rule, settings, mode: str, oracle_wall: float | None,
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # Built first, so a run rejected for its configuration leaves no directory.
     problem = build_problem(cfg)
     rule = build_rule(cfg, problem)
     settings = engine_settings(cfg)
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     oracle = oracle_wall = None
     trajectory_path = out / "oracle_trajectory.bin"
@@ -167,8 +168,9 @@ PLOT_METRICS = ("rounds", "total_steps", "speedup_rounds", "final_loss", "wall_t
 def cmd_plotdata(reports_dir: str, out_path: str) -> int:
     rows = ["report,metric,value"]
     root = Path(reports_dir)
-    files = sorted(root.rglob("*.json")) if root.is_dir() else []
-    for f in files:
+    if not root.is_dir():
+        raise ConfigError("reports", f"no reports directory {root}")
+    for f in sorted(root.rglob("*.json")):
         try:
             data = json.loads(f.read_text())
             if not isinstance(data, dict) or "schema_version" not in data:

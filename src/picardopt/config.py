@@ -85,14 +85,14 @@ class RunConfig:
     sweep_values: list[float] = field(default_factory=list)
 
     def resolved_step_size(self) -> float:
+        """The step size given, else the table's for the problem and the rule
+        as ``make_rule`` reads it: ``split_prune_sgd`` is ``sgd``, and
+        ``adaptive_guidance`` takes ``sgd``'s."""
         if self.step_size is not None:
             return self.step_size
-        key = (self.problem_kind, self.rule_kind)
-        if key in DEFAULT_STEP_SIZES:
-            return DEFAULT_STEP_SIZES[key]
-        if self.rule_kind == "adaptive_guidance":
-            return DEFAULT_STEP_SIZES.get((self.problem_kind, "sgd"), 0.05)
-        return 0.05
+        kind = self.rule_kind
+        kind = "sgd" if kind in ("split_prune_sgd", "adaptive_guidance") else kind
+        return DEFAULT_STEP_SIZES.get((self.problem_kind, kind), 0.05)
 
 
 SECTIONS = {

@@ -118,8 +118,8 @@ def picard_round(window: list[ParamState], rule: UpdateRule, pool: WorkerPool, t
     its drift arrives, and the round's state for that step replaces the
     guess there; the state being rolled from is held apart from the window.
     Every slot has its step's dimension, so every drift's payload has its
-    rolling state's; a drift shared from another slot's state takes this
-    slot's step (its seed stays the one it was computed with).
+    rolling state's; a drift shared from another slot's state, which has the
+    same values, is rolled out as computed.
 
     While every error so far is within ``threshold``, the window slides:
     slot j, accepted and not the next anchor, leaves its front once slot
@@ -151,8 +151,6 @@ def picard_round(window: list[ParamState], rule: UpdateRule, pool: WorkerPool, t
             try:
                 d = pool.result(futures[j])
                 futures[j] = None  # a drift a later slot shares lives until that slot is read
-                if d.step != rolling.step:
-                    d = d.relabelled(rolling.step)
                 refined = rollout_one(rule, d, rolling)
                 del d
                 errors.append(fixed_point_distance(refined, window[refined.step - window[0].step]))

@@ -7,10 +7,10 @@ timing, and balanced across rounds.  A gather returns each slot's future in
 slot order, and ``result`` waits for one future alone, so the caller can
 consume early slots while later ones still run.  ``submit`` alone starts
 drifts; a state whose drift input is already in flight (submitted ahead, or
-for an earlier slot of the same gather) takes that drift's future instead, so
-its drift may carry another step than the slot's.  An optional
-injected per-drift sleep emulates heavy accelerator workloads so wall-clock
-speedup curves are observable at desk scale.
+for an earlier slot of the same gather) takes that drift's future instead,
+computed at another state with the same values.  An optional injected
+per-drift sleep emulates heavy accelerator workloads so wall-clock speedup
+curves are observable at desk scale.
 
 In the adaptive-guidance mode each lane owns a private gradient predictor,
 made at the lane's first such drift; no predictor is ever touched by two
@@ -86,12 +86,13 @@ class WorkerPool:
     def submit(self, rule: rules.UpdateRule, state: ParamState) -> Future:
         """Start the drift at ``state`` (seed ``state.step + seed_offset``) on
         the next lane, unless its input is already in flight: then return that
-        drift.  The input is the values array when the rule's drift ignores
-        the step, else the state itself.  States share a values array only
-        as ``with_step`` clones, or as a guess (``without_moments``) and the
-        full state it was cut from; such a drift reads the values alone, so
-        the same values give the same drift, and matching by identity is
-        exact."""
+        drift, which keeps the step and seed it was computed at.  The input
+        is the values array when the rule's drift ignores the step
+        (``UpdateRule.step_invariant``), else the state itself.  States share
+        a values array only as ``with_step`` clones, or as a guess
+        (``without_moments``) and the full state it was cut from; such a
+        drift reads the values alone, so the same values give the same
+        drift, and matching by identity is exact."""
         key = state.values if rule.step_invariant else state
         held = self._in_flight.get(id(key))
         if held is not None:

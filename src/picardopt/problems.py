@@ -319,9 +319,8 @@ class LinearOdeProblem(Problem):
         self.rates = rng.uniform(-2.0, -0.5, dim)
         self._init = rng.uniform(0.5, 1.5, dim)
 
-    def ode_drift(self, values: np.ndarray, u: float) -> np.ndarray:
-        values = self._check(values)
-        return self.rates * values
+    def ode_drift(self, values: np.ndarray) -> np.ndarray:
+        return self.rates * self._check(values)
 
     def analytic_solution(self, t: float) -> np.ndarray:
         return self._init * np.exp(self.rates * t)

@@ -68,10 +68,10 @@ class UpdateRule:
     @property
     def step_invariant(self) -> bool:
         """The drift depends on the state's values alone, not on its step or
-        seed, so states that share a values array share their drift.  Never
-        for ``euler_ode`` (its drift reads the time ``step_size * step / T``)
-        or ``adaptive_guidance`` (its drift updates one lane's predictor)."""
-        return self.kind in (SGD, ADAM) and self.problem.seed_free
+        seed, so states that share a values array share their drift: every
+        rule but ``adaptive_guidance`` (its drift updates one lane's
+        predictor), on a seed-free problem."""
+        return self.kind != ADAPTIVE_GUIDANCE and self.problem.seed_free
 
 
 def make_rule(kind: str, problem: Problem, step_size: float, total_steps: int,
@@ -130,8 +130,7 @@ def drift(rule: UpdateRule, state: ParamState, seed: int, aux=None) -> Drift:
     if state.step >= rule.total_steps:
         raise ValueError(f"state step {state.step} is at or past the horizon {rule.total_steps}")
     if rule.kind == EULER_ODE:
-        payload = rule.problem.ode_drift(state.values,
-                                         rule.step_size * state.step / rule.total_steps)
+        payload = rule.problem.ode_drift(state.values)
     elif rule.kind == ADAPTIVE_GUIDANCE:
         if aux is None:
             raise ValueError("adaptive_guidance drift needs an auxiliary predictor")
@@ -146,9 +145,9 @@ def drift(rule: UpdateRule, state: ParamState, seed: int, aux=None) -> Drift:
 
 @finite_checked
 def rollout_one(rule: UpdateRule, d: Drift, state: ParamState) -> ParamState:
-    """Reconstruct the successor state at step+1 from a drift and a state."""
-    if d.step != state.step:
-        raise ValueError(f"drift step {d.step} != state step {state.step}")
+    """Reconstruct the successor state at step+1 from a drift and a state.
+    The drift may have been computed at another state with the same values
+    (a shared drift); only its payload is read."""
     if len(d.payload) != state.dim:
         raise DimensionError(
             f"drift payload length {len(d.payload)} does not match state dimension {state.dim}"

@@ -139,8 +139,10 @@ class ParamState:
 class Drift:
     """Output of one computational unit evaluated at a state.
 
-    ``payload`` is rule-specific (ODE drift, raw gradient, ...); ``seed`` is
-    the per-step seed it was produced under.
+    ``payload`` is rule-specific (ODE drift, raw gradient, ...); ``step`` and
+    ``seed`` are the step it was computed at and the per-step seed it was
+    produced under, which a shared drift keeps: only the ``PoisonedDrift``
+    message reads them.
     """
 
     step: int
@@ -151,11 +153,6 @@ class Drift:
         object.__setattr__(self, "payload", _as_readonly_f64(self.payload))
         if not _all_finite(self.payload):
             raise PoisonedDrift(self.step, self.seed, "drift payload contains NaN/Inf")
-
-    def relabelled(self, step: int) -> "Drift":
-        """The same drift (payload shared, not re-checked) serving another
-        step; the seed stays the one it was computed with."""
-        return _relabelled(self, step=step)
 
 
 def with_step(state: ParamState, step: int) -> ParamState:

@@ -50,14 +50,14 @@ def naive_carry_moment(moment, action, width):
 
 
 class DecayOde(Problem):
-    """f(x, u) = -x with theta0 = 1...: the hand-checkable Picard testbed."""
+    """f(x) = -x with theta0 = 1...: the hand-checkable Picard testbed."""
 
     kind = "decay_ode"
 
     def __init__(self, dim=1, data_seed=0, noise=0.0):
         super().__init__(dim, data_seed, noise)
 
-    def ode_drift(self, values, u):
+    def ode_drift(self, values):
         return -self._check(values)
 
     def _base_loss(self, v):

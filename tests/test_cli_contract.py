@@ -12,6 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from conftest import reports_equal_excluding_wall
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -225,6 +226,23 @@ def test_setting_not_taken_exits_2_naming_it(tmp_path, capsys, args, field):
     err = capsys.readouterr().err
     assert code == 2 and field in err and "Traceback" not in err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [["--problem", "splat2d", "--dim", "12"], ["--rule", "nope"]])
+def test_a_run_rejected_for_its_configuration_makes_no_directory(tmp_path, capsys, args):
+    out = tmp_path / "d"
+    assert cli.main(["run", *args, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_split_prune_sgd_takes_sgds_default_step_size(tmp_path):
+    a, b = tmp_path / "sgd", tmp_path / "split_prune_sgd"
+    for out in (a, b):
+        assert cli.main(["run", "--problem", "quadratic", "--rule", out.name, "--steps", "20",
+                         "--workers", "2", "--out", str(out)]) == 0
+    assert (a / "final_state.bin").read_bytes() == (b / "final_state.bin").read_bytes()
+    assert reports_equal_excluding_wall((a / "report.json").read_text(),
+                                        (b / "report.json").read_text())
 
 
 def test_cli_and_library_echo_the_same_values(tmp_path):

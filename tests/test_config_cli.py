@@ -228,9 +228,18 @@ def test_cli_sweep_records_failures_and_continues(tmp_path):
 
 def test_cli_plotdata_empty_dir(tmp_path):
     out_csv = tmp_path / "plot.csv"
-    code = run_cli("plotdata", "--reports", str(tmp_path / "none"), "--out", str(out_csv))
+    (tmp_path / "empty").mkdir()
+    code = run_cli("plotdata", "--reports", str(tmp_path / "empty"), "--out", str(out_csv))
     assert code == 0
     assert out_csv.read_text().strip() == "report,metric,value"
+
+
+def test_cli_plotdata_without_a_reports_directory_exits_2(tmp_path, capsys):
+    out_csv = tmp_path / "plot.csv"
+    code = run_cli("plotdata", "--reports", str(tmp_path / "none"), "--out", str(out_csv))
+    err = capsys.readouterr().err
+    assert code == 2 and "config field 'reports'" in err and "Traceback" not in err
+    assert not out_csv.exists()
 
 
 def test_cli_plotdata_roundtrip_and_malformed(tmp_path, capsys):

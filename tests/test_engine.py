@@ -805,18 +805,29 @@ class SeededQuadratic(po.problems.QuadraticProblem):
     seed_free = False
 
 
+class SeededLinearOde(po.problems.LinearOdeProblem):
+    """A linear ODE declared seed-dependent, so no slot shares its drift."""
+
+    seed_free = False
+
+
 def served_run(rule, settings):
     with WorkerPool(settings.workers) as pool:
         res = run(rule, settings, pool)
         return res, sum(pool.timing_report()["drifts_served"])
 
 
-def test_clones_share_drifts_with_the_same_bits():
+@pytest.mark.parametrize("kind,cls,control,eta", [
+    ("adam", po.problems.QuadraticProblem, SeededQuadratic, 0.05),
+    ("euler_ode", po.problems.LinearOdeProblem, SeededLinearOde, 1.0),
+], ids=["quadratic-adam", "linear_ode-euler_ode"])
+def test_clones_share_drifts_with_the_same_bits(kind, cls, control, eta):
+    # The control declares the same drift seed-dependent, so it shares none.
     settings = EngineSettings(window=7, workers=2)
     results = []
-    for cls in (po.problems.QuadraticProblem, SeededQuadratic):
-        rule = make_rule("adam", cls(dim=1000), 0.05, total_steps=300)
-        assert rule.step_invariant == (cls is po.problems.QuadraticProblem)
+    for problem_cls in (cls, control):
+        rule = make_rule(kind, problem_cls(dim=1000), eta, total_steps=300)
+        assert rule.step_invariant == (problem_cls is cls)
         results.append(served_run(rule, settings))
     (shared, shared_served), (own, own_served) = results
     assert po.telemetry.rounds_csv_text(shared.records) == po.telemetry.rounds_csv_text(own.records)
@@ -896,7 +907,7 @@ def test_clones_share_one_array_between_actions():
 
 
 @pytest.mark.parametrize("rule", [
-    make_rule("euler_ode", po.make_problem("linear_ode"), 1.0, total_steps=60),
+    quad_rule(T=60, kind="adam", eta=0.05, noise=0.1),
     quad_rule(T=60, kind="adaptive_guidance"),
     quad_rule(T=60, noise=0.1),
 ])

@@ -193,7 +193,7 @@ def test_linear_ode_analytic_solution():
     p = make_problem("linear_ode", dim=4, data_seed=8)
     t = 0.7
     np.testing.assert_allclose(p.analytic_solution(t), p.initial_values() * np.exp(p.rates * t))
-    np.testing.assert_array_equal(p.ode_drift(p.initial_values(), 0.0), p.rates * p.initial_values())
+    np.testing.assert_array_equal(p.ode_drift(p.initial_values()), p.rates * p.initial_values())
 
 
 def test_euler_approaches_analytic():

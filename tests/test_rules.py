@@ -246,12 +246,6 @@ def test_rollout_dimension_mismatch_raises():
         rollout_one(rule, Drift(0, np.zeros(4), 0), ParamState(0, prob.initial_values(), 2))
 
 
-def test_drift_step_mismatch_raises():
-    rule = make_rule("sgd", quad(), 0.1, total_steps=10)
-    with pytest.raises(ValueError):
-        rollout_one(rule, Drift(1, np.zeros(2), 1), ParamState(0, np.zeros(2), 2))
-
-
 def test_split_prune_sgd_is_a_spelling_of_sgd():
     prob, rule = splat_rule(schedule=[ScheduleAction(3, "split", (0,))])
     assert rule.kind == "sgd" and "split_prune_sgd" not in po.RULE_KINDS
