@@ -127,6 +127,8 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.sweep_axis is None:
         raise ConfigError("sweep.axis", f"the sweep verb needs one of {SWEEP_AXES}")
+    if cfg.mode != "engine":
+        raise ConfigError("output.mode", f"the sweep verb runs the engine only, not {cfg.mode!r}")
     # The axes change engine settings only, so the problem and rule are
     # shared, and an error in them fails the whole sweep.
     problem = build_problem(cfg)

@@ -68,10 +68,11 @@ class UpdateRule:
     @property
     def step_invariant(self) -> bool:
         """The drift depends on the state's values alone, not on its step or
-        seed, so states that share a values array share their drift: every
-        rule but ``adaptive_guidance`` (its drift updates one lane's
-        predictor), on a seed-free problem."""
-        return self.kind != ADAPTIVE_GUIDANCE and self.problem.seed_free
+        seed, so states that share a values array share their drift:
+        ``euler_ode`` (``ode_drift`` reads no seed) on any problem, and every
+        other rule but ``adaptive_guidance`` (its drift updates one lane's
+        predictor) on a seed-free problem."""
+        return self.kind == EULER_ODE or self.kind != ADAPTIVE_GUIDANCE and self.problem.seed_free
 
 
 def make_rule(kind: str, problem: Problem, step_size: float, total_steps: int,
@@ -164,11 +165,9 @@ def rollout_one(rule: UpdateRule, d: Drift, state: ParamState) -> ParamState:
         if moments is None:
             raise ValueError("adam rollout requires moment state")
         p = rule.adam
-        t_next = moments.t + 1
-        vn, m1, m2 = kernels.adam_apply(
-            state.values, moments.m1, moments.m2, d.payload, t_next, p.beta1, p.beta2, p.eps, eta
-        )
-        moments = MomentState._from_adam(m1, m2, t_next)
+        vn, m1, m2 = kernels.adam_apply(state.values, moments.m1, moments.m2, d.payload,
+                                        state.step + 1, p.beta1, p.beta2, p.eps, eta)
+        moments = MomentState._from_adam(m1, m2)
     else:  # pragma: no cover - guarded by make_rule
         raise ValueError(f"unknown rule kind {rule.kind!r}")
     if rule.schedule:

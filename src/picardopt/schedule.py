@@ -114,8 +114,8 @@ def reconcile_moments(moments: MomentState, schedule, from_step: int, to_step: i
     """Carry Adam's moments as ``reconcile_vector`` carries the values, the
     way the 3D Gaussian Splatting reference code's densification treats its
     optimiser state: a split appends zero rows for its new points, a prune
-    deletes the pruned points' rows, and the update count ``t`` is unchanged.
-    ``moments`` itself when no action fires."""
+    deletes the pruned points' rows, and the update count (the step) is
+    unchanged.  ``moments`` itself when no action fires."""
     m1, m2 = moments.m1, moments.m2
     for a in schedule:
         if from_step <= a.step < to_step:
@@ -124,4 +124,4 @@ def reconcile_moments(moments: MomentState, schedule, from_step: int, to_step: i
                 m1, m2 = np.concatenate([m1, zeros]), np.concatenate([m2, zeros])
             else:
                 m1, m2 = apply_action(m1, a, width), apply_action(m2, a, width)
-    return moments if m1 is moments.m1 else MomentState(m1, m2, moments.t)
+    return moments if m1 is moments.m1 else MomentState(m1, m2)

@@ -67,29 +67,26 @@ def _as_readonly_f64(arr) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentState:
-    """Adam moment buffers: first/second moments plus the update count t."""
+    """Adam's moment buffers; their update count is the carrying state's step."""
 
     m1: np.ndarray
     m2: np.ndarray
-    t: int
 
     def __post_init__(self):
         object.__setattr__(self, "m1", _as_readonly_f64(self.m1))
         object.__setattr__(self, "m2", _as_readonly_f64(self.m2))
         if self.m1.shape != self.m2.shape:
             raise DimensionError("moment vectors m1/m2 differ in length")
-        if self.t < 0:
-            raise ValueError("moment update count t must be >= 0")
         if np.any(self.m2 < 0.0):
             raise ValueError("second moments must be elementwise >= 0")
 
     @staticmethod
     def zeros(n: int) -> "MomentState":
-        return MomentState(np.zeros(n), np.zeros(n), 0)
+        return MomentState(np.zeros(n), np.zeros(n))
 
     @classmethod
-    def _from_adam(cls, m1: np.ndarray, m2: np.ndarray, t: int) -> "MomentState":
-        """The moments of an Adam update at count ``t >= 1``, unscanned.
+    def _from_adam(cls, m1: np.ndarray, m2: np.ndarray) -> "MomentState":
+        """The moments of an Adam update, unscanned.
 
         ``m2' = b2*m2 + (1-b2)*g*g`` is a sum of products of non-negative
         numbers, so it is never negative; it is NaN only where ``m2`` was
@@ -97,7 +94,7 @@ class MomentState:
         the successor state rejects them.
         """
         out = object.__new__(cls)
-        out.__dict__.update(m1=_as_readonly_f64(m1), m2=_as_readonly_f64(m2), t=t)
+        out.__dict__.update(m1=_as_readonly_f64(m1), m2=_as_readonly_f64(m2))
         return out
 
 
@@ -157,7 +154,7 @@ class Drift:
 
 def with_step(state: ParamState, step: int) -> ParamState:
     """Same content re-indexed to another step (arrays shared, not re-checked;
-    they are immutable)."""
+    they are immutable).  An Adam state's step is its moments' update count."""
     if step < 0:
         raise ValueError("step must be >= 0")
     return _relabelled(state, step=step)
@@ -170,12 +167,12 @@ def without_moments(state: ParamState) -> ParamState:
 
 
 def state_checksum(state: ParamState) -> int:
-    """Deterministic 64-bit digest over values bytes, moments bytes, dim_tag, step."""
+    """Deterministic 64-bit digest over step, dim_tag, values and moments bytes."""
     h = hashlib.blake2b(digest_size=8)
     h.update(struct.pack("<qq", state.step, state.dim_tag))
     h.update(state.values.tobytes())
     if state.moments is not None:
-        h.update(struct.pack("<q", state.moments.t))
+        h.update(struct.pack("<q", state.step))
         h.update(state.moments.m1.tobytes())
         h.update(state.moments.m2.tobytes())
     return int.from_bytes(h.digest(), "little")
@@ -190,7 +187,7 @@ def states_equal_bits(a: ParamState, b: ParamState) -> bool:
         return False
     if a.moments is not None:
         ma, mb = a.moments, b.moments
-        if ma.t != mb.t or ma.m1.tobytes() != mb.m1.tobytes() or ma.m2.tobytes() != mb.m2.tobytes():
+        if ma.m1.tobytes() != mb.m1.tobytes() or ma.m2.tobytes() != mb.m2.tobytes():
             return False
     return True
 
@@ -201,13 +198,13 @@ def states_equal_bits(a: ParamState, b: ParamState) -> bool:
 # Binary layout (little-endian), one state:
 #   magic    4 bytes  b"PSTA"
 #   version  uint16
-#   flags    uint8    bit 0: moments present
+#   flags    uint8    0, or 1 when moments are present
 #   step     int64
 #   dim_tag  int64
 #   reserved int64    written 0, read and ignored
 #   n        int64    length of values
 #   values   n * float64
-#   [moments] t int64, m1 n * float64, m2 n * float64
+#   [moments] count int64 (the record's step), m1 n * float64, m2 n * float64
 # A checkpoint file is a uint64 state count followed by that many states.
 
 
@@ -228,7 +225,7 @@ def state_writer(path, count: int):
                            0, state.dim))
         f.write(state.values)
         if m is not None:
-            f.write(struct.pack("<q", m.t))
+            f.write(struct.pack("<q", state.step))
             f.write(m.m1)
             f.write(m.m2)
         written += 1
@@ -270,13 +267,15 @@ def iter_states(path) -> Iterator[ParamState]:
             if state is not None:
                 yield state
             magic, version, flags, step, dim_tag, _, n = _HEAD.unpack(read(_HEAD.size))
-            if magic != _MAGIC or version != _VERSION or n < 0:
-                raise ValueError(f"{path}: bad state header {magic!r} v{version}, {n} values")
+            if magic != _MAGIC or version != _VERSION or flags > 1 or n < 0:
+                raise ValueError(f"{path}: bad header {magic!r} v{version} flags {flags}, {n} values")
             values, moments = np.frombuffer(read(8 * n), "<f8"), None
-            if flags & 1:
+            if flags:
                 (t,) = struct.unpack("<q", read(8))
+                if t != step:
+                    raise ValueError(f"{path}: moments count {t} at step {step}")
                 m1 = np.frombuffer(read(8 * n), "<f8")
-                moments = MomentState(m1, np.frombuffer(read(8 * n), "<f8"), t)
+                moments = MomentState(m1, np.frombuffer(read(8 * n), "<f8"))
             state = ParamState(step, values, dim_tag, moments)
         if f.tell() != size:
             raise ValueError(f"{path}: {size - f.tell()} bytes past the last of {count} states")

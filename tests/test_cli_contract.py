@@ -310,6 +310,17 @@ def test_sweep_without_axis_exits_2(tmp_path, capsys):
     assert "sweep.axis" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["oracle", "both"])
+def test_sweep_in_a_mode_it_does_not_run_exits_2(tmp_path, capsys, mode):
+    # A sweep runs the engine for each value, so another mode would be echoed, not obeyed.
+    out = tmp_path / "sw"
+    code = cli.main(["sweep", "--problem", "quadratic", "--rule", "sgd", "--steps", "30",
+                     "--workers", "2", "--axis", "window", "--values", "1,3", "--mode", mode,
+                     "--out", str(out)])
+    assert code == 2 and "output.mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_from_config_file(tmp_path):
     ini = tmp_path / "sweep.ini"
     ini.write_text("[problem]\nkind = quadratic\nnoise = 0.1\n[rule]\nkind = sgd\n"

@@ -72,7 +72,7 @@ def test_compare_moments_only_in_bitexact():
     traj = sequential_trajectory(rule)
     states = list(traj.states)
     m = states[1].moments
-    states[1] = ParamState(1, states[1].values, 2, MomentState(m.m1 + 1.0, m.m2, m.t))
+    states[1] = ParamState(1, states[1].values, 2, MomentState(m.m1 + 1.0, m.m2))
     rep = StepComparison(traj.states)
     rep.extend(states)
     assert not rep.passed and rep.first_divergence == 1 and rep.max_delta == 0.0

@@ -92,7 +92,7 @@ def test_adam_zero_gradient_fixed_point():
     s = ParamState(0, np.array([1.0, -2.0]), 2, MomentState.zeros(2))
     out = rollout_one(rule, Drift(0, np.zeros(2), 0), s)
     np.testing.assert_array_equal(out.values, s.values)
-    assert out.moments.t == 1
+    assert out.step == 1 and not out.moments.m1.any() and not out.moments.m2.any()
 
 
 def test_adam_first_step_hand_derived():
@@ -101,7 +101,7 @@ def test_adam_first_step_hand_derived():
     s = ParamState(0, np.array([0.5]), 1, MomentState.zeros(1))
     out = rollout_one(rule, Drift(0, np.array([1.0]), 0), s)
     assert out.values[0] == pytest.approx(0.5 - 0.0999999990, abs=1e-12)
-    assert out.moments.t == 1
+    assert out.step == 1
     np.testing.assert_allclose(out.moments.m1, [0.1])
     np.testing.assert_allclose(out.moments.m2, [0.001])
 
@@ -113,14 +113,14 @@ def test_adam_matches_naive_bitwise():
     m1 = rng.standard_normal(6)
     m2 = np.abs(rng.standard_normal(6))
     g = rng.standard_normal(6)
-    for t_prev in (0, 1, 17):
-        s = ParamState(5, v, 6, MomentState(m1, m2, t_prev))
-        out = rollout_one(rule, Drift(5, g, 5), s)
+    for t_prev in (0, 1, 17):  # the state's step is its moments' update count
+        s = ParamState(t_prev, v, 6, MomentState(m1, m2))
+        out = rollout_one(rule, Drift(t_prev, g, t_prev), s)
         ev, em1, em2, et = naive_adam(v, m1, m2, g, t_prev, 0.9, 0.999, 1e-8, 0.03)
         np.testing.assert_array_equal(out.values, ev)
         np.testing.assert_array_equal(out.moments.m1, em1)
         np.testing.assert_array_equal(out.moments.m2, em2)
-        assert out.moments.t == et
+        assert out.step == et
 
 
 def test_adam_rollout_builds_its_moments_unscanned(monkeypatch):
@@ -133,20 +133,20 @@ def test_adam_rollout_builds_its_moments_unscanned(monkeypatch):
     monkeypatch.setattr(MomentState, "__post_init__", rescan)
     out = rollout_one(rule, Drift(0, np.array([0.5, -3.0]), 0), s)
     m = out.moments
-    assert type(m) is MomentState and m.t == 1
+    assert type(m) is MomentState and out.step == 1
     assert not m.m1.flags.writeable and not m.m2.flags.writeable
     np.testing.assert_allclose(m.m2, [0.00025, 0.009])
     with pytest.raises(AttributeError):
-        m.t = 2
+        m.m1 = m.m2
 
 
 def test_adam_rollout_with_nan_second_moment_is_poisoned():
     # beta2 = 0 with an inf second moment gives 0 * inf = NaN: the unscanned
     # moments pass it on, and the successor's NaN values reject it.
     rule = make_rule("adam", quad(), 0.1, total_steps=10, adam=po.AdamParams(beta2=0.0))
-    s = ParamState(0, np.array([1.0, -2.0]), 2, MomentState(np.zeros(2), np.array([np.inf, 1.0]), 1))
+    s = ParamState(1, np.array([1.0, -2.0]), 2, MomentState(np.zeros(2), np.array([np.inf, 1.0])))
     with pytest.raises(PoisonedDrift):
-        rollout_one(rule, Drift(0, np.array([0.5, -3.0]), 0), s)
+        rollout_one(rule, Drift(1, np.array([0.5, -3.0]), 1), s)
 
 
 def test_adam_moments_monotone_over_run():
@@ -154,7 +154,7 @@ def test_adam_moments_monotone_over_run():
     s = initial_state(rule)
     for tau in range(30):
         s2 = sequential_step(rule, s, tau)
-        assert s2.moments.t == s.moments.t + 1
+        assert s2.step == s.step + 1
         assert np.all(s2.moments.m2 >= 0.0)
         s = s2
 
@@ -201,7 +201,7 @@ def test_pseudo_inverse_law_random_states():
         rule = make_rule(kind, prob, eta, total_steps=500)
         for trial in range(100):
             v = rng.standard_normal(4)
-            m = MomentState(rng.standard_normal(4), np.abs(rng.standard_normal(4)), trial) \
+            m = MomentState(rng.standard_normal(4), np.abs(rng.standard_normal(4))) \
                 if kind == "adam" else None
             s = ParamState(trial, v, 4, m)
             g = prob.grad(v, trial)
@@ -209,7 +209,7 @@ def test_pseudo_inverse_law_random_states():
             if kind == "sgd":
                 expect = naive_sgd(v, g, eta)
             else:
-                expect, _, _, _ = naive_adam(v, m.m1, m.m2, g, m.t, 0.9, 0.999, 1e-8, eta)
+                expect, _, _, _ = naive_adam(v, m.m1, m.m2, g, trial, 0.9, 0.999, 1e-8, eta)
             np.testing.assert_array_equal(out.values, expect)
 
 
@@ -257,11 +257,11 @@ def test_adam_rollout_carries_its_moments_through_the_schedule():
     split, prune = ScheduleAction(3, "split", (0,)), ScheduleAction(4, "prune", (0,))
     rule = make_rule("adam", prob, 0.01, total_steps=10, schedule=[split, prune])
     rng = np.random.default_rng(0)
-    m = MomentState(rng.standard_normal(8), rng.random(8), 3)
+    m = MomentState(rng.standard_normal(8), rng.random(8))
     g = rng.standard_normal(8)
     out = rollout_one(rule, Drift(3, g, 3), ParamState(3, prob.initial_values(), 2, m))
-    v, m1, m2, t = naive_adam(prob.initial_values(), m.m1, m.m2, g, m.t, 0.9, 0.999, 1e-8, 0.01)
-    assert (out.dim_tag, out.moments.t) == (3, t)
+    v, m1, m2, t = naive_adam(prob.initial_values(), m.m1, m.m2, g, 3, 0.9, 0.999, 1e-8, 0.01)
+    assert (out.dim_tag, out.step) == (3, t)
     np.testing.assert_array_equal(out.values[:8], v)
     np.testing.assert_array_equal(out.moments.m1, naive_carry_moment(m1, split, 4))
     np.testing.assert_array_equal(out.moments.m2, naive_carry_moment(m2, split, 4))

@@ -95,13 +95,13 @@ def test_reconcile_vector_carries_through_cancelling_actions():
 def test_reconcile_moments_zeroes_split_rows_and_drops_pruned_ones():
     sched = (ScheduleAction(3, "split", (2, 0)), ScheduleAction(6, "prune", (1, 3)))
     rng = np.random.default_rng(1)
-    moments = MomentState(rng.standard_normal(12), rng.random(12), 7)  # 3 points, width 4
+    moments = MomentState(rng.standard_normal(12), rng.random(12))  # 3 points, width 4
     assert reconcile_moments(moments, sched, 0, 3, width=4) is moments
     split = reconcile_moments(moments, sched, 3, 4, width=4)
-    assert split.t == 7 and len(split.m1) == 20
+    assert len(split.m1) == len(split.m2) == 20
     assert not split.m1[12:].any() and not split.m2[12:].any()
     both = reconcile_moments(moments, sched, 0, 8, width=4)
-    assert both.t == 7
+    assert len(both.m1) == len(both.m2) == 12
     for got, m in ((both.m1, moments.m1), (both.m2, moments.m2)):
         expected = naive_carry_moment(naive_carry_moment(m, sched[0], 4), sched[1], 4)
         np.testing.assert_array_equal(got, expected)

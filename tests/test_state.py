@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from picardopt.errors import DimensionError, PoisonedDrift
+from picardopt.problems import make_problem
+from picardopt.rules import make_rule, rollout_one
 from picardopt.state import (Drift, MomentState, ParamState, iter_states, state_checksum,
                              state_writer, states_equal_bits, with_step, without_moments,
                              write_states)
@@ -13,7 +15,7 @@ from picardopt.state import (Drift, MomentState, ParamState, iter_states, state_
 
 def make_state(step=0, values=(1.0, 2.0), moments=False):
     v = np.asarray(values, dtype=float)
-    m = MomentState(np.zeros_like(v), np.zeros_like(v), 3) if moments else None
+    m = MomentState(np.zeros_like(v), np.zeros_like(v)) if moments else None
     return ParamState(step, v, len(v), m)
 
 
@@ -50,7 +52,7 @@ def test_checksum_equal_for_clones():
     s = make_state(moments=True)
     m = s.moments
     clone = ParamState(s.step, s.values.copy(), s.dim_tag,
-                       MomentState(m.m1.copy(), m.m2.copy(), m.t))
+                       MomentState(m.m1.copy(), m.m2.copy()))
     assert state_checksum(s) == state_checksum(clone)
 
 
@@ -103,12 +105,12 @@ def test_empty_values_and_payloads_are_finite():
 
 def test_moment_length_mismatch_rejected():
     with pytest.raises(DimensionError):
-        ParamState(0, np.array([1.0, 2.0]), 2, MomentState(np.zeros(3), np.zeros(3), 0))
+        ParamState(0, np.array([1.0, 2.0]), 2, MomentState(np.zeros(3), np.zeros(3)))
 
 
 def test_negative_second_moment_rejected(tmp_path):
     with pytest.raises(ValueError, match="second moments"):
-        MomentState(np.zeros(2), np.array([0.5, -1e-300]), 1)
+        MomentState(np.zeros(2), np.array([0.5, -1e-300]))
     # The same state read from a checkpoint file: the last 8 bytes are m2[-1].
     path = tmp_path / "negative_m2.bin"
     write_states(path, [make_state(moments=True)])
@@ -133,7 +135,7 @@ def test_binary_roundtrip_plain(tmp_path):
 
 def test_binary_roundtrip_with_moments(tmp_path):
     v = np.array([0.25, 0.5])
-    s = ParamState(3, v, 2, MomentState(v * 2, np.abs(v), 9))
+    s = ParamState(3, v, 2, MomentState(v * 2, np.abs(v)))
     write_states(tmp_path / "one.bin", [s])
     (back,) = iter_states(tmp_path / "one.bin")
     assert states_equal_bits(s, back)
@@ -212,6 +214,58 @@ def test_iter_states_rejects_bytes_past_the_last_state(tmp_path):
     path.write_bytes(struct.pack("<Q", 1) + whole[8:])
     with pytest.raises(ValueError, match="bytes past the last of 1 states"):
         next(iter_states(path))
+
+
+def test_iter_states_rejects_a_moments_count_that_is_not_the_step(tmp_path):
+    # The count slot follows the record's head (8 + 39 bytes) and 2 values.
+    path = tmp_path / "one.bin"
+    write_states(path, [make_state(step=4, moments=True)])
+    buf = bytearray(path.read_bytes())
+    assert buf[63:71] == struct.pack("<q", 4)
+    buf[63:71] = struct.pack("<q", 5)
+    path.write_bytes(bytes(buf))
+    with pytest.raises(ValueError, match="moments count 5 at step 4"):
+        list(iter_states(path))
+
+
+@pytest.mark.parametrize("moments,flags", [(False, 2), (True, 3)])
+def test_iter_states_rejects_an_unknown_flags_byte(tmp_path, moments, flags):
+    # The flags byte follows the count (8 bytes), the magic and the version.
+    path = tmp_path / "one.bin"
+    write_states(path, [make_state(moments=moments)])
+    buf = bytearray(path.read_bytes())
+    assert buf[14] == moments
+    buf[14] = flags
+    path.write_bytes(bytes(buf))
+    with pytest.raises(ValueError, match=f"flags {flags}"):
+        list(iter_states(path))
+
+
+# The records of a fixed plain state and a fixed Adam state, byte for byte.
+PLAIN_RECORD = bytes.fromhex(
+    "50535441010000020000000000000002000000000000000000000000000000020000000000000000"
+    "0000000000d03f000000000000e0bf")
+ADAM_RECORD = bytes.fromhex(
+    "50535441010001030000000000000004000000000000000000000000000000040000000000000027"
+    "97cd57cfecd23f949762d929e0f1bf2576315b407506404afea723f9eec7bf030000000000000038"
+    "b4c876be9f9a3fbc490c022b8796bf8c976e1283c0da3f06ac1c5a643bcb3f560b1b21e069623f4d"
+    "87734c9777753fb3bbae9c13b4903f65768410e6af703f")
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    # An Adam state at step 3, built by three Adam updates from zero moments.
+    rule = make_rule("adam", make_problem("quadratic", dim=4), 0.1, total_steps=10)
+    adam = ParamState(0, np.array([0.5, -1.25, 3.0, 0.0625]), 4, MomentState.zeros(4))
+    for step, g in enumerate(([1.0, -2.0, 0.5, 0.25], [0.5, 1.0, -0.25, 2.0],
+                              [-1.0, 0.5, 4.0, 0.125])):
+        adam = rollout_one(rule, Drift(step, np.array(g), step), adam)
+    plain = ParamState(2, np.array([0.25, -0.5]), 2)
+    assert adam.step == 3 and adam.moments.m1.all() and adam.moments.m2.all()
+    assert state_checksum(adam) == 0xEC7A3D14DF70EA77
+    write_states(tmp_path / "adam.bin", [adam])
+    assert (tmp_path / "adam.bin").read_bytes() == struct.pack("<Q", 1) + ADAM_RECORD
+    write_states(tmp_path / "both.bin", [plain, adam])
+    assert (tmp_path / "both.bin").read_bytes() == struct.pack("<Q", 2) + PLAIN_RECORD + ADAM_RECORD
 
 
 def test_iter_states_rejects_an_empty_file(tmp_path):
