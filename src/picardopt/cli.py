@@ -29,7 +29,7 @@ from .engine import EngineResult, run as engine_run
 from .errors import ConfigError, ObjectiveError, PicardoptError, PoisonedDrift
 from .oracle import StepComparison, solve_sequential
 from .state import iter_states, state_checksum, state_writer, states_equal_bits, write_states
-from .telemetry import write_report_json, write_rounds_csv
+from .telemetry import rounds_csv_text
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -53,12 +53,13 @@ def _add_config_flags(p: argparse.ArgumentParser, sweep: bool) -> None:
                            metavar=key.upper(), help=f"overrides [{section}] {key}")
 
 
-def _write_run(out: Path, result: EngineResult, window_file: str) -> None:
-    """An engine run's files: its rounds, its report and its window's states,
-    the terminal state of a finished run or the checkpoint of a failed one."""
+def _write_run(out: Path, result: EngineResult, mode: str, window_file: str) -> None:
+    """An engine run's files: rounds, report (its echo gains ``mode``) and window
+    states, the terminal state of a finished run or a failed one's checkpoint."""
+    result.report.config_echo["mode"] = mode
     out.mkdir(parents=True, exist_ok=True)
-    write_rounds_csv(out / "rounds.csv", result.records)
-    write_report_json(out / "report.json", result.report)
+    (out / "rounds.csv").write_text(rounds_csv_text(result.records))
+    (out / "report.json").write_text(result.report.to_json())
     write_states(out / window_file, result.window)
 
 
@@ -67,18 +68,21 @@ def _run_engine(out: Path, rule, settings, mode: str, oracle_wall: float | None,
     """Run the engine and write its files to ``out``, a failed run's partial
     result included; a finished report carries the oracle's wall time."""
     try:
-        result = engine_run(rule, settings, echo_extra={"mode": mode}, observer=observer)
+        result = engine_run(rule, settings, observer=observer)
     except PicardoptError as err:
         partial = getattr(err, "partial", None)
         if partial is not None:
-            _write_run(out, partial, "abort_window.bin")
+            _write_run(out, partial, mode, "abort_window.bin")
         raise
     result.report.oracle_wall_time_ms = oracle_wall
-    _write_run(out, result, "final_state.bin")
+    _write_run(out, result, mode, "final_state.bin")
     return result
 
 
 def cmd_run(cfg: RunConfig) -> int:
+    if cfg.sweep_axis is not None or cfg.sweep_values:
+        key = "sweep.axis" if cfg.sweep_axis is not None else "sweep.values"
+        raise ConfigError(key, "the run verb takes no [sweep] section; the sweep verb runs one")
     # Built first, so a run rejected for its configuration leaves no directory.
     problem = build_problem(cfg)
     rule = build_rule(cfg, problem)
@@ -203,7 +207,8 @@ def cmd_verify(manifest_path: str | None) -> int:
     if not cases:
         raise ConfigError("manifest", f"manifest {path} has no [case:...] section")
 
-    fields = {option: name for option, (_, _, name) in OPTIONS.items()}
+    fields = {option: name for option, (sec, _, name) in OPTIONS.items()
+              if sec in ("problem", "rule", "engine")}
     all_ok = True
     for section in cases:
         name = section.removeprefix("case:")
@@ -213,7 +218,10 @@ def cmd_verify(manifest_path: str | None) -> int:
             expected = int(raw, 16)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{section}.expected_checksum", f"not a hex checksum: {raw!r}") from exc
-        overrides = {fields.get(k, k): v for k, v in items.items()}
+        for key in items:
+            if key not in fields:
+                raise ConfigError(f"{section}.{key}", "not a [problem], [rule] or [engine] option")
+        overrides = {fields[k]: v for k, v in items.items()}
         cfg = load_config(None, overrides)
         problem = build_problem(cfg)
         rule = build_rule(cfg, problem)

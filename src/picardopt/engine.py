@@ -214,7 +214,9 @@ class EngineSettings:
     An unset ``window`` is ``workers - 1`` (at least 1); an unset ``gamma``
     is 1.0 at threshold 0, the exact mode, so the threshold stays frozen
     there unless asked to adapt, and 0.9 otherwise.  Frozen, so every value
-    a run reads passed ``__post_init__``'s checks.
+    a run reads passed ``__post_init__``'s checks; the pool's settings
+    (``workers``, ``seed_offset``, ``injected_cost_ms``) are checked by
+    ``WorkerPool.check_settings``, as a pool checks them.
     """
 
     window: int | None = None
@@ -225,21 +227,13 @@ class EngineSettings:
     injected_cost_ms: float = 0.0
 
     def __post_init__(self):
+        WorkerPool.check_settings(self.workers, self.seed_offset, self.injected_cost_ms)
         if self.window is None:
             object.__setattr__(self, "window", max(1, self.workers - 1))
         if self.gamma is None:
             object.__setattr__(self, "gamma", 1.0 if self.threshold == 0.0 else 0.9)
-        for name in ("workers", "window", "seed_offset"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.seed_offset < 0:
-            raise ValueError("seed_offset must be >= 0")
-        if not 0.0 <= self.injected_cost_ms < math.inf:
-            raise ValueError("injected_cost_ms must be finite and >= 0")
+        if not isinstance(self.window, numbers.Integral) or self.window < 1:
+            raise ValueError("window must be an integer >= 1")
         if not 0.0 <= self.threshold < math.inf:
             raise ValueError("threshold must be finite and >= 0")
         if not 0.0 <= self.gamma <= 1.0:
@@ -285,7 +279,6 @@ def _config_echo(rule: UpdateRule, settings: EngineSettings) -> dict:
 
 
 def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = None,
-        echo_extra: dict | None = None,
         observer: Callable[[Sequence[ParamState], list[ParamState]], None] | None = None,
         ) -> EngineResult:
     """Drive the windowed iteration from step 0 to the horizon.
@@ -304,8 +297,8 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     first, so it gives the bits and counters of a fresh pool.  The report's
     drift count, busy and wait times are the pool's counters; the wait time
     is what the rounds spent blocked in ``pool.result``, aborted rounds
-    included.
-    ``echo_extra`` adds keys to the report's ``config_echo``.
+    included.  The report's ``config_echo`` holds the problem, rule and
+    engine settings that ran and the kernel path (``_config_echo``).
 
     ``observer(accepted, window)`` is called after each round with the states
     it accepted past the old anchor (from step 0 in the first round), the new
@@ -329,7 +322,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     threshold = settings.threshold
 
     records: list[RoundRecord] = []
-    echo = {**_config_echo(rule, settings), **(echo_extra or {})}
+    echo = _config_echo(rule, settings)
 
     own_pool = pool is None
     if own_pool:

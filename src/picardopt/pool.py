@@ -10,7 +10,8 @@ drifts; a state whose drift input is already in flight (submitted ahead, or
 for an earlier slot of the same gather) takes that drift's future instead,
 computed at another state with the same values.  An optional injected
 per-drift sleep emulates heavy accelerator workloads so wall-clock speedup
-curves are observable at desk scale.
+curves are observable at desk scale.  ``WorkerPool.check_settings`` is the
+one check of the dispatch settings, for the pool and ``EngineSettings`` alike.
 
 In the adaptive-guidance mode each lane owns a private gradient predictor,
 made at the lane's first such drift; no predictor is ever touched by two
@@ -19,7 +20,8 @@ lanes.
 
 from __future__ import annotations
 
-import math
+import numbers
+import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -29,12 +31,7 @@ from .state import Drift, ParamState
 
 class WorkerPool:
     def __init__(self, n_workers: int, seed_offset: int = 0, injected_cost_ms: float = 0.0):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if seed_offset < 0:
-            raise ValueError("seed_offset must be >= 0")
-        if not 0.0 <= injected_cost_ms < math.inf:
-            raise ValueError("injected_cost_ms must be finite and >= 0")
+        self.check_settings(n_workers, seed_offset, injected_cost_ms)
         self.n_workers = n_workers
         self.seed_offset = seed_offset
         self.injected_cost_ms = injected_cost_ms
@@ -44,6 +41,19 @@ class WorkerPool:
         self._lanes = [ThreadPoolExecutor(max_workers=1, thread_name_prefix=f"picardopt-lane{w}")
                        for w in range(n_workers)]
         self.reset()
+
+    @staticmethod
+    def check_settings(workers, seed_offset, injected_cost_ms) -> None:
+        """Raise a ValueError naming the first setting a pool cannot run.
+        ``time.sleep`` adds the cost to the monotonic clock (the uptime, on
+        Linux) and fails past ``threading.TIMEOUT_MAX`` seconds, so a cost
+        may take half of that, leaving the other half to the uptime."""
+        for name, value, low in (("workers", workers, 1), ("seed_offset", seed_offset, 0)):
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
+        cost_max = 500.0 * threading.TIMEOUT_MAX
+        if not 0.0 <= injected_cost_ms <= cost_max:
+            raise ValueError(f"injected_cost_ms must lie in [0, {cost_max:g}]")
 
     def reset(self) -> None:
         """Start over as a fresh pool: wait for and forget submitted work, drop

@@ -62,10 +62,6 @@ class UpdateRule:
     schedule: tuple[ScheduleAction, ...] = ()
 
     @property
-    def uses_moments(self) -> bool:
-        return self.kind == ADAM
-
-    @property
     def step_invariant(self) -> bool:
         """The drift depends on the state's values alone, not on its step or
         seed, so states that share a values array share their drift:
@@ -109,7 +105,7 @@ def make_rule(kind: str, problem: Problem, step_size: float, total_steps: int,
 
 def initial_state(rule: UpdateRule) -> ParamState:
     values = rule.problem.initial_values()
-    moments = MomentState.zeros(len(values)) if rule.uses_moments else None
+    moments = MomentState.zeros(len(values)) if rule.kind == ADAM else None
     return ParamState(0, values, rule.problem.initial_dim_tag(), moments)
 
 

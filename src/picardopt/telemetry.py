@@ -1,8 +1,10 @@
 """Structured run metrics: per-round CSV records and the final JSON report.
 
-Reports are pure functions of the recorded events; re-finalizing identical
-events yields identical JSON except for wall-clock fields, all of which end in
-``_ms`` so they can be stripped for byte-level comparisons.
+It makes each artifact's text (``rounds_csv_text``, ``RunReport.to_json``)
+and writes no file.  Reports are pure functions of the recorded events;
+re-finalizing identical events yields identical JSON except for wall-clock
+fields, all of which end in ``_ms`` so they can be stripped for byte-level
+comparisons.
 """
 
 from __future__ import annotations
@@ -100,16 +102,6 @@ def finalize_report(records, total_steps: int, config_echo: dict, final_loss: fl
 
 def rounds_csv_text(records) -> str:
     return "\n".join([CSV_HEADER] + [r.csv_line() for r in records]) + "\n"
-
-
-def write_rounds_csv(path, records) -> None:
-    with open(path, "w") as f:
-        f.write(rounds_csv_text(records))
-
-
-def write_report_json(path, report: RunReport) -> None:
-    with open(path, "w") as f:
-        f.write(report.to_json())
 
 
 def strip_wall_fields(obj):

@@ -220,6 +220,7 @@ def test_splat_points_set_the_size_and_the_echo(tmp_path):
     (["--step-size", "0"], "rule.step_size"),
     (["--rule", "adam", "--beta1", "1.5"], "rule.beta1"),
     (["--problem", "tiny_mlp", "--dim", "25"], "problem.dim"),
+    (["--injected-cost-ms", "1e13"], "injected_cost_ms"),
 ])
 def test_setting_not_taken_exits_2_naming_it(tmp_path, capsys, args, field):
     code = cli.main(["run", "--steps", "5", *args, "--out", str(tmp_path)])
@@ -232,6 +233,18 @@ def test_setting_not_taken_exits_2_naming_it(tmp_path, capsys, args, field):
 def test_a_run_rejected_for_its_configuration_makes_no_directory(tmp_path, capsys, args):
     out = tmp_path / "d"
     assert cli.main(["run", *args, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["engine", "oracle"])
+def test_a_cost_beyond_the_longest_sleep_exits_2_and_makes_no_directory(tmp_path, capsys, mode):
+    # 1e13 ms overflows time.sleep; the check stops it before any drift runs.
+    out = tmp_path / "o"
+    code = cli.main(["run", "--problem", "quadratic", "--rule", "sgd", "--steps", "5",
+                     "--workers", "2", "--injected-cost-ms", "1e13", "--mode", mode,
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and "injected_cost_ms" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -273,6 +286,21 @@ def test_cli_and_library_echo_the_same_values(tmp_path):
 def test_run_mode_sweep_exits_2(tmp_path, capsys):
     assert cli.main(["run", "--mode", "sweep", "--out", str(tmp_path)]) == 2
     assert "output.mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key", [("axis = window\nvalues = 1, 3\n", "sweep.axis"),
+                                         ("values = 1, 3\n", "sweep.values")],
+                         ids=["axis", "values"])
+def test_run_with_a_sweep_section_exits_2_and_makes_no_directory(tmp_path, capsys, section, key):
+    # A run runs once: a [sweep] section it took would be ignored.
+    ini = tmp_path / "c.ini"
+    ini.write_text("[sweep]\n" + section)
+    out = tmp_path / "o"
+    code = cli.main(["run", "--config", str(ini), "--problem", "quadratic", "--rule", "sgd",
+                     "--steps", "20", "--workers", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and key in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_config_mode_sweep_exits_2(tmp_path, capsys):
@@ -476,6 +504,12 @@ def test_a_finished_and_a_failed_run_write_the_same_files_but_their_states(tmp_p
     assert (report["rounds"], report["speedup_rounds"], report["partial"]) == (6, 1.0, True)
 
 
+def test_a_failed_runs_partial_report_echoes_its_mode(tmp_path, capsys):
+    assert cli.main(["run", *ROSENBROCK_OVERFLOW, "--out", str(tmp_path)]) == 3
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["partial"] is True and report["config_echo"]["mode"] == "engine"
+
+
 def test_unreadable_manifest_exits_2(tmp_path, capsys):
     assert cli.main(["verify", "--manifest", str(tmp_path / "missing.ini")]) == 2
     assert "manifest" in capsys.readouterr().err
@@ -510,6 +544,21 @@ def test_bad_manifest_checksum_exits_2(tmp_path, capsys, checksum):
     assert cli.main(["verify", "--manifest", str(manifest)]) == 2
     err = capsys.readouterr().err
     assert "case:tiny.expected_checksum" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [("problem_kind", "quadratic"), ("mode", "oracle"),
+                                       ("axis", "gamma"), ("values", "0.5"), ("out", "nowhere")])
+def test_a_manifest_key_no_case_takes_exits_2_and_runs_no_case(tmp_path, capsys, monkeypatch,
+                                                                key, value):
+    # A case takes the options of [problem], [rule] and [engine], spelled as flags.
+    manifest = tmp_path / "manifest.ini"
+    manifest.write_text(f"[case:q]\nproblem = quadratic\nrule = sgd\nsteps = 5\n"
+                        f"{key} = {value}\nexpected_checksum = 0\n")
+    monkeypatch.setattr(cli, "engine_run", mock.Mock(side_effect=AssertionError("case ran")))
+    assert cli.main(["verify", "--manifest", str(manifest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"case:q.{key}" in captured.err
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 # Every problem/rule pair make_rule accepts; split_prune_sgd gets a schedule below.

@@ -223,12 +223,35 @@ def test_submitted_clone_serves_every_slot_holding_its_values():
         assert sum(pool.timing_report()["drifts_served"]) == 1
 
 
-@pytest.mark.parametrize("cost", [math.inf, math.nan, -3.0])
+@pytest.mark.parametrize("cost", [math.inf, math.nan, -3.0, 1e13])
 def test_rejects_a_cost_that_is_not_finite_and_non_negative(cost):
     before = threading.active_count()
     with pytest.raises(ValueError, match="injected_cost_ms"):
         WorkerPool(2, injected_cost_ms=cost)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("setting,value", [
+    ("workers", 0), ("workers", 2.5), ("seed_offset", -1), ("seed_offset", 1.0),
+    ("injected_cost_ms", -1.0), ("injected_cost_ms", math.nan), ("injected_cost_ms", math.inf),
+    ("injected_cost_ms", 1e13),
+])
+def test_pool_and_engine_settings_reject_the_same_dispatch_settings(setting, value):
+    bad = {"workers": 2, "seed_offset": 0, "injected_cost_ms": 0.0, setting: value}
+    before = threading.active_count()
+    with pytest.raises(ValueError, match=setting):
+        WorkerPool(bad["workers"], bad["seed_offset"], bad["injected_cost_ms"])
+    with pytest.raises(ValueError, match=setting):
+        po.EngineSettings(**bad)
+    assert threading.active_count() == before
+
+
+def test_a_cost_may_take_half_the_longest_timeout():
+    # time.sleep adds the cost to the monotonic clock; the other half is the uptime's.
+    longest = 500.0 * threading.TIMEOUT_MAX
+    WorkerPool.check_settings(1, 0, longest)
+    with pytest.raises(ValueError, match="injected_cost_ms"):
+        WorkerPool.check_settings(1, 0, 2 * longest)
 
 
 def test_drain_waits_for_submitted_work():
