@@ -12,8 +12,9 @@ from it and from the field annotations:
 
 A field left at ``None`` is unset: the object it configures supplies the
 default (a problem class its size and noise, ``AdamParams`` the Adam
-constants, ``EngineSettings`` the engine's), and a set field that object does
-not take is a ``ConfigError``.
+constants, ``EngineSettings`` the engine's).  It rejects a bad value, or a
+setting it does not take, with an ``ArgumentError``, which ``_named`` turns
+into a ``ConfigError`` naming the ``section.key``.
 The report echoes the values the run was built with (``engine.run``).
 
 ``schedule`` is space-separated ``step:action:i[,j...]`` entries, e.g.
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 from .engine import EngineSettings
 from .errors import ArgumentError, ConfigError, ScheduleError
-from .problems import PROBLEM_KINDS, Problem, make_problem
+from .problems import Problem, make_problem
 from .rules import AdamParams, UpdateRule, make_rule
 from .schedule import ScheduleAction
 
@@ -204,39 +205,34 @@ def sweep_points(cfg: RunConfig) -> list[tuple[float, RunConfig]]:
     return [(value, replace(cfg, **{field_name: kind(value)})) for value in cfg.sweep_values]
 
 
+def _named(section: str, build, renames: dict[str, str] | None = None):
+    """``build()``, whose ``ArgumentError`` becomes a ``ConfigError`` naming
+    ``<section>.<argument>``, or the key ``renames`` gives the argument."""
+    try:
+        return build()
+    except ArgumentError as exc:
+        key = (renames or {}).get(exc.argument, f"{section}.{exc.argument}")
+        raise ConfigError(key, str(exc)) from exc
+
+
 def build_problem(cfg: RunConfig) -> Problem:
-    if cfg.problem_kind not in PROBLEM_KINDS:
-        raise ConfigError("problem.kind", f"unknown problem {cfg.problem_kind!r}; "
-                                          f"have {sorted(PROBLEM_KINDS)}")
     settings = {key: getattr(cfg, name) for key, name in SECTIONS["problem"].items()
                 if key != "kind" and getattr(cfg, name) is not None}
-    taken = PROBLEM_KINDS[cfg.problem_kind].setting_names()
-    for key in settings:
-        if key not in taken:
-            raise ConfigError(f"problem.{key}", f"the {cfg.problem_kind} problem does not take it")
-    try:
-        return make_problem(cfg.problem_kind, **settings)
-    except ValueError as exc:
-        raise ConfigError("problem", str(exc)) from exc
+    return _named("problem", lambda: make_problem(cfg.problem_kind, **settings))
 
 
 def build_rule(cfg: RunConfig, problem: Problem) -> UpdateRule:
     """The rule; an error names the key that set the failing argument."""
     betas = {key: getattr(cfg, key) for key in ("beta1", "beta2", "eps")
              if getattr(cfg, key) is not None}
+    renames = {"total_steps": "engine.steps", "adam": f"rule.{next(iter(betas), 'beta1')}"}
     try:
-        return make_rule(
+        return _named("rule", lambda: make_rule(
             cfg.rule_kind, problem, cfg.resolved_step_size(), cfg.steps,
             adam=AdamParams(**betas) if betas else None, schedule=_parse_schedule(cfg.schedule),
-        )
+        ), renames)
     except ScheduleError as exc:
         raise ConfigError("rule.schedule", str(exc)) from exc
-    except ArgumentError as exc:
-        if exc.argument == "adam":  # Adam parameters given to another rule: name the first set
-            key = f"rule.{next(iter(betas))}"
-        else:
-            key = {"total_steps": "engine.steps"}.get(exc.argument, f"rule.{exc.argument}")
-        raise ConfigError(key, str(exc)) from exc
 
 
 def engine_settings(cfg: RunConfig, *, record_trajectory: bool = False) -> EngineSettings:
@@ -248,7 +244,4 @@ def engine_settings(cfg: RunConfig, *, record_trajectory: bool = False) -> Engin
         raise ValueError("record_trajectory is gone: pass engine.run an observer")
     settings = {key: getattr(cfg, name) for key, name in SECTIONS["engine"].items()
                 if key != "steps" and getattr(cfg, name) is not None}
-    try:
-        return EngineSettings(**settings)
-    except ValueError as exc:
-        raise ConfigError("engine", str(exc)) from exc
+    return _named("engine", lambda: EngineSettings(**settings))

@@ -52,7 +52,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, ObjectiveError, PicardoptError, PoisonedDrift
+from .errors import ArgumentError, DimensionError, ObjectiveError, PicardoptError, PoisonedDrift
 from .oracle import checked_loss, keep_freed_heap
 from .pool import WorkerPool
 from .rules import ADAPTIVE_GUIDANCE, UpdateRule, initial_state, rollout_one
@@ -157,8 +157,7 @@ def picard_round(window: list[ParamState], rule: UpdateRule, pool: WorkerPool, t
             except (ObjectiveError, PoisonedDrift):
                 if j == 0:
                     raise
-                for future in futures[j + 1:]:
-                    future.exception()  # wait, so what ran does not depend on timing
+                pool.wait(futures[j + 1:])  # so what ran does not depend on timing
                 break
             if sliding:
                 del window[0]  # slot j, accepted and not the next anchor, leaves the front
@@ -214,9 +213,9 @@ class EngineSettings:
     An unset ``window`` is ``workers - 1`` (at least 1); an unset ``gamma``
     is 1.0 at threshold 0, the exact mode, so the threshold stays frozen
     there unless asked to adapt, and 0.9 otherwise.  Frozen, so every value
-    a run reads passed ``__post_init__``'s checks; the pool's settings
-    (``workers``, ``seed_offset``, ``injected_cost_ms``) are checked by
-    ``WorkerPool.check_settings``, as a pool checks them.
+    a run reads passed ``__post_init__``'s checks (an ``ArgumentError``
+    names the field); the pool's settings (``workers``, ``seed_offset``,
+    ``injected_cost_ms``) are checked by ``WorkerPool.check_settings``.
     """
 
     window: int | None = None
@@ -233,11 +232,11 @@ class EngineSettings:
         if self.gamma is None:
             object.__setattr__(self, "gamma", 1.0 if self.threshold == 0.0 else 0.9)
         if not isinstance(self.window, numbers.Integral) or self.window < 1:
-            raise ValueError("window must be an integer >= 1")
+            raise ArgumentError("window", "window must be an integer >= 1")
         if not 0.0 <= self.threshold < math.inf:
-            raise ValueError("threshold must be finite and >= 0")
+            raise ArgumentError("threshold", "threshold must be finite and >= 0")
         if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+            raise ArgumentError("gamma", "gamma must lie in [0, 1]")
 
     def is_exact(self, rule: UpdateRule) -> bool:
         """Threshold frozen at 0: the engine must match the oracle bitwise.
@@ -296,9 +295,9 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
     with ``settings`` on workers, seed offset and injected cost, and is reset
     first, so it gives the bits and counters of a fresh pool.  The report's
     drift count, busy and wait times are the pool's counters; the wait time
-    is what the rounds spent blocked in ``pool.result``, aborted rounds
-    included.  The report's ``config_echo`` holds the problem, rule and
-    engine settings that ran and the kernel path (``_config_echo``).
+    is what the rounds spent blocked on drifts, rounds ended early and
+    aborted included.  The report's ``config_echo`` holds the problem, rule
+    and engine settings that ran and the kernel path (``_config_echo``).
 
     ``observer(accepted, window)`` is called after each round with the states
     it accepted past the old anchor (from step 0 in the first round), the new
@@ -372,8 +371,8 @@ def _first_window(rule: UpdateRule, size: int) -> list[ParamState]:
 def _report(records, T: int, echo: dict, pool: WorkerPool, wall_ms: float,
             final_loss: float | None = None) -> RunReport:
     """The run's report, partial when ``final_loss`` is None.  Its drift
-    count, busy times and ``drift_wait_ms`` (time blocked in ``pool.result``)
-    are the pool's counters, which start at 0 with the run."""
+    count, busy times and ``drift_wait_ms`` (time blocked on drifts) are
+    the pool's counters, which start at 0 with the run."""
     counts = pool.timing_report()
     return finalize_report(records, T, echo, final_loss, wall_ms,
                            worker_busy_ms=counts["busy_ms"],

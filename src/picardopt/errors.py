@@ -14,7 +14,7 @@ class ConfigError(PicardoptError):
 
 
 class ArgumentError(ValueError):
-    """A constructor argument that cannot be used; ``argument`` names it."""
+    """A setting that cannot be used; ``argument`` names it, for ``config``."""
 
     def __init__(self, argument: str, message: str):
         self.argument = argument

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import PicardoptError, PoisonedDrift
 from .problems import Problem
-from .rules import ADAPTIVE_GUIDANCE, AuxModel, UpdateRule, initial_state, sequential_step
+from .pool import WorkerPool
+from .rules import AuxModel, UpdateRule, initial_state, sequential_step
 from .state import ParamState, finite_checked, states_equal_bits
 
 
@@ -87,11 +88,13 @@ def solve_sequential(rule: UpdateRule, seed_offset: int = 0, injected_cost_ms: f
     loss, under seed step + seed_offset, and the observer run outside the
     clock.  A failed step raises at once; a failed loss is raised only once
     every step has succeeded, the first in step order.  The first solve in a
-    process tunes glibc's allocator (``keep_freed_heap``).
+    process tunes glibc's allocator (``keep_freed_heap``).  The offset and
+    the cost are checked first, as a pool's (``WorkerPool.check_settings``).
     """
+    WorkerPool.check_settings(1, seed_offset, injected_cost_ms)
     keep_freed_heap()
     state = initial_state(rule)
-    aux = AuxModel(state.dim) if rule.kind == ADAPTIVE_GUIDANCE else None
+    aux = AuxModel()
     sleep_s = injected_cost_ms / 1000.0
     losses, loss_error = [], None
     t_start = time.perf_counter()

@@ -5,17 +5,17 @@ starts takes the next dispatch index, counted from the last ``reset``, and
 runs on lane ``dispatch index mod n_workers``: deterministic, independent of
 timing, and balanced across rounds.  A gather returns each slot's future in
 slot order, and ``result`` waits for one future alone, so the caller can
-consume early slots while later ones still run.  ``submit`` alone starts
-drifts; a state whose drift input is already in flight (submitted ahead, or
-for an earlier slot of the same gather) takes that drift's future instead,
-computed at another state with the same values.  An optional injected
+consume early slots while later ones still run; ``wait`` waits for several.
+``submit`` alone starts drifts; a state whose drift input is already in
+flight (submitted ahead, or for an earlier slot of the same gather) takes
+that drift's future instead, computed at another state with the same values.  An optional injected
 per-drift sleep emulates heavy accelerator workloads so wall-clock speedup
 curves are observable at desk scale.  ``WorkerPool.check_settings`` is the
-one check of the dispatch settings, for the pool and ``EngineSettings`` alike.
+one check of the dispatch settings, for the pool, ``EngineSettings`` and the
+oracle alike.
 
-In the adaptive-guidance mode each lane owns a private gradient predictor,
-made at the lane's first such drift; no predictor is ever touched by two
-lanes.
+Each lane passes every drift its own gradient predictor, made by ``reset``,
+which only the adaptive-guidance drift reads; no two lanes share one.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 
 from . import rules
+from .errors import ArgumentError
 from .state import Drift, ParamState
 
 
@@ -44,24 +45,25 @@ class WorkerPool:
 
     @staticmethod
     def check_settings(workers, seed_offset, injected_cost_ms) -> None:
-        """Raise a ValueError naming the first setting a pool cannot run.
+        """Raise an ArgumentError naming the first setting a pool cannot run.
         ``time.sleep`` adds the cost to the monotonic clock (the uptime, on
         Linux) and fails past ``threading.TIMEOUT_MAX`` seconds, so a cost
         may take half of that, leaving the other half to the uptime."""
         for name, value, low in (("workers", workers, 1), ("seed_offset", seed_offset, 0)):
             if not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}")
+                raise ArgumentError(name, f"{name} must be an integer >= {low}")
         cost_max = 500.0 * threading.TIMEOUT_MAX
         if not 0.0 <= injected_cost_ms <= cost_max:
-            raise ValueError(f"injected_cost_ms must lie in [0, {cost_max:g}]")
+            raise ArgumentError("injected_cost_ms",
+                                f"injected_cost_ms must lie in [0, {cost_max:g}]")
 
     def reset(self) -> None:
-        """Start over as a fresh pool: wait for and forget submitted work, drop
-        the lane predictors, and restart the dispatch index and the busy,
-        served and wait counters at 0."""
+        """Start over as a fresh pool: wait for and forget submitted work, give
+        each lane a new predictor, and restart the dispatch index and the
+        busy, served and wait counters at 0."""
         self.drain()
         # Each lane writes only its own entries, so no lock is needed.
-        self.aux_models: list[rules.AuxModel | None] = [None] * self.n_workers
+        self.aux_models = [rules.AuxModel() for _ in range(self.n_workers)]
         self._busy_s = [0.0] * self.n_workers
         self._drift_counts = [0] * self.n_workers
         self._wait_s = 0.0
@@ -79,16 +81,12 @@ class WorkerPool:
         self.close()
 
     def _serve(self, lane: int, rule: rules.UpdateRule, state: ParamState) -> Drift:
-        aux = None
-        if rule.kind == rules.ADAPTIVE_GUIDANCE:
-            aux = self.aux_models[lane]
-            if aux is None:
-                aux = self.aux_models[lane] = rules.AuxModel(state.dim)
         t0 = time.perf_counter()
         try:
             if self.injected_cost_ms > 0.0:
                 time.sleep(self.injected_cost_ms / 1000.0)
-            return rules.drift(rule, state, state.step + self.seed_offset, aux=aux)
+            return rules.drift(rule, state, state.step + self.seed_offset,
+                               aux=self.aux_models[lane])
         finally:  # a drift that raises is counted and timed too
             self._drift_counts[lane] += 1
             self._busy_s[lane] += time.perf_counter() - t0
@@ -128,13 +126,18 @@ class WorkerPool:
         self._in_flight.clear()
         return futures
 
-    def result(self, future: Future) -> Drift:
-        """Wait for a drift and return it, or re-raise its error.  Time spent
-        blocked is added to ``wait_ms``."""
-        if not future.done():
-            t0 = time.perf_counter()
+    def wait(self, futures) -> None:
+        """Block until every drift in ``futures`` is done, raising none of
+        their errors; the time blocked is added to ``wait_ms``."""
+        t0 = time.perf_counter()
+        for future in futures:
             future.exception()  # blocks until done
-            self._wait_s += time.perf_counter() - t0
+        self._wait_s += time.perf_counter() - t0
+
+    def result(self, future: Future) -> Drift:
+        """Wait for a drift (``wait``) and return it, or re-raise its error."""
+        if not future.done():
+            self.wait((future,))
         return future.result()
 
     def drain(self) -> None:
@@ -146,7 +149,7 @@ class WorkerPool:
 
     def timing_report(self) -> dict:
         """Per-lane busy time and counts of drifts evaluated since the last
-        ``reset``, plus the time callers spent blocked in ``result``."""
+        ``reset``, plus the time callers spent blocked on drifts."""
         return {
             "busy_ms": [1000.0 * s for s in self._busy_s],
             "drifts_served": list(self._drift_counts),

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, ObjectiveError
+from .errors import ArgumentError, DimensionError, ObjectiveError
 
 
 class Problem:
@@ -39,13 +39,13 @@ class Problem:
 
     def __init__(self, dim: int = 16, data_seed: int = 0, noise: float = 0.0):
         if dim <= 0:
-            raise ValueError("dim must be positive")
+            raise ArgumentError("dim", "dim must be positive")
         if not 0.0 <= noise < math.inf:
-            raise ValueError("noise must be finite and >= 0")
+            raise ArgumentError("noise", "noise must be finite and >= 0")
         if data_seed < 0:
-            raise ValueError("data_seed must be >= 0")
+            raise ArgumentError("data_seed", "data_seed must be >= 0")
         if self.subsampled and noise >= 1.0:
-            raise ValueError(f"{self.kind} noise must be in [0, 1)")
+            raise ArgumentError("noise", f"{self.kind} noise must be in [0, 1)")
         self.dim = dim
         self.data_seed = data_seed
         self.noise = noise
@@ -261,7 +261,7 @@ class Splat2dProblem(Problem):
 
     def __init__(self, data_seed: int = 0, noise: float = 0.0, points: int = 2):
         if points < 1:
-            raise ValueError(f"splat2d points must be >= 1, not {points}")
+            raise ArgumentError("points", f"splat2d points must be >= 1, not {points}")
         super().__init__(4 * points, data_seed, noise)
         self.points = points
         centers = (np.arange(self.GRID) + 0.5) / self.GRID
@@ -347,7 +347,11 @@ PROBLEM_KINDS = {
 
 def make_problem(kind: str, **settings) -> Problem:
     """The ``kind`` problem built from the given settings; the class supplies
-    the rest."""
+    the rest; a bad kind, setting or value raises an ``ArgumentError``."""
     if kind not in PROBLEM_KINDS:
-        raise ValueError(f"unknown problem kind {kind!r}; have {sorted(PROBLEM_KINDS)}")
-    return PROBLEM_KINDS[kind](**settings)
+        raise ArgumentError("kind", f"unknown problem kind {kind!r}; have {sorted(PROBLEM_KINDS)}")
+    cls = PROBLEM_KINDS[kind]
+    for name in settings:
+        if name not in cls.setting_names():
+            raise ArgumentError(name, f"the {kind} problem does not take it")
+    return cls(**settings)

@@ -110,12 +110,13 @@ def initial_state(rule: UpdateRule) -> ParamState:
 
 
 class AuxModel:
-    """Worker-local EMA gradient predictor (control variate), decay 0.95."""
+    """Worker-local EMA gradient predictor (control variate), decay 0.95; it
+    starts at 0.0, with a zero array's bits, and is sized by its first update."""
 
     DECAY = 0.95
 
-    def __init__(self, dim: int):
-        self.ema_grad = np.zeros(dim)
+    def __init__(self):
+        self.ema_grad = 0.0
 
     def update(self, g: np.ndarray) -> None:
         self.ema_grad = self.DECAY * self.ema_grad + (1.0 - self.DECAY) * g

@@ -221,6 +221,12 @@ def test_splat_points_set_the_size_and_the_echo(tmp_path):
     (["--rule", "adam", "--beta1", "1.5"], "rule.beta1"),
     (["--problem", "tiny_mlp", "--dim", "25"], "problem.dim"),
     (["--injected-cost-ms", "1e13"], "injected_cost_ms"),
+    # every value a settings object rejects names its section.key
+    (["--noise", "-0.5"], "problem.noise"),
+    (["--problem", "splat2d", "--points", "0"], "problem.points"),
+    (["--window", "0"], "engine.window"),
+    (["--threshold", "nan"], "engine.threshold"),
+    (["--workers", "0"], "engine.workers"),
 ])
 def test_setting_not_taken_exits_2_naming_it(tmp_path, capsys, args, field):
     code = cli.main(["run", "--steps", "5", *args, "--out", str(tmp_path)])

@@ -20,7 +20,7 @@ from picardopt import cli
 from picardopt.engine import (DOT_BLOCK, EngineSettings, advance_window,
                               compute_skip, fixed_point_distance, picard_round,
                               run, update_threshold)
-from picardopt.errors import DimensionError
+from picardopt.errors import ArgumentError, DimensionError
 from picardopt.oracle import keep_freed_heap
 from picardopt.pool import WorkerPool
 from picardopt.rules import initial_state, make_rule, rollout_one, sequential_step
@@ -117,6 +117,18 @@ def test_threshold_validation():
     for name in ("window", "workers", "seed_offset"):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             EngineSettings(**{name: 2.5})
+
+
+def test_every_bad_engine_setting_raises_an_argument_error_naming_it():
+    # The one way a settings object rejects a value: config names the key
+    # from ``argument`` alone.
+    bad = dict(window=0, workers=0, threshold=float("nan"), gamma=1.5, seed_offset=-1,
+               injected_cost_ms=float("nan"))
+    assert set(bad) == {f.name for f in dataclasses.fields(EngineSettings)}
+    for name, value in bad.items():
+        with pytest.raises(ArgumentError) as info:
+            EngineSettings(**{name: value})
+        assert info.value.argument == name
 
 
 # --- fixed_point_distance -------------------------------------------------------
@@ -410,7 +422,7 @@ def test_run_rejects_pool_that_disagrees_with_settings(pool_args):
 
 
 def test_adaptive_guidance_runs_on_a_passed_pool():
-    # Each lane makes its predictor at its first drift, as on the run's own pool.
+    # Each lane has the predictor the pool's reset made, as on the run's own pool.
     rule = quad_rule(T=40, kind="adaptive_guidance", noise=0.1)
     settings = EngineSettings(window=3, workers=2)
     with WorkerPool(2) as pool:
@@ -575,6 +587,23 @@ def test_round_fails_at_its_anchors_step(trap, error):
             picard_round(w, rule, pool, 0.0)
         assert sum(pool.timing_report()["drifts_served"]) == 5
     assert same_objects(w, guesses)
+
+
+def test_a_round_ended_early_counts_its_wait_for_the_later_drifts():
+    # Slot 1's drift (seed 1) fails at a guess, so the round ends there and
+    # waits for slots 2..6; sliding until then, it submits nothing ahead.
+    # Two lanes serve 4 and 3 drifts of 30 ms each, so the last is done
+    # 120 ms after the gather; the round blocks for all but its own
+    # sub-millisecond work, the wait for slot 0's drift (30 ms) and the early
+    # end's (90 ms) alike.
+    rule = make_rule("sgd", Trap(fail=(1,)), 0.1, total_steps=10)
+    theta0 = initial_state(rule)
+    w = [theta0] + [with_step(theta0, j) for j in range(1, 8)]
+    with WorkerPool(2, injected_cost_ms=30.0) as pool:
+        errors = picard_round(w, rule, pool, 1.0)
+        report = pool.timing_report()
+    assert len(errors) == 1 and report["drifts_served"] == [4, 3]
+    assert report["wait_ms"] >= 90.0
 
 
 class LateTrap(Trap):

@@ -7,6 +7,7 @@ from conftest import DecayOde, Snapshots, prefix_check, sequential_trajectory
 
 import picardopt as po
 from picardopt.engine import EngineSettings, run
+from picardopt.errors import ArgumentError
 from picardopt.oracle import StepComparison, solve_sequential
 from picardopt.rules import make_rule
 from picardopt.state import MomentState, ParamState
@@ -25,6 +26,19 @@ def test_minimal_horizon_yields_two_states():
     result, _ = solve_sequential(rule, observer=states.append)
     assert [s.step for s in states] == [0, 1]
     assert len(result.losses) == 2 and result.terminal is states[-1]
+
+
+@pytest.mark.parametrize("setting,value", [
+    ("seed_offset", -1), ("seed_offset", 1.5),
+    ("injected_cost_ms", -5.0), ("injected_cost_ms", float("nan")), ("injected_cost_ms", 1e13),
+])
+def test_solve_sequential_checks_its_settings_as_a_pool_does(setting, value):
+    # Each would otherwise fail inside numpy's seeding (-1, 1.5), sleep
+    # a negative or NaN cost away, or overflow time.sleep (1e13).
+    rule = make_rule("sgd", po.make_problem("quadratic", dim=4, noise=0.1), 0.1, total_steps=3)
+    with pytest.raises(ArgumentError) as info:
+        solve_sequential(rule, **{setting: value})
+    assert info.value.argument == setting
 
 
 def test_sgd_geometric_decay():

@@ -135,7 +135,7 @@ def test_aux_models_isolated_and_counted():
     rule = quad_rule(kind="adaptive_guidance")
     dispatched = []
     with WorkerPool(2) as pool:
-        assert pool.aux_models == [None, None]  # each lane makes its own at its first drift
+        assert [aux.ema_grad for aux in pool.aux_models] == [0.0, 0.0]  # each lane has its own
         for r in range(2):
             states = states_for(rule, 5, start=5 * r)
             drifts_of(pool, rule, states)
@@ -151,7 +151,7 @@ def test_aux_models_isolated_and_counted():
 
 
 def test_aux_model_decay():
-    aux = AuxModel(2)
+    aux = AuxModel()
     aux.update(np.array([1.0, 0.0]))
     aux.update(np.array([1.0, 0.0]))
     np.testing.assert_allclose(aux.ema_grad, [0.05 * 0.95 + 0.05, 0.0])

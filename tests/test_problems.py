@@ -3,7 +3,7 @@ import pytest
 
 import picardopt as po
 from picardopt import kernels
-from picardopt.errors import DimensionError, ObjectiveError
+from picardopt.errors import ArgumentError, DimensionError, ObjectiveError
 from picardopt.problems import PROBLEM_KINDS, Splat2dProblem, make_problem
 from picardopt.schedule import ScheduleAction, apply_action
 
@@ -171,6 +171,20 @@ def test_each_problem_owns_its_defaults(kind, dim, noise):
     assert (p.dim, settings["data_seed"], settings["noise"]) == (dim, 0, noise)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_every_bad_problem_setting_raises_an_argument_error_naming_it(kind):
+    # The one way a settings object rejects a value: config names the key
+    # from ``argument`` alone.
+    bad = dict(dim=0, data_seed=-1, noise=float("nan"), points=0)
+    for name, value in bad.items():
+        with pytest.raises(ArgumentError) as info:
+            make_problem(kind, **{name: value})
+        assert info.value.argument == name  # a bad value, or a setting not taken
+    with pytest.raises(ArgumentError) as info:
+        make_problem("nope")
+    assert info.value.argument == "kind"
+
+
 def test_splat_points_set_the_dim():
     p = make_problem("splat2d", points=3)
     assert p.dim == len(p.initial_values()) == 12 and p.initial_dim_tag() == 3
@@ -179,7 +193,7 @@ def test_splat_points_set_the_dim():
     with pytest.raises(ValueError, match="points"):
         make_problem("splat2d", points=0)
     for kind in ("splat2d", "tiny_mlp"):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="does not take"):
             make_problem(kind, dim=12)
 
 

@@ -300,7 +300,7 @@ def test_rule_validation():
 def test_adaptive_guidance_uses_and_updates_aux():
     prob = quad(dim=3)
     rule = make_rule("adaptive_guidance", prob, 0.1, total_steps=10)
-    aux = po.AuxModel(3)
+    aux = po.AuxModel()
     s = ParamState(0, np.array([1.0, 2.0, 3.0]), 3)
     d1 = drift(rule, s, 0, aux=aux)
     np.testing.assert_array_equal(d1.payload, s.values)  # first prediction is zero

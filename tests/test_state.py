@@ -204,6 +204,20 @@ def test_iter_states_rejects_a_negative_value_count(tmp_path):
         list(iter_states(path))
 
 
+@pytest.mark.parametrize("at,value,message", [(15, -1, "step must be >= 0"),
+                                               (23, 0, "dim_tag must be a positive")])
+def test_iter_states_rejects_a_negative_step_or_a_zero_dim_tag(tmp_path, at, value, message):
+    # The step and dim_tag follow the count (8 bytes), the magic, the version
+    # and the flags byte; ParamState's checks are the reader's guard for them.
+    path = tmp_path / "one.bin"
+    write_states(path, [make_state()])
+    buf = bytearray(path.read_bytes())
+    buf[at:at + 8] = struct.pack("<q", value)
+    path.write_bytes(bytes(buf))
+    with pytest.raises(ValueError, match=message):
+        list(iter_states(path))
+
+
 def test_iter_states_rejects_bytes_past_the_last_state(tmp_path):
     path = two_state_file(tmp_path)
     whole = path.read_bytes()
