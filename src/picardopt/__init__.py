@@ -19,8 +19,8 @@ from .problems import PROBLEM_KINDS, Problem, make_problem
 from .rules import (RULE_KINDS, AdamParams, AuxModel, UpdateRule, drift, initial_state,
                     make_rule, rollout_one, sequential_step)
 from .schedule import ScheduleAction, split_offset
-from .state import (Drift, MomentState, ParamState, iter_states, state_checksum,
-                    states_equal_bits, write_states)
+from .state import (MomentState, ParamState, iter_states, state_checksum, states_equal_bits,
+                    write_states)
 from .telemetry import RoundRecord, RunReport, finalize_report
 
 __version__ = "0.1.0"

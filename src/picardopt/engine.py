@@ -151,7 +151,7 @@ def picard_round(window: list[ParamState], rule: UpdateRule, pool: WorkerPool, t
             try:
                 d = pool.result(futures[j])
                 futures[j] = None  # a drift a later slot shares lives until that slot is read
-                refined = rollout_one(rule, d, rolling)
+                refined = rollout_one(rule, d.payload, rolling)
                 del d
                 errors.append(fixed_point_distance(refined, window[refined.step - window[0].step]))
             except (ObjectiveError, PoisonedDrift):

@@ -94,7 +94,7 @@ class WorkerPool:
     def submit(self, rule: rules.UpdateRule, state: ParamState) -> Future:
         """Start the drift at ``state`` (seed ``state.step + seed_offset``) on
         the next lane, unless its input is already in flight: then return that
-        drift, which keeps the step and seed it was computed at.  The input
+        drift, computed at another state.  The input
         is the values array when the rule's drift ignores the step
         (``UpdateRule.step_invariant``), else the state itself.  States share
         a values array only as ``with_step`` clones, or as a guess

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 
 import numpy as np
 
@@ -38,12 +39,11 @@ class Problem:
     subsampled: bool = False
 
     def __init__(self, dim: int = 16, data_seed: int = 0, noise: float = 0.0):
-        if dim <= 0:
-            raise ArgumentError("dim", "dim must be positive")
+        for name, value, low in (("dim", dim, 1), ("data_seed", data_seed, 0)):
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ArgumentError(name, f"{name} must be an integer >= {low}")
         if not 0.0 <= noise < math.inf:
             raise ArgumentError("noise", "noise must be finite and >= 0")
-        if data_seed < 0:
-            raise ArgumentError("data_seed", "data_seed must be >= 0")
         if self.subsampled and noise >= 1.0:
             raise ArgumentError("noise", f"{self.kind} noise must be in [0, 1)")
         self.dim = dim
@@ -260,8 +260,8 @@ class Splat2dProblem(Problem):
     N_TARGETS = 3
 
     def __init__(self, data_seed: int = 0, noise: float = 0.0, points: int = 2):
-        if points < 1:
-            raise ArgumentError("points", f"splat2d points must be >= 1, not {points}")
+        if not isinstance(points, numbers.Integral) or points < 1:
+            raise ArgumentError("points", f"points must be an integer >= 1, not {points!r}")
         super().__init__(4 * points, data_seed, noise)
         self.points = points
         centers = (np.arange(self.GRID) + 0.5) / self.GRID

@@ -6,7 +6,7 @@ Each rule factors one sequential step ``state -> next state`` into
   loss gradient), a pure function of (state values, seed) except for the
   adaptive-guidance mode's worker-local predictor, and
 * ``rollout_one``: the cheap sequential reconstruction of the successor state
-  from a drift and the current state (Euler step, SGD step or
+  from a drift's payload and the current state (Euler step, SGD step or
   bias-corrected Adam apply), carried through the rule's split/prune
   schedule, if it has one, at that step.
 
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ArgumentError, DimensionError
+from .errors import ArgumentError, DimensionError, PoisonedDrift
 from .problems import Problem
 from .schedule import ScheduleAction, reconcile_moments, reconcile_vector, validate_schedule
-from .state import Drift, MomentState, ParamState, finite_checked
+from .state import Drift, MomentState, ParamState, all_finite, finite_checked
 
 EULER_ODE = "euler_ode"
 SGD = "sgd"
@@ -124,7 +124,8 @@ class AuxModel:
 
 @finite_checked
 def drift(rule: UpdateRule, state: ParamState, seed: int, aux=None) -> Drift:
-    """Evaluate the parallelizable unit at ``state`` under a per-step seed."""
+    """Evaluate the parallelizable unit at ``state`` under a per-step seed;
+    a non-finite payload raises PoisonedDrift naming that step and seed."""
     if state.step >= rule.total_steps:
         raise ValueError(f"state step {state.step} is at or past the horizon {rule.total_steps}")
     if rule.kind == EULER_ODE:
@@ -137,32 +138,33 @@ def drift(rule: UpdateRule, state: ParamState, seed: int, aux=None) -> Drift:
         aux.update(g)
     else:
         payload = rule.problem.grad(state.values, seed)
-    # Drift construction raises PoisonedDrift on non-finite payloads.
-    return Drift(state.step, payload, seed)
+    if not all_finite(payload):
+        raise PoisonedDrift(state.step, seed, "drift payload contains NaN/Inf")
+    return Drift(payload)
 
 
 @finite_checked
-def rollout_one(rule: UpdateRule, d: Drift, state: ParamState) -> ParamState:
-    """Reconstruct the successor state at step+1 from a drift and a state.
-    The drift may have been computed at another state with the same values
-    (a shared drift); only its payload is read."""
-    if len(d.payload) != state.dim:
+def rollout_one(rule: UpdateRule, payload: np.ndarray, state: ParamState) -> ParamState:
+    """Reconstruct the successor state at step+1 from a drift's payload and a
+    state.  The payload may have been computed at another state with the
+    same values (a shared drift)."""
+    if len(payload) != state.dim:
         raise DimensionError(
-            f"drift payload length {len(d.payload)} does not match state dimension {state.dim}"
+            f"drift payload length {len(payload)} does not match state dimension {state.dim}"
         )
     eta = rule.step_size
     moments = state.moments
     dim_tag = state.dim_tag
 
     if rule.kind == EULER_ODE:
-        vn = state.values + (eta / rule.total_steps) * d.payload
+        vn = state.values + (eta / rule.total_steps) * payload
     elif rule.kind in (SGD, ADAPTIVE_GUIDANCE):
-        vn = state.values - eta * d.payload
+        vn = state.values - eta * payload
     elif rule.kind == ADAM:
         if moments is None:
             raise ValueError("adam rollout requires moment state")
         p = rule.adam
-        vn, m1, m2 = kernels.adam_apply(state.values, moments.m1, moments.m2, d.payload,
+        vn, m1, m2 = kernels.adam_apply(state.values, moments.m1, moments.m2, payload,
                                         state.step + 1, p.beta1, p.beta2, p.eps, eta)
         moments = MomentState._from_adam(m1, m2)
     else:  # pragma: no cover - guarded by make_rule
@@ -179,6 +181,6 @@ def rollout_one(rule: UpdateRule, d: Drift, state: ParamState) -> ParamState:
 
 
 def sequential_step(rule: UpdateRule, state: ParamState, seed: int, aux=None) -> ParamState:
-    """One direct sequential update: rollout_one(rule, drift(...), state)."""
-    return rollout_one(rule, drift(rule, state, seed, aux), state)
+    """One direct sequential update: rollout_one(rule, drift(...).payload, state)."""
+    return rollout_one(rule, drift(rule, state, seed, aux).payload, state)
 

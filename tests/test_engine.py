@@ -553,7 +553,7 @@ def test_round_ends_at_its_first_failing_slot(threshold):
         served = sum(pool.timing_report()["drifts_served"])
     assert len(errors) == 2
     slot1 = sequential_step(rule, theta0, 0)
-    slot2 = rollout_one(rule, po.drift(rule, guesses[1], 1), slot1)
+    slot2 = rollout_one(rule, po.drift(rule, guesses[1], 1).payload, slot1)
     if threshold == 0.0:
         # slot 1 missed its guess, so it is the new anchor; slot 2 is the
         # next round's guess for step 2, and the later slots keep theirs
@@ -639,7 +639,7 @@ def test_failed_round_checkpoints_its_window_as_refined(tmp_path, monkeypatch):
     anchor = partial[0]
     assert states_equal_bits(anchor, sequential_step(rule, w[0], 1))
     assert not states_equal_bits(anchor, w[1])
-    slot2 = rollout_one(rule, po.drift(rule, w[1], 2), anchor)
+    slot2 = rollout_one(rule, po.drift(rule, w[1], 2).payload, anchor)
     assert states_equal_bits(partial[1], slot2)
     assert not states_equal_bits(partial[1], w[2])
     assert partial[2] is w[3] and partial[3] is w[4]
@@ -1035,8 +1035,8 @@ def test_accepted_states_are_freed_before_the_next_round(monkeypatch):
     rolled: list[weakref.ref] = []
     alive_at_end, alive_at_start = [], []
 
-    def watched_rollout(rule, d, state):
-        out = rollout_one(rule, d, state)
+    def watched_rollout(rule, payload, state):
+        out = rollout_one(rule, payload, state)
         rolled.append(weakref.ref(out))
         return out
 
@@ -1078,12 +1078,12 @@ def test_a_round_holds_only_what_a_later_step_reads(monkeypatch, threshold, gamm
         return (window[0].moments is not None
                 and all(s.moments is None for s in window[1:]))
 
-    def watched_rollout(rule, d, state):
+    def watched_rollout(rule, payload, state):
         front = windows[0][0]
         refs = [ref for step, ref in seen if step < state.step]
         behind.append(len(refs))
         alive.append(sum(ref() is not None and ref() is not front for ref in refs))
-        out = rollout_one(rule, d, state)
+        out = rollout_one(rule, payload, state)
         seen.extend([(state.step, weakref.ref(state)), (out.step, weakref.ref(out))])
         return out
 
@@ -1136,10 +1136,10 @@ def test_consumed_drifts_are_freed_slot_by_slot(monkeypatch):
     previous: list[weakref.ref] = []
     alive = []
 
-    def watched(rule, d, state):
+    def watched(rule, payload, state):
         alive.extend(ref() is not None for ref in previous)
-        previous[:] = [weakref.ref(d.payload)]
-        return rollout_one(rule, d, state)
+        previous[:] = [weakref.ref(payload)]
+        return rollout_one(rule, payload, state)
 
     monkeypatch.setattr(engine_mod, "rollout_one", watched)
     res = run(rule, settings)
@@ -1177,11 +1177,11 @@ def test_shared_drifts_are_freed_after_their_last_slot(monkeypatch):
     rolled: list[weakref.ref] = []
     shared, stale = [], []
 
-    def watched(rule, d, state):
-        shared.append(sum(ref() is d.payload for ref in rolled))
-        stale.append(sum(ref() is not None and ref() is not d.payload for ref in rolled))
-        rolled.append(weakref.ref(d.payload))
-        return rollout_one(rule, d, state)
+    def watched(rule, payload, state):
+        shared.append(sum(ref() is payload for ref in rolled))
+        stale.append(sum(ref() is not None and ref() is not payload for ref in rolled))
+        rolled.append(weakref.ref(payload))
+        return rollout_one(rule, payload, state)
 
     monkeypatch.setattr(engine_mod, "rollout_one", watched)
     res = run(rule, settings)

@@ -63,11 +63,13 @@ def test_worker_ids_follow_assignment():
 
 
 def test_results_ordered_by_step_with_correct_seeds():
-    rule = quad_rule()
+    # slot j's payload is its state's gradient under seed step + seed_offset
+    rule = quad_rule(noise=0.1)
+    states = states_for(rule, 5, start=20)
     with WorkerPool(3, seed_offset=11) as pool:
-        drifts = drifts_of(pool, rule, states_for(rule, 5, start=20))
-    assert [d.step for d in drifts] == [20, 21, 22, 23, 24]
-    assert all(d.seed == d.step + 11 for d in drifts)
+        drifts = drifts_of(pool, rule, states)
+    for s, d in zip(states, drifts, strict=True):
+        assert d.payload.tobytes() == rule.problem.grad(s.values, s.step + 11).tobytes()
 
 
 def test_purity_across_worker_counts():
@@ -81,14 +83,14 @@ def test_purity_across_worker_counts():
 
 
 def test_failure_surfaces_smallest_slot():
-    prob = po.make_problem("rosenbrock", dim=4)
+    prob = po.make_problem("rosenbrock", dim=4, noise=0.1)
     rule = make_rule("sgd", prob, 0.1, total_steps=100)
     good = ParamState(0, np.ones(4), 4)
     bad1 = ParamState(1, np.full(4, 1e200), 4)
     bad2 = ParamState(2, np.full(4, 1e200), 4)
-    with WorkerPool(2) as pool:
+    with WorkerPool(2, seed_offset=3) as pool:
         futures = pool.gather_drifts(rule, [good, bad1, bad2])
-        assert pool.result(futures[0]).step == 0
+        assert pool.result(futures[0]).payload.tobytes() == prob.grad(good.values, 3).tobytes()
         with pytest.raises(po.PoisonedDrift) as exc:
             [pool.result(f) for f in futures]
         assert futures[1].exception() is exc.value
@@ -194,8 +196,8 @@ def test_submitted_state_is_reused_by_gather():
 @pytest.mark.parametrize("noise,served", [(0.0, 1), (0.1, 4)])
 def test_clones_share_one_drift_relabelled(noise, served):
     # A seed-free gradient ignores the step, so with_step clones of one state
-    # take its drift: the same object, with the step and seed it was
-    # computed at.
+    # take its drift: the same object, whose payload is every clone's
+    # gradient.
     rule = quad_rule(noise=noise)
     s = states_for(rule, 1, start=5)[0]
     states = [s] + [with_step(s, 5 + j) for j in (1, 2, 3)]
@@ -204,9 +206,8 @@ def test_clones_share_one_drift_relabelled(noise, served):
         drifts = [pool.result(f) for f in futures]
         assert sum(pool.timing_report()["drifts_served"]) == served
     assert len({id(f) for f in futures}) == len({id(d) for d in drifts}) == served
-    steps = [5] * 4 if noise == 0.0 else [5, 6, 7, 8]
-    assert [d.step for d in drifts] == steps
-    assert [d.seed for d in drifts] == [step + 11 for step in steps]
+    for state, d in zip(states, drifts, strict=True):
+        assert d.payload.tobytes() == rule.problem.grad(state.values, state.step + 11).tobytes()
 
 
 def test_submitted_clone_serves_every_slot_holding_its_values():
@@ -219,7 +220,7 @@ def test_submitted_clone_serves_every_slot_holding_its_values():
         early = pool.submit(rule, states[2])
         futures = pool.gather_drifts(rule, states)
         assert all(f is early for f in futures)
-        assert pool.result(early).step == 2
+        assert pool.result(early).payload.tobytes() == rule.problem.grad(s.values, 2).tobytes()
         assert sum(pool.timing_report()["drifts_served"]) == 1
 
 

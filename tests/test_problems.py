@@ -174,9 +174,11 @@ def test_each_problem_owns_its_defaults(kind, dim, noise):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_every_bad_problem_setting_raises_an_argument_error_naming_it(kind):
     # The one way a settings object rejects a value: config names the key
-    # from ``argument`` alone.
-    bad = dict(dim=0, data_seed=-1, noise=float("nan"), points=0)
-    for name, value in bad.items():
+    # from ``argument`` alone.  A size or data seed must be an integer, as
+    # EngineSettings' counts must: a whole float is rejected too.
+    bad = [("dim", 0), ("dim", 2.5), ("dim", 2.0), ("data_seed", -1), ("data_seed", 1.5),
+           ("noise", float("nan")), ("points", 0), ("points", 2.5)]
+    for name, value in bad:
         with pytest.raises(ArgumentError) as info:
             make_problem(kind, **{name: value})
         assert info.value.argument == name  # a bad value, or a setting not taken

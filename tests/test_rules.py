@@ -8,7 +8,7 @@ import picardopt as po
 from picardopt.errors import ArgumentError, DimensionError, PoisonedDrift
 from picardopt.rules import drift, initial_state, make_rule, rollout_one, sequential_step
 from picardopt.schedule import ScheduleAction, split_offset
-from picardopt.state import Drift, MomentState, ParamState
+from picardopt.state import MomentState, ParamState
 
 
 def quad(dim=2, noise=0.0, seed=0):
@@ -90,7 +90,7 @@ def test_poisoned_drift_identifies_step_and_seed():
 def test_adam_zero_gradient_fixed_point():
     rule = make_rule("adam", quad(), 0.1, total_steps=10)
     s = ParamState(0, np.array([1.0, -2.0]), 2, MomentState.zeros(2))
-    out = rollout_one(rule, Drift(0, np.zeros(2), 0), s)
+    out = rollout_one(rule, np.zeros(2), s)
     np.testing.assert_array_equal(out.values, s.values)
     assert out.step == 1 and not out.moments.m1.any() and not out.moments.m2.any()
 
@@ -99,7 +99,7 @@ def test_adam_first_step_hand_derived():
     # beta1=0.9, beta2=0.999, eps=1e-8, eta=0.1, g=1: theta' = theta - 0.1/(1+1e-8)
     rule = make_rule("adam", quad(dim=1), 0.1, total_steps=10)
     s = ParamState(0, np.array([0.5]), 1, MomentState.zeros(1))
-    out = rollout_one(rule, Drift(0, np.array([1.0]), 0), s)
+    out = rollout_one(rule, np.array([1.0]), s)
     assert out.values[0] == pytest.approx(0.5 - 0.0999999990, abs=1e-12)
     assert out.step == 1
     np.testing.assert_allclose(out.moments.m1, [0.1])
@@ -115,7 +115,7 @@ def test_adam_matches_naive_bitwise():
     g = rng.standard_normal(6)
     for t_prev in (0, 1, 17):  # the state's step is its moments' update count
         s = ParamState(t_prev, v, 6, MomentState(m1, m2))
-        out = rollout_one(rule, Drift(t_prev, g, t_prev), s)
+        out = rollout_one(rule, g, s)
         ev, em1, em2, et = naive_adam(v, m1, m2, g, t_prev, 0.9, 0.999, 1e-8, 0.03)
         np.testing.assert_array_equal(out.values, ev)
         np.testing.assert_array_equal(out.moments.m1, em1)
@@ -131,7 +131,7 @@ def test_adam_rollout_builds_its_moments_unscanned(monkeypatch):
         raise AssertionError("MomentState.__post_init__ ran")
 
     monkeypatch.setattr(MomentState, "__post_init__", rescan)
-    out = rollout_one(rule, Drift(0, np.array([0.5, -3.0]), 0), s)
+    out = rollout_one(rule, np.array([0.5, -3.0]), s)
     m = out.moments
     assert type(m) is MomentState and out.step == 1
     assert not m.m1.flags.writeable and not m.m2.flags.writeable
@@ -146,7 +146,7 @@ def test_adam_rollout_with_nan_second_moment_is_poisoned():
     rule = make_rule("adam", quad(), 0.1, total_steps=10, adam=po.AdamParams(beta2=0.0))
     s = ParamState(1, np.array([1.0, -2.0]), 2, MomentState(np.zeros(2), np.array([np.inf, 1.0])))
     with pytest.raises(PoisonedDrift):
-        rollout_one(rule, Drift(1, np.array([0.5, -3.0]), 1), s)
+        rollout_one(rule, np.array([0.5, -3.0]), s)
 
 
 def test_adam_moments_monotone_over_run():
@@ -162,14 +162,14 @@ def test_adam_moments_monotone_over_run():
 def test_sgd_rollout_matches_naive():
     rule = make_rule("sgd", quad(), 0.1, total_steps=10)
     s = ParamState(0, np.array([1.0, 2.0]), 2)
-    out = rollout_one(rule, Drift(0, np.array([0.5, -0.5]), 0), s)
+    out = rollout_one(rule, np.array([0.5, -0.5]), s)
     np.testing.assert_array_equal(out.values, naive_sgd(s.values, np.array([0.5, -0.5]), 0.1))
 
 
 def test_euler_rollout_matches_naive():
     rule = make_rule("euler_ode", DecayOde(), 1.0, total_steps=4)
     s = ParamState(0, np.array([1.0]), 1)
-    out = rollout_one(rule, Drift(0, np.array([-1.0]), 0), s)
+    out = rollout_one(rule, np.array([-1.0]), s)
     np.testing.assert_array_equal(out.values, naive_euler(s.values, np.array([-1.0]), 4))
     assert out.values[0] == 0.75
 
@@ -181,7 +181,7 @@ def test_sequential_step_is_composition():
     for trial in range(100):
         s = ParamState(trial % 100, rng.standard_normal(5), 5)
         direct = sequential_step(rule, s, trial)
-        composed = rollout_one(rule, drift(rule, s, trial), s)
+        composed = rollout_one(rule, drift(rule, s, trial).payload, s)
         assert direct.values.tobytes() == composed.values.tobytes()
 
 
@@ -225,7 +225,7 @@ def test_split_rollout_appends_offset_child():
     prob, rule = splat_rule(schedule=[ScheduleAction(3, "split", (0,))])
     v = prob.initial_values()
     s = ParamState(3, v, 2)
-    out = rollout_one(rule, Drift(3, np.zeros(8), 3), s)
+    out = rollout_one(rule, np.zeros(8), s)
     assert out.dim_tag == 3
     assert len(out.values) == 12
     np.testing.assert_array_equal(out.values[:8], v)
@@ -235,7 +235,7 @@ def test_split_rollout_appends_offset_child():
 def test_prune_rollout_removes_point():
     prob, rule = splat_rule(schedule=[ScheduleAction(3, "prune", (0,))])
     v = prob.initial_values()
-    out = rollout_one(rule, Drift(3, np.zeros(8), 3), ParamState(3, v, 2))
+    out = rollout_one(rule, np.zeros(8), ParamState(3, v, 2))
     assert out.dim_tag == 1
     np.testing.assert_array_equal(out.values, v[4:])
 
@@ -243,7 +243,7 @@ def test_prune_rollout_removes_point():
 def test_rollout_dimension_mismatch_raises():
     prob, rule = splat_rule()
     with pytest.raises(DimensionError):
-        rollout_one(rule, Drift(0, np.zeros(4), 0), ParamState(0, prob.initial_values(), 2))
+        rollout_one(rule, np.zeros(4), ParamState(0, prob.initial_values(), 2))
 
 
 def test_split_prune_sgd_is_a_spelling_of_sgd():
@@ -259,13 +259,13 @@ def test_adam_rollout_carries_its_moments_through_the_schedule():
     rng = np.random.default_rng(0)
     m = MomentState(rng.standard_normal(8), rng.random(8))
     g = rng.standard_normal(8)
-    out = rollout_one(rule, Drift(3, g, 3), ParamState(3, prob.initial_values(), 2, m))
+    out = rollout_one(rule, g, ParamState(3, prob.initial_values(), 2, m))
     v, m1, m2, t = naive_adam(prob.initial_values(), m.m1, m.m2, g, 3, 0.9, 0.999, 1e-8, 0.01)
     assert (out.dim_tag, out.step) == (3, t)
     np.testing.assert_array_equal(out.values[:8], v)
     np.testing.assert_array_equal(out.moments.m1, naive_carry_moment(m1, split, 4))
     np.testing.assert_array_equal(out.moments.m2, naive_carry_moment(m2, split, 4))
-    after = rollout_one(rule, Drift(4, np.zeros(12), 4), out)
+    after = rollout_one(rule, np.zeros(12), out)
     assert (after.dim_tag, after.dim, len(after.moments.m1)) == (2, 8, 8)
 
 

@@ -6,17 +6,33 @@ import numpy as np
 import pytest
 
 from picardopt.errors import DimensionError, PoisonedDrift
-from picardopt.problems import make_problem
-from picardopt.rules import make_rule, rollout_one
-from picardopt.state import (Drift, MomentState, ParamState, iter_states, state_checksum,
-                             state_writer, states_equal_bits, with_step, without_moments,
-                             write_states)
+from picardopt.problems import QuadraticProblem, make_problem
+from picardopt.rules import drift, make_rule, rollout_one
+from picardopt.state import (MomentState, ParamState, iter_states, state_checksum, state_writer,
+                             states_equal_bits, with_step, without_moments, write_states)
 
 
 def make_state(step=0, values=(1.0, 2.0), moments=False):
     v = np.asarray(values, dtype=float)
     m = MomentState(np.zeros_like(v), np.zeros_like(v)) if moments else None
     return ParamState(step, v, len(v), m)
+
+
+class FixedGradient(QuadraticProblem):
+    """A quadratic whose gradient is ``g`` at every state and seed."""
+
+    def __init__(self, g):
+        super().__init__(dim=3)
+        self.g = g
+
+    def grad(self, values, seed):
+        return self.g
+
+
+def drift_of(g, step=0, seed=0):
+    """The SGD drift at a state of ``step``, under ``seed``, whose payload is ``g``."""
+    rule = make_rule("sgd", FixedGradient(g), 0.1, total_steps=10)
+    return drift(rule, ParamState(step, np.zeros(3), 3), seed)
 
 
 def test_clone_is_independent():
@@ -95,12 +111,22 @@ def test_each_nonfinite_value_is_rejected_in_values_and_payloads(bad, at):
     with pytest.raises(PoisonedDrift):
         ParamState(0, v, 3)
     with pytest.raises(PoisonedDrift):
-        Drift(0, v, seed=0)
+        drift_of(v)
 
 
 def test_empty_values_and_payloads_are_finite():
     assert ParamState(0, np.zeros(0), 1).dim == 0
-    assert len(Drift(0, np.zeros(0), seed=0).payload) == 0
+    assert len(drift_of(np.zeros(0)).payload) == 0
+
+
+@pytest.mark.parametrize("step,dim_tag,name", [(1.5, 2, "step"), (1.0, 2, "step"),
+                                               (1, 2.0, "dim_tag"), (1, "2", "dim_tag")])
+def test_a_step_or_dim_tag_that_is_not_an_integer_is_rejected(step, dim_tag, name):
+    # Checked when the state is built, not by state_checksum's struct.pack later.
+    with pytest.raises(ValueError, match=name):
+        ParamState(step, np.zeros(2), dim_tag)
+    with pytest.raises(ValueError, match="step must be >= 0 and an integer"):
+        with_step(make_state(), step if name == "step" else 0.5)
 
 
 def test_moment_length_mismatch_rejected():
@@ -120,8 +146,9 @@ def test_negative_second_moment_rejected(tmp_path):
 
 
 def test_drift_nonfinite_payload_rejected():
-    with pytest.raises(PoisonedDrift):
-        Drift(4, np.array([np.nan]), seed=4)
+    with pytest.raises(PoisonedDrift, match="drift payload contains NaN/Inf") as exc:
+        drift_of(np.array([np.nan]), step=4, seed=9)
+    assert (exc.value.step, exc.value.seed) == (4, 9)
 
 
 def test_binary_roundtrip_plain(tmp_path):
@@ -272,7 +299,7 @@ def test_checkpoint_bytes_are_pinned(tmp_path):
     adam = ParamState(0, np.array([0.5, -1.25, 3.0, 0.0625]), 4, MomentState.zeros(4))
     for step, g in enumerate(([1.0, -2.0, 0.5, 0.25], [0.5, 1.0, -0.25, 2.0],
                               [-1.0, 0.5, 4.0, 0.125])):
-        adam = rollout_one(rule, Drift(step, np.array(g), step), adam)
+        adam = rollout_one(rule, np.array(g), adam)
     plain = ParamState(2, np.array([0.25, -0.5]), 2)
     assert adam.step == 3 and adam.moments.m1.all() and adam.moments.m2.all()
     assert state_checksum(adam) == 0xEC7A3D14DF70EA77
