@@ -16,8 +16,8 @@ from .kernels import kernel_path
 from .oracle import SequentialRun, StepComparison, solve_sequential
 from .pool import WorkerPool
 from .problems import PROBLEM_KINDS, Problem, make_problem
-from .rules import (RULE_KINDS, AdamParams, AuxModel, UpdateRule, drift, initial_state,
-                    make_rule, rollout_one, sequential_step)
+from .rules import (RULE_KINDS, AdamParams, AuxModel, UpdateRule, carried, drift,
+                    initial_state, make_rule, rollout_one, sequential_step)
 from .schedule import ScheduleAction, split_offset
 from .state import (MomentState, ParamState, iter_states, state_checksum, states_equal_bits,
                     write_states)

@@ -216,8 +216,10 @@ def cmd_verify(manifest_path: str | None) -> int:
         raw = items.pop("expected_checksum", None)
         try:
             expected = int(raw, 16)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{section}.expected_checksum", f"not a hex checksum: {raw!r}") from exc
+        except (TypeError, ValueError):
+            expected = None
+        if expected is None or not 0 <= expected < 2**64:
+            raise ConfigError(f"{section}.expected_checksum", f"not a 64-bit hex checksum: {raw!r}")
         for key in items:
             if key not in fields:
                 raise ConfigError(f"{section}.{key}", "not a [problem], [rule] or [engine] option")

@@ -3,9 +3,9 @@
 A window is a list of candidate states, slot j holding step
 ``window[0].step + j``: slot 0 is the converged anchor, final and never
 recomputed, with moments for Adam; the later slots are guesses, which may
-carry none.  Every slot has its step's dimension: a guess is made by carrying
-the state before it through the schedule's action at that state's step, if
-one fires (``schedule.reconcile_vector``), so no round lifts a state or a
+carry none.  Every slot has its step's dimension: ``rules.carried`` makes
+each guess from the state before it as a rollout makes a successor, through
+the schedule's action at that state's step, so no round lifts a state or a
 drift payload.  Each round evaluates all drifts in parallel at the previous
 iterate, rolls the successors out strictly left to right from the anchor,
 measures per-slot normalized squared errors against the previous iterate,
@@ -55,9 +55,8 @@ from . import kernels
 from .errors import ArgumentError, DimensionError, ObjectiveError, PicardoptError, PoisonedDrift
 from .oracle import checked_loss, keep_freed_heap
 from .pool import WorkerPool
-from .rules import ADAPTIVE_GUIDANCE, UpdateRule, initial_state, rollout_one
-from .schedule import reconcile_vector
-from .state import ParamState, finite_checked, with_step, without_moments
+from .rules import ADAPTIVE_GUIDANCE, UpdateRule, carried, initial_state, rollout_one
+from .state import ParamState, finite_checked, without_moments
 from .telemetry import RoundRecord, RunReport, finalize_report
 
 DOT_BLOCK = 8192
@@ -178,32 +177,21 @@ def picard_round(window: list[ParamState], rule: UpdateRule, pool: WorkerPool, t
 
 
 def advance_window(window: list[ParamState], skip: int, rule: UpdateRule) -> list[ParamState]:
-    """Refill the tail of a window that a round slid forward by ``skip``.
-
-    The tail is refilled up to the size it had before the slide, clamped so
-    the window never extends past the horizon, each new slot a guess carried
-    on from the slot before it (``_carried``).  Returns the window, refilled
-    in place.
-    """
+    """The window a round slid forward by ``skip``, its tail refilled in place
+    to the size it had before the slide (``_filled``)."""
     if skip < 1:
         raise ValueError(f"skip {skip} is below 1")
-    size = min(len(window) - 1 + skip, rule.total_steps - window[0].step)
+    return _filled(window, len(window) - 1 + skip, rule)
+
+
+def _filled(window: list[ParamState], size: int, rule: UpdateRule) -> list[ParamState]:
+    """``window``, grown in place to ``size`` slots past its anchor, clamped
+    so it never extends past the horizon, each new slot a guess carried on
+    from the slot before it (``rules.carried``)."""
+    size = min(size, rule.total_steps - window[0].step)
     while len(window) <= size:
-        window.append(_carried(rule, window[-1]))
+        window.append(carried(rule, window[-1]))
     return window
-
-
-def _carried(rule: UpdateRule, state: ParamState) -> ParamState:
-    """The guess for the step after ``state``'s: its values, without moments,
-    carried through the schedule's action at its step.  When no action fires
-    there, the guess shares ``state``'s values array, and so its drift."""
-    guess = without_moments(state)
-    if rule.schedule:
-        width = rule.problem.point_width
-        values = reconcile_vector(guess.values, rule.schedule, state.step, state.step + 1, width)
-        if values is not guess.values:
-            return ParamState(state.step + 1, values, len(values) // width)
-    return with_step(guess, state.step + 1)
 
 
 @dataclass(frozen=True)
@@ -317,7 +305,7 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
             f"{pool.injected_cost_ms}) disagrees with the settings (workers {settings.workers}, "
             f"seed_offset {settings.seed_offset}, injected_cost_ms {settings.injected_cost_ms})")
     T = rule.total_steps
-    window = _first_window(rule, min(settings.window, T))
+    window = _filled([initial_state(rule)], settings.window, rule)
     threshold = settings.threshold
 
     records: list[RoundRecord] = []
@@ -357,15 +345,6 @@ def run(rule: UpdateRule, settings: EngineSettings, pool: WorkerPool | None = No
             pool.close()
 
     return EngineResult(_report(records, T, echo, pool, wall_ms, final_loss), records, window)
-
-
-def _first_window(rule: UpdateRule, size: int) -> list[ParamState]:
-    """The initial state and ``size`` guesses after it, each carried on from
-    the slot before it (``_carried``)."""
-    window = [initial_state(rule)]
-    for _ in range(size):
-        window.append(_carried(rule, window[-1]))
-    return window
 
 
 def _report(records, T: int, echo: dict, pool: WorkerPool, wall_ms: float,

@@ -306,10 +306,10 @@ class Splat2dProblem(Problem):
         return self._init.copy()
 
 
-class LinearOdeProblem(Problem):
+class LinearOdeProblem(QuadraticProblem):
     """theta' = a * theta with diagonal decay rates; analytic solution exposed
-    for engine-vs-truth error measurement.  loss is the energy 0.5 ||v||^2 (a
-    diagnostic; the Euler rule consumes ode_drift, not grad)."""
+    for engine-vs-truth error measurement.  loss is the quadratic's energy
+    0.5 ||v||^2 (a diagnostic; the Euler rule consumes ode_drift, not grad)."""
 
     kind = "linear_ode"
 
@@ -324,12 +324,6 @@ class LinearOdeProblem(Problem):
 
     def analytic_solution(self, t: float) -> np.ndarray:
         return self._init * np.exp(self.rates * t)
-
-    def _base_loss(self, v):
-        return 0.5 * float(np.dot(v, v))
-
-    def _base_grad(self, v):
-        return v
 
     def initial_values(self):
         return self._init.copy()

@@ -8,7 +8,7 @@ Each rule factors one sequential step ``state -> next state`` into
 * ``rollout_one``: the cheap sequential reconstruction of the successor state
   from a drift's payload and the current state (Euler step, SGD step or
   bias-corrected Adam apply), carried through the rule's split/prune
-  schedule, if it has one, at that step.
+  schedule, if it has one, at that step, as ``carried`` carries each guess.
 
 ``sequential_step`` composes the two; it is the ground truth the oracle
 iterates and the identity the fixed-point engine converges to: rolling out the
@@ -19,6 +19,7 @@ exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,8 @@ from . import kernels
 from .errors import ArgumentError, DimensionError, PoisonedDrift
 from .problems import Problem
 from .schedule import ScheduleAction, reconcile_moments, reconcile_vector, validate_schedule
-from .state import Drift, MomentState, ParamState, all_finite, finite_checked
+from .state import (Drift, MomentState, ParamState, all_finite, finite_checked, with_step,
+                    without_moments)
 
 EULER_ODE = "euler_ode"
 SGD = "sgd"
@@ -80,8 +82,8 @@ def make_rule(kind: str, problem: Problem, step_size: float, total_steps: int,
     kind = SGD if kind == "split_prune_sgd" else kind
     if kind not in RULE_KINDS:
         raise ArgumentError("kind", f"unknown rule kind {kind!r}; have {RULE_KINDS}")
-    if total_steps < 1:
-        raise ArgumentError("total_steps", "total_steps must be >= 1")
+    if not isinstance(total_steps, numbers.Integral) or total_steps < 1:
+        raise ArgumentError("total_steps", "total_steps must be an integer >= 1")
     if not 0.0 < step_size < math.inf:
         raise ArgumentError("step_size", "step_size must be finite and > 0")
     if kind == ADAM:
@@ -154,7 +156,6 @@ def rollout_one(rule: UpdateRule, payload: np.ndarray, state: ParamState) -> Par
         )
     eta = rule.step_size
     moments = state.moments
-    dim_tag = state.dim_tag
 
     if rule.kind == EULER_ODE:
         vn = state.values + (eta / rule.total_steps) * payload
@@ -169,15 +170,33 @@ def rollout_one(rule: UpdateRule, payload: np.ndarray, state: ParamState) -> Par
         moments = MomentState._from_adam(m1, m2)
     else:  # pragma: no cover - guarded by make_rule
         raise ValueError(f"unknown rule kind {rule.kind!r}")
-    if rule.schedule:
-        width = rule.problem.point_width
-        vn = reconcile_vector(vn, rule.schedule, state.step, state.step + 1, width)
-        if moments is not None:
-            moments = reconcile_moments(moments, rule.schedule, state.step, state.step + 1, width)
-        dim_tag = len(vn) // width
-
+    vn, moments, dim_tag = _crossed(rule, state.step, vn, moments, state.dim_tag)
     # ParamState construction raises PoisonedDrift on non-finite values.
     return ParamState(state.step + 1, vn, dim_tag, moments)
+
+
+def carried(rule: UpdateRule, state: ParamState) -> ParamState:
+    """The engine's guess for the step after ``state``'s: its values, without
+    moments, carried on as ``rollout_one`` carries a successor; between
+    actions, ``state`` relabelled, sharing its values array and so its drift."""
+    values, _, dim_tag = _crossed(rule, state.step, state.values, None, state.dim_tag)
+    if values is state.values:
+        return with_step(without_moments(state), state.step + 1)
+    return ParamState(state.step + 1, values, dim_tag)
+
+
+def _crossed(rule: UpdateRule, step: int, values: np.ndarray, moments: MomentState | None,
+             dim_tag: int) -> tuple[np.ndarray, MomentState | None, int]:
+    """The one crossing of a split or prune: ``values``, ``moments`` (if any)
+    and their point count ``dim_tag``, carried through the schedule's action
+    at ``step``; the same objects when no action fires there."""
+    if any(action.step == step for action in rule.schedule):
+        width = rule.problem.point_width
+        values = reconcile_vector(values, rule.schedule, step, step + 1, width)
+        if moments is not None:
+            moments = reconcile_moments(moments, rule.schedule, step, step + 1, width)
+        dim_tag = len(values) // width
+    return values, moments, dim_tag
 
 
 def sequential_step(rule: UpdateRule, state: ParamState, seed: int, aux=None) -> ParamState:

@@ -7,14 +7,15 @@ indices.  Split children are offset from the parent by a fixed deterministic
 perturbation (magnitude SPLIT_OFFSET, direction hashed from the parent index).
 
 ``reconcile_vector`` carries a vector from one step to a later one through
-the actions that fire between them.  The rollouts carry each successor and
-the engine builds each guess that way, so every state, and every drift taken
-at one, has its step's dimension: no drift payload is lifted.
-``reconcile_moments`` carries Adam's moments through the same actions.
+the actions that fire between them, and ``reconcile_moments`` Adam's moments.
+``rules`` carries each rollout's successor and each engine guess (``carried``)
+through the action at its step with them, so every state, and every drift
+taken at one, has its step's dimension: no drift payload is lifted.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,10 @@ class ScheduleAction:
             raise ScheduleError("schedule action needs at least one point index")
         if len(set(self.indices)) != len(self.indices):
             raise ScheduleError("schedule action indices must be distinct")
-        if any(i < 0 for i in self.indices):
-            raise ScheduleError("schedule action indices must be >= 0")
+        if not isinstance(self.step, numbers.Integral):
+            raise ScheduleError(f"schedule action step must be an integer, not {self.step!r}")
+        if not all(isinstance(i, numbers.Integral) and i >= 0 for i in self.indices):
+            raise ScheduleError("schedule action indices must be integers >= 0")
 
     def __str__(self) -> str:
         """The config-file form ``step:action:i[,j...]``."""

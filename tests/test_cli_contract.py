@@ -540,7 +540,7 @@ def test_unwritable_out_exits_1_with_one_error_line(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("checksum", [None, "not-hex"])
+@pytest.mark.parametrize("checksum", [None, "not-hex", "-1", "10000000000000000"])
 def test_bad_manifest_checksum_exits_2(tmp_path, capsys, checksum):
     manifest = tmp_path / "manifest.ini"
     lines = ["[case:tiny]", "problem = quadratic", "rule = sgd", "steps = 5"]

@@ -6,7 +6,8 @@ from conftest import DecayOde, naive_adam, naive_carry_moment, naive_euler, naiv
 
 import picardopt as po
 from picardopt.errors import ArgumentError, DimensionError, PoisonedDrift
-from picardopt.rules import drift, initial_state, make_rule, rollout_one, sequential_step
+from picardopt.rules import (carried, drift, initial_state, make_rule, rollout_one,
+                             sequential_step)
 from picardopt.schedule import ScheduleAction, split_offset
 from picardopt.state import MomentState, ParamState
 
@@ -267,6 +268,32 @@ def test_adam_rollout_carries_its_moments_through_the_schedule():
     np.testing.assert_array_equal(out.moments.m2, naive_carry_moment(m2, split, 4))
     after = rollout_one(rule, np.zeros(12), out)
     assert (after.dim_tag, after.dim, len(after.moments.m1)) == (2, 8, 8)
+
+
+def test_a_guess_crosses_an_action_as_a_rollout_does():
+    # The premise of exactness at threshold 0: at an action's step, the guess
+    # carried on from a state is that state's rollout under a zero drift;
+    # between actions it shares the state's values array, and so its drift.
+    prob, rule = splat_rule(T=12, schedule=[ScheduleAction(3, "split", (1,)),
+                                            ScheduleAction(7, "prune", (0,))])
+    s = initial_state(rule)
+    for step in range(rule.total_steps):
+        guess = carried(rule, s)
+        assert (guess.step, guess.moments) == (step + 1, None)
+        if step in (3, 7):
+            rolled = rollout_one(rule, np.zeros(s.dim), s)
+            assert guess.values.tobytes() == rolled.values.tobytes()
+            assert guess.dim_tag == rolled.dim_tag != s.dim_tag
+        else:
+            assert guess.values is s.values and guess.dim_tag == s.dim_tag
+        s = sequential_step(rule, s, seed=step)
+
+
+@pytest.mark.parametrize("steps", [2.5, 3.0, "3", 0])
+def test_total_steps_is_an_integer_of_at_least_one(steps):
+    with pytest.raises(ArgumentError, match="total_steps must be an integer >= 1") as exc:
+        make_rule("sgd", quad(), 0.1, steps)
+    assert exc.value.argument == "total_steps"
 
 
 @pytest.mark.parametrize("kind,problem", [("euler_ode", "linear_ode"),

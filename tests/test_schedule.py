@@ -105,3 +105,9 @@ def test_reconcile_moments_zeroes_split_rows_and_drops_pruned_ones():
     for got, m in ((both.m1, moments.m1), (both.m2, moments.m2)):
         expected = naive_carry_moment(naive_carry_moment(m, sched[0], 4), sched[1], 4)
         np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("step,indices", [(1.5, (0,)), (1.0, (0,)), (1, (0.5,)), (1, (0, 1.0))])
+def test_an_action_takes_only_integer_steps_and_indices(step, indices):
+    with pytest.raises(ScheduleError, match="integer"):
+        ScheduleAction(step, "split", indices)
